@@ -19,24 +19,21 @@ import sys
 
 import click
 
-from .hilbert import HilbertError
 from .hilbert import verify as hilbert_verify_rows
+from .kernel import MODES, PREMISE_COUNTS
 from .lattice import LatticeFileError, by_name, parse_lattice
-from .script import ScriptError, check_file
+from .script import ScriptError, check_file, parse_justification, split_by
 from .semantics import (
     Valid, classical_valid, countermodel_search, decide_two_var,
     validate_sequent,
 )
-from .syntax import (
-    And, Forall, Imp, ParseError, Sequent, SignatureError, Var, alpha_key,
-    expand, parse_sequent, parse_term, render_sequent, render_term,
-    substitute,
+from .syntax import (  # parse_term is unused here; the benchmark's tracer wraps it
+    And, Forall, Imp, ParseError, Sequent, Signature, SignatureError, expand,
+    parse_sequent, parse_term, render_sequent, render_term, sequent_eq, substitute,
 )
 from .tactics import TacticError, infer_conclusion
 from .tactics import catalog as catalog_entries
 from .tactics import lookup as catalog_lookup
-
-MODES = ("NOM", "NOM_E", "NOM_Q", "NOM_q")
 
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["plain", "tsv"]),
                        default="plain", show_default=True,
@@ -200,14 +197,7 @@ def catalog(fmt):
 # ---------------------------------------------------------------------------
 # interactive session
 
-_BY_SPLIT = re.compile(r"\s\bby\b(?=\s)")
 _LINE_PREFIX = re.compile(r"^line \d+: ")
-
-_PRIM_ARITY = {
-    "cut": 2, "paste": 2, "cexch": 3, "and_i": 2, "and_e1": 1, "and_e2": 1,
-    "imp_i": 1, "imp_e": 1, "lem": 2, "explode": 1, "exch": 1,
-    "all_i": 1, "all_e": 1,
-}
 
 _HELP = """\
 commands:
@@ -221,30 +211,22 @@ commands:
   export PATH                 write the session as a script and re-check it
   help | quit
 forward applications take the most recent lines when `from` is omitted;
-`exch` swaps the last two antecedent formulas (use the full form for
-other positions)."""
+t=/x= values are written without spaces; `exch` and `qexch` swap the last
+two antecedent formulas (use the full form for other positions)."""
 
 
 class _Forward(Exception):
     """Forward application could not produce a conclusion."""
 
 
-def _seq_key(s: Sequent):
-    return (tuple(alpha_key(expand(f)) for f in s.antecedent),
-            alpha_key(expand(s.succedent)))
-
-
-def _forward_primitive(rule, t, x, prems):
+def _forward_primitive(rule, args, prems):
     """Conclusion of a forward rule application; the kernel re-checks it."""
-    if rule in ("all_i", "all_e"):
-        if rule == "all_i" and x is None:
-            raise _Forward("all_i needs x=VAR")
-        if rule == "all_e" and t is None:
-            raise _Forward("all_e needs t=TERM")
-    elif t is not None or x is not None:
-        raise _Forward(f"{rule} takes no instantiation arguments")
+    wanted = {"all_i": ["x"], "all_e": ["t"]}.get(rule, [])
+    if list(args) != wanted:
+        raise _Forward(f"{rule} takes " + (f"one {wanted[0]}= argument" if wanted
+                                           else "no instantiation arguments"))
     (p1, *rest) = prems
-    ante, succ = p1.antecedent, p1.succedent
+    ante, succ, e = p1.antecedent, p1.succedent, expand(p1.succedent)
     if rule == "cut":
         return Sequent(ante, rest[0].succedent)
     if rule == "paste":
@@ -254,7 +236,6 @@ def _forward_primitive(rule, t, x, prems):
     if rule == "and_i":
         return Sequent(ante, And(succ, rest[0].succedent))
     if rule in ("and_e1", "and_e2"):
-        e = expand(succ)
         if not isinstance(e, And):
             raise _Forward("the premise succedent is not a conjunction")
         return Sequent(ante, e.left if rule == "and_e1" else e.right)
@@ -263,7 +244,6 @@ def _forward_primitive(rule, t, x, prems):
             raise _Forward("imp_i needs a premise with an antecedent")
         return Sequent(ante[:-1], Imp(ante[-1], succ))
     if rule == "imp_e":
-        e = expand(succ)
         if not isinstance(e, Imp):
             raise _Forward("the premise succedent is not an arrow")
         return Sequent(ante + (e.left,), e.right)
@@ -274,19 +254,15 @@ def _forward_primitive(rule, t, x, prems):
     if rule == "explode":
         raise _Forward("explode's succedent is unconstrained; "
                        "state the target sequent")
-    if rule == "exch":
+    if rule in ("exch", "qexch"):
         if len(ante) < 2:
-            raise _Forward("exch needs at least two antecedent formulas")
+            raise _Forward(f"{rule} needs at least two antecedent formulas")
         return Sequent(ante[:-2] + (ante[-1], ante[-2]), succ)
     if rule == "all_i":
-        return Sequent(ante, Forall(x, succ))
-    if rule == "all_e":
-        e = expand(succ)
-        if not isinstance(e, Forall):
-            raise _Forward("the premise succedent is not universally "
-                           "quantified")
-        return Sequent(ante, substitute(e.body, e.var, t))
-    raise _Forward(f"unknown rule '{rule}'")
+        return Sequent(ante, Forall(args["x"], succ))
+    if not isinstance(e, Forall):
+        raise _Forward("the premise succedent is not universally quantified")
+    return Sequent(ante, substitute(e.body, e.var, args["t"]))
 
 
 class _Session:
@@ -311,41 +287,32 @@ class _Session:
         self.steps.append((seq_text, just))
         try:
             report = check_file(self._script_text(goal_text=seq_text))[0]
+            msg = None if report.accepted else next(
+                (st.message for st in report.lines if not st.ok), report.message)
         except (ScriptError, ParseError, SignatureError) as err:
+            msg = _LINE_PREFIX.sub("", str(err))
+        if msg is not None:
             self.steps.pop()
-            click.echo(f"rejected: {_LINE_PREFIX.sub('', str(err))}")
-            return
-        if not report.accepted:
-            self.steps.pop()
-            msg = next((st.message for st in report.lines if not st.ok),
-                       report.message)
             click.echo(f"rejected: {msg}")
             return
         click.echo(f"{len(self.steps)}: {seq_text}")
-        if self.goal is not None and _seq_key(parse_sequent(seq_text)) \
-                == _seq_key(parse_sequent(self.goal)):
+        if self.goal is not None and sequent_eq(parse_sequent(seq_text),
+                                                parse_sequent(self.goal)):
             click.echo("goal reached.")
 
     # -- forward application -------------------------------------------------
 
-    def _resolve_refs(self, refs_text, arity):
-        if refs_text is not None:
-            toks = refs_text.split()
-            if not toks or not all(t.isdigit() for t in toks):
-                raise _Forward("line references must be numbers")
-            refs = [int(t) for t in toks]
-        else:
-            if len(self.steps) < arity:
-                raise _Forward(f"needs {arity} premise line(s); "
-                               f"only {len(self.steps)} available")
-            refs = list(range(len(self.steps) - arity + 1,
-                              len(self.steps) + 1))
+    def _resolve_refs(self, refs, arity):
+        n = len(self.steps)
+        if not refs and n < arity:
+            raise _Forward(f"needs {arity} premise line(s); only {n} available")
+        refs = refs or range(n - arity + 1, n + 1)
         if len(refs) != arity:
             raise _Forward(f"needs {arity} premise line(s), got {len(refs)}")
-        bad = [r for r in refs if not 1 <= r <= len(self.steps)]
+        bad = [r for r in refs if not 1 <= r <= n]
         if bad:
             raise _Forward(f"no line {bad[0]}")
-        return refs
+        return list(refs)
 
     def _forward(self, line):
         head, _, remainder = line.partition(" ")
@@ -357,47 +324,24 @@ class _Session:
             concl = Sequent(s.antecedent, s.antecedent[-1])
             self._try_step(render_sequent(concl), "assume")
             return
-        body, sep, refs_text = remainder.rpartition(" from ")
-        if not sep:
-            body, refs_text = remainder, None
-        if head == "derived":
-            eid, _, args_text = body.partition(" ")
-            if not eid:
-                raise _Forward("derived needs a catalog id")
-            if args_text.strip():
-                raise _Forward("forward derived lines take no arguments; "
-                               "state the target sequent")
-            entry = catalog_lookup(eid)
-            refs = self._resolve_refs(refs_text, len(entry.premises))
-            prems = [parse_sequent(self.steps[r - 1][0]) for r in refs]
-            concl = infer_conclusion(eid, prems)
-            suffix = f" from {' '.join(map(str, refs))}" if refs else ""
-            self._try_step(render_sequent(concl), f"derived {eid}{suffix}")
-            return
-        if head not in _PRIM_ARITY:
+        if head != "derived" and head not in PREMISE_COUNTS:
             raise _Forward("unrecognized input; 'help' lists commands")
-        t = x = None
-        if body:
-            for part in re.split(r"\s+(?=[tx]=)", body):
-                key, eq, val = part.partition("=")
-                if key not in ("t", "x") or not eq or not val.strip():
-                    raise _Forward(f"unrecognized arguments '{body}'")
-                if key == "t":
-                    t = parse_term(val.strip())
-                else:
-                    xv = parse_term(val.strip())
-                    if not isinstance(xv, Var):
-                        raise _Forward("x= needs a variable")
-                    x = xv
-        refs = self._resolve_refs(refs_text, _PRIM_ARITY[head])
+        # the script justification grammar: RULE [t=|x=] [from N ...]
+        rule, eid, args, refs, _ = parse_justification(line, Signature())
+        if eid is not None and args:
+            raise _Forward("forward derived lines take no arguments; "
+                           "state the target sequent")
+        arity = PREMISE_COUNTS[rule] if eid is None else len(catalog_lookup(eid).premises)
+        refs = self._resolve_refs(refs, arity)
         prems = [parse_sequent(self.steps[r - 1][0]) for r in refs]
-        concl = _forward_primitive(head, t, x, prems)
-        just = head
-        if t is not None:
-            just += f" t={render_term(t)}"
-        if x is not None:
-            just += f" x={x.name}"
-        just += f" from {' '.join(map(str, refs))}"
+        if eid is None:
+            concl = _forward_primitive(rule, dict(args), prems)
+        else:
+            concl = infer_conclusion(eid, prems)
+            rule = f"derived {eid}"
+        just = rule + "".join(f" {k}={render_term(v)}" for k, v in args)
+        if refs:
+            just += f" from {' '.join(map(str, refs))}"
         self._try_step(render_sequent(concl), just)
 
     # -- commands -------------------------------------------------------------
@@ -436,7 +380,7 @@ class _Session:
             self._show()
             return True
         try:
-            if line.startswith("hyp "):
+            if line.partition(" ")[0] == "hyp":
                 decl, _, seq_text = line[4:].partition(":")
                 name, seq_text = decl.strip(), seq_text.strip()
                 if not name or " " in name or not seq_text:
@@ -452,14 +396,12 @@ class _Session:
             elif line.startswith("export "):
                 self._export(line[7:].strip())
             else:
-                matches = list(_BY_SPLIT.finditer(line))
-                if matches:
-                    m = matches[-1]
-                    self._try_step(line[:m.start()].strip(),
-                                   line[m.end():].strip())
+                parts = split_by(line)
+                if parts:
+                    self._try_step(parts[0].strip(), parts[1].strip())
                 else:
                     self._forward(line)
-        except (_Forward, TacticError, ParseError, SignatureError) as err:
+        except (_Forward, TacticError, ScriptError, ParseError, SignatureError) as err:
             click.echo(f"rejected: {err}")
         return True
 

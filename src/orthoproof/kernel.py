@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    And, Forall, Imp, Neg, Sequent, Var,
-    expand, is_nonduplicating, render_sequent, substitute, term_free_vars,
+    And, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
+    is_nonduplicating, render_sequent, sequent_eq, substitute, term_free_vars,
 )
 
 __all__ = [
@@ -37,13 +37,14 @@ PREMISE_COUNTS = {
 
 RULES = tuple(PREMISE_COUNTS)
 
-# which additional rules each mode switches on (the first eleven are universal)
+# which additional rules each mode switches on; every other rule is universal
 _MODE_RULES = {
     "NOM": frozenset(),
     "NOM_E": frozenset({"exch"}),
     "NOM_Q": frozenset({"all_i", "all_e"}),
     "NOM_q": frozenset({"all_i", "all_e", "qexch"}),
 }
+_MODE_DEPENDENT = frozenset().union(*_MODE_RULES.values())
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,6 @@ class CheckFailure:
         return f"at {where} [{render_sequent(self.conclusion)}]: {self.violation}"
 
 
-def _feq(a, b) -> bool:
-    return expand(a) == expand(b)
-
-
-def _ctx_eq(xs, ys) -> bool:
-    return len(xs) == len(ys) and all(_feq(a, b) for a, b in zip(xs, ys))
-
-
 def check_inference(rule, premises, conclusion, mode, instantiation=None):
     """None when (premises / conclusion) instantiates the rule in the
     given mode, otherwise a RuleViolation naming what failed."""
@@ -108,9 +101,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
     bad = lambda msg: RuleViolation(rule, msg)
     if rule not in PREMISE_COUNTS:
         return bad("unknown rule")
-    if rule not in ("assume", "cut", "paste", "cexch", "and_i", "and_e1",
-                    "and_e2", "imp_i", "imp_e", "lem", "explode") \
-            and rule not in _MODE_RULES[mode]:
+    if rule in _MODE_DEPENDENT and rule not in _MODE_RULES[mode]:
         return bad(f"not available in mode {mode}")
     if len(premises) != PREMISE_COUNTS[rule]:
         return bad(f"needs {PREMISE_COUNTS[rule]} premises, got {len(premises)}")
@@ -126,18 +117,17 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
     if rule == "assume":
         if not ante:
             return bad("conclusion needs at least one antecedent")
-        if not _feq(ante[-1], succ):
+        if not formula_eq(ante[-1], succ):
             return bad("last antecedent must equal the succedent")
         return None
 
     if rule == "cut":
         p1, p2 = premises
-        if not _ctx_eq(p1.antecedent, ante):
+        if not context_eq(p1.antecedent, ante):
             return bad("first premise must share the conclusion's antecedent")
-        if not (_ctx_eq(p2.antecedent[:-1], ante) and p2.antecedent
-                and _feq(p2.antecedent[-1], p1.succedent)):
+        if not context_eq(p2.antecedent, (*ante, p1.succedent)):
             return bad("second premise must extend the antecedent by the cut formula")
-        if not _feq(p2.succedent, succ):
+        if not formula_eq(p2.succedent, succ):
             return bad("second premise must conclude the succedent")
         return None
 
@@ -146,11 +136,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         if not ante:
             return bad("conclusion needs at least one antecedent")
         gamma = ante[:-1]
-        if not (_ctx_eq(p1.antecedent, gamma) and _ctx_eq(p2.antecedent, gamma)):
+        if not (context_eq(p1.antecedent, gamma) and context_eq(p2.antecedent, gamma)):
             return bad("premises must share the conclusion's antecedent minus its last formula")
-        if not _feq(ante[-1], p1.succedent):
+        if not formula_eq(ante[-1], p1.succedent):
             return bad("pasted formula must be the first premise's succedent")
-        if not _feq(succ, p2.succedent):
+        if not formula_eq(succ, p2.succedent):
             return bad("succedent must come from the second premise")
         return None
 
@@ -160,11 +150,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("conclusion needs at least two antecedents")
         gamma, psi, phi = ante[:-2], ante[-2], ante[-1]
         straight = (*gamma, phi, psi)
-        if not (_ctx_eq(p1.antecedent, straight) and _feq(p1.succedent, phi)):
+        if not (context_eq(p1.antecedent, straight) and formula_eq(p1.succedent, phi)):
             return bad("first premise must be Γ, φ, ψ ⊢ φ")
-        if not (_ctx_eq(p2.antecedent, straight) and _feq(p2.succedent, succ)):
+        if not (context_eq(p2.antecedent, straight) and formula_eq(p2.succedent, succ)):
             return bad("second premise must be Γ, φ, ψ ⊢ χ")
-        if not (_ctx_eq(p3.antecedent, ante) and _feq(p3.succedent, psi)):
+        if not (context_eq(p3.antecedent, ante) and formula_eq(p3.succedent, psi)):
             return bad("third premise must be Γ, ψ, φ ⊢ ψ")
         return None
 
@@ -173,7 +163,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         target = expand(succ)
         if not isinstance(target, And):
             return bad("succedent must be a conjunction")
-        if not (_ctx_eq(p1.antecedent, ante) and _ctx_eq(p2.antecedent, ante)):
+        if not (context_eq(p1.antecedent, ante) and context_eq(p2.antecedent, ante)):
             return bad("premises must share the conclusion's antecedent")
         if not (expand(p1.succedent) == target.left
                 and expand(p2.succedent) == target.right):
@@ -185,7 +175,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         source = expand(p1.succedent)
         if not isinstance(source, And):
             return bad("premise succedent must be a conjunction")
-        if not _ctx_eq(p1.antecedent, ante):
+        if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
         part = source.left if rule == "and_e1" else source.right
         if expand(succ) != part:
@@ -197,7 +187,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         target = expand(succ)
         if not isinstance(target, Imp):
             return bad("succedent must be an implication")
-        if not (p1.antecedent and _ctx_eq(p1.antecedent[:-1], ante)):
+        if not (p1.antecedent and context_eq(p1.antecedent[:-1], ante)):
             return bad("premise antecedent must be the conclusion's plus one formula")
         if expand(p1.antecedent[-1]) != target.left:
             return bad("discharged formula must be the implication's antecedent")
@@ -212,7 +202,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("premise succedent must be an implication")
         if not ante:
             return bad("conclusion needs at least one antecedent")
-        if not _ctx_eq(p1.antecedent, ante[:-1]):
+        if not context_eq(p1.antecedent, ante[:-1]):
             return bad("conclusion antecedent must extend the premise's by one formula")
         if expand(ante[-1]) != source.left:
             return bad("added antecedent must be the implication's antecedent")
@@ -224,11 +214,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         p1, p2 = premises
         if not (p1.antecedent and p2.antecedent):
             return bad("premises must extend the antecedent by φ and ¬φ")
-        if not (_ctx_eq(p1.antecedent[:-1], ante) and _ctx_eq(p2.antecedent[:-1], ante)):
+        if not (context_eq(p1.antecedent[:-1], ante) and context_eq(p2.antecedent[:-1], ante)):
             return bad("premises must extend the conclusion's antecedent")
         if expand(p2.antecedent[-1]) != Neg(expand(p1.antecedent[-1])):
             return bad("second premise must assume the negation of the first's assumption")
-        if not (_feq(p1.succedent, succ) and _feq(p2.succedent, succ)):
+        if not (formula_eq(p1.succedent, succ) and formula_eq(p2.succedent, succ)):
             return bad("premises must conclude the succedent")
         return None
 
@@ -236,7 +226,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         (p1,) = premises
         if not ante:
             return bad("conclusion needs at least one antecedent")
-        if not _ctx_eq(p1.antecedent, ante[:-1]):
+        if not context_eq(p1.antecedent, ante[:-1]):
             return bad("premise antecedent must be the conclusion's minus its last formula")
         if expand(p1.succedent) != Neg(expand(ante[-1])):
             return bad("premise must conclude the negation of the added antecedent")
@@ -244,14 +234,14 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
 
     if rule == "exch":
         (p1,) = premises
-        if not _feq(p1.succedent, succ):
+        if not formula_eq(p1.succedent, succ):
             return bad("succedent must be unchanged")
         src = p1.antecedent
         if len(src) != len(ante) or len(src) < 2:
             return bad("antecedents must be equal-length sequences of length >= 2")
         for i in range(len(src) - 1):
             swapped = (*src[:i], src[i + 1], src[i], *src[i + 2:])
-            if _ctx_eq(swapped, ante):
+            if context_eq(swapped, ante):
                 return None
         return bad("conclusion is not an adjacent transposition of the premise")
 
@@ -264,7 +254,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("needs the quantified variable recorded (x=...)")
         x = instantiation if isinstance(instantiation, Var) \
             else Var(str(instantiation), target.var.sort)
-        if not _ctx_eq(p1.antecedent, ante):
+        if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
         if Forall(x, expand(p1.succedent)) != target:
             return bad("succedent must quantify the premise's succedent over x")
@@ -281,11 +271,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         if instantiation is None:
             return bad("needs the substituted term recorded (t=...)")
         t = instantiation
-        if not _ctx_eq(p1.antecedent, ante):
+        if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
         if mode == "NOM_q" and term_free_vars(t) & source.body.free:
             return bad("substituted term shares a free variable with the matrix (NOM_q)")
-        if expand(succ) != expand(substitute(source.body, source.var, t)):
+        if not formula_eq(succ, substitute(source.body, source.var, t)):
             return bad("succedent must be the matrix with the term substituted")
         return None
 
@@ -293,11 +283,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         (p1,) = premises
         if len(ante) < 2 or len(p1.antecedent) != len(ante):
             return bad("needs equal antecedents of length >= 2")
-        if not _feq(p1.succedent, succ):
+        if not formula_eq(p1.succedent, succ):
             return bad("succedent must be unchanged")
-        if not _ctx_eq(p1.antecedent[:-2], ante[:-2]):
+        if not context_eq(p1.antecedent[:-2], ante[:-2]):
             return bad("only the last two antecedents may move")
-        if not (_feq(p1.antecedent[-2], ante[-1]) and _feq(p1.antecedent[-1], ante[-2])):
+        if not context_eq(p1.antecedent[-2:], (ante[-1], ante[-2])):
             return bad("conclusion must swap the premise's last two antecedents")
         if ante[-1].free & ante[-2].free:
             return bad("swapped formulas share a free variable")
@@ -311,9 +301,7 @@ def _hyp_match(leaf: Sequent, h: Sequent) -> bool:
     # sequent ``weaken`` produces from the hypothesis, and weakening is
     # admissible in every mode.
     extra = len(leaf.antecedent) - len(h.antecedent)
-    if extra < 0 or not _feq(leaf.succedent, h.succedent):
-        return False
-    return _ctx_eq(leaf.antecedent[extra:], h.antecedent)
+    return extra >= 0 and sequent_eq(Sequent(leaf.antecedent[extra:], leaf.succedent), h)
 
 
 def check_derivation(d: Derivation, mode, hypotheses=()):

@@ -27,7 +27,7 @@ from typing import Optional
 
 from .kernel import MODES, RULES, Derivation, check_derivation, check_inference
 from .syntax import (
-    ParseError, Sequent, Signature, Var, expand, parse_sequent, parse_term,
+    ParseError, Sequent, Signature, Var, parse_sequent, parse_term, sequent_eq,
 )
 
 
@@ -90,8 +90,8 @@ class ScriptReport:
 _THEOREM_RE = re.compile(r"theorem\s+(\S+)\s+mode=(\S+)\s*$")
 _HYP_RE = re.compile(r"hyp\s+([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.*)$")
 _STEP_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
-# lookahead keeps runs like "... by by RULE" splittable at the last 'by'
-_BY_RE = re.compile(r"\s\bby\b(?=\s)")
+# the greedy prefix splits at the last 'by', also in runs like "... by by RULE"
+_BY_RE = re.compile(r"(.*)\s\bby\b(?=\s)(.*)")
 _ARG_RE = re.compile(r"([tx])=(\S+)$")
 
 
@@ -102,8 +102,16 @@ def _strip(raw: str) -> str:
     return raw.strip()
 
 
-def _parse_justification(text, sig, lineno):
-    """Split the part after ``by`` into (rule, catalog_id, args, refs, hyp)."""
+def split_by(text):
+    """Split ``SEQUENT by JUSTIFICATION`` at its last ``by``; None without one."""
+    m = _BY_RE.match(" " + text)
+    return m.groups() if m else None
+
+
+def parse_justification(text, sig, lineno=0):
+    """Split the part after ``by`` into (rule, catalog_id, args, refs, hyp).
+
+    The REPL's forward steps use the same grammar without the sequent."""
     tokens = text.split()
     if not tokens:
         raise ScriptError("missing justification after 'by'", lineno)
@@ -213,26 +221,16 @@ def parse_script_file(text: str, signature: Optional[Signature] = None):
         number = int(m.group(1))
         if steps and number <= steps[-1].number:
             raise ScriptError("line numbers must increase", lineno)
-        body = m.group(2)
-        splits = list(_BY_RE.finditer(" " + body))
-        if not splits:
+        parts = split_by(m.group(2))
+        if parts is None:
             raise ScriptError("expected 'SEQUENT by RULE ...'", lineno)
-        pivot = splits[-1]
-        seq_src = (" " + body)[: pivot.start()]
-        rule, cid, args, refs, hyp_name = _parse_justification(
-            (" " + body)[pivot.end():], sig, lineno)
+        seq_src, just = parts
+        rule, cid, args, refs, hyp_name = parse_justification(just, sig, lineno)
         steps.append(ScriptLine(number, sequent(seq_src, lineno), rule, cid,
                                 args, refs, hyp_name, lineno))
     if in_theorem:
         raise ScriptError("missing 'qed' at end of file", len(text.splitlines()))
     return tuple(scripts)
-
-
-def _eq(a: Sequent, b: Sequent) -> bool:
-    if len(a.antecedent) != len(b.antecedent):
-        return False
-    pairs = zip(a.antecedent + (a.succedent,), b.antecedent + (b.succedent,))
-    return all(expand(x) == expand(y) for x, y in pairs)
 
 
 def check_script(script: ProofScript) -> ScriptReport:
@@ -261,7 +259,7 @@ def check_script(script: ProofScript) -> ScriptReport:
             if declared is None:
                 status.ok = False
                 status.message = f"no hypothesis named '{ln.hyp_name}'"
-            elif not _eq(ln.sequent, declared):
+            elif not sequent_eq(ln.sequent, declared):
                 status.ok = False
                 status.message = f"sequent differs from hypothesis {ln.hyp_name}"
             else:
@@ -279,7 +277,7 @@ def check_script(script: ProofScript) -> ScriptReport:
                 if fail is not None:
                     status.ok = False
                     status.message = str(fail)
-                elif not _eq(d.conclusion, ln.sequent):
+                elif not sequent_eq(d.conclusion, ln.sequent):
                     status.ok = False
                     status.message = "catalog entry proves a different sequent"
                 else:
@@ -306,7 +304,7 @@ def check_script(script: ProofScript) -> ScriptReport:
         return report
     last = script.lines[-1]
     if all_ok:
-        if _eq(last.sequent, script.goal):
+        if sequent_eq(last.sequent, script.goal):
             final = derivations[last.number]
             fail = check_derivation(final, script.mode, hyp_sequents)
             if fail is None:

@@ -19,7 +19,7 @@ import numpy as np
 from .lattice import FiniteOML, battery, boolean, mo, sasaki_and, sasaki_arrow
 from .syntax import (
     And, App, Atom, Const, Forall, Imp, Letter, Neg, Sequent, Var,
-    expand, letters,
+    children, expand, letters,
 )
 
 __all__ = [
@@ -109,18 +109,39 @@ def sequent_true(s: Sequent, I: Interpretation) -> bool:
 # exhaustive sweeps (vectorized over the whole assignment grid)
 
 
-def _ev_grid(f, L, cols):
+def _shared(roots):
+    """Ids of the nodes that a walk from ``roots`` meets more than once."""
+    seen, shared, stack = set(), set(), list(roots)
+    while stack:
+        f = stack.pop()
+        if id(f) in seen:
+            shared.add(id(f))
+        else:
+            seen.add(id(f))
+            stack.extend(children(f))
+    return shared
+
+
+def _ev_grid(f, L, cols, memo):
+    # memo keeps the values of shared nodes only (expand reuses the operands of
+    # ><), so the walk is linear and other nodes' values are freed after use
+    v = memo.get(id(f))
+    if v is not None:
+        return v
     if isinstance(f, Letter):
-        return cols[f.name]
-    if isinstance(f, Neg):
-        return L.neg[_ev_grid(f.sub, L, cols)]
-    if isinstance(f, And):
-        return L.meet[_ev_grid(f.left, L, cols), _ev_grid(f.right, L, cols)]
-    if isinstance(f, Imp):
-        a = _ev_grid(f.left, L, cols)
-        b = _ev_grid(f.right, L, cols)
-        return L.join[L.neg[a], L.meet[a, b]]
-    raise ValueError(f"{type(f).__name__} is not propositional")
+        v = cols[f.name]
+    elif isinstance(f, Neg):
+        v = L.neg[_ev_grid(f.sub, L, cols, memo)]
+    elif isinstance(f, And):
+        v = L.meet[_ev_grid(f.left, L, cols, memo), _ev_grid(f.right, L, cols, memo)]
+    elif isinstance(f, Imp):
+        a = _ev_grid(f.left, L, cols, memo)
+        v = L.join[L.neg[a], L.meet[a, _ev_grid(f.right, L, cols, memo)]]
+    else:
+        raise ValueError(f"{type(f).__name__} is not propositional")
+    if id(f) in memo:
+        memo[id(f)] = v
+    return v
 
 
 def validate_sequent(s: Sequent, L: FiniteOML) -> Verdict:
@@ -138,10 +159,12 @@ def validate_sequent(s: Sequent, L: FiniteOML) -> Verdict:
         grid = np.zeros((0, 1), dtype=int)
     cols = {name: grid[i] for i, name in enumerate(names)}
     fold = np.full(grid.shape[1], L.top, dtype=int)
-    for f in s.antecedent:
-        v = _ev_grid(expand(f), L, cols)
+    exprs = [expand(f) for f in (*s.antecedent, s.succedent)]
+    memo = dict.fromkeys(_shared(exprs))
+    for f in exprs[:-1]:
+        v = _ev_grid(f, L, cols, memo)
         fold = L.meet[L.join[fold, L.neg[v]], v]
-    succ = _ev_grid(expand(s.succedent), L, cols)
+    succ = _ev_grid(exprs[-1], L, cols, memo)
     bad = ~L.leq[fold, succ]
     if not bad.any():
         return Valid()

@@ -21,7 +21,8 @@ __all__ = [
     "Forall", "Exists",
     "Sequent", "Signature", "ParseError", "SignatureError",
     "parse_formula", "parse_sequent", "parse_term",
-    "expand", "substitute", "free_variables", "is_nonduplicating",
+    "expand", "formula_eq", "context_eq", "sequent_eq", "children",
+    "substitute", "free_variables", "is_nonduplicating",
     "render", "render_term", "render_sequent", "letters", "alpha_key",
 ]
 
@@ -228,6 +229,17 @@ def free_variables(f: Formula) -> frozenset:
     return f.free
 
 
+def children(x) -> tuple:
+    """The immediate sub-formulas of a formula, or the arguments of an atom or term."""
+    if isinstance(x, Neg):
+        return (x.sub,)
+    if isinstance(x, _Binary):
+        return (x.left, x.right)
+    if isinstance(x, _Quant):
+        return (x.body,)
+    return getattr(x, "args", ())
+
+
 def letters(f: Formula) -> frozenset:
     """Names of the propositional letters occurring in ``f``."""
     if isinstance(f, Letter):
@@ -275,6 +287,21 @@ def _expand(f):
         return f if (a is f.left and b is f.right) else type(f)(a, b)
     b = expand(f.body)
     return f if b is f.body else Forall(f.var, b)
+
+
+def formula_eq(a: Formula, b: Formula) -> bool:
+    """Alpha-equality after ``expand``: the one equality of the proof path."""
+    return expand(a) == expand(b)
+
+
+def context_eq(xs, ys) -> bool:
+    """Position-wise ``formula_eq`` of two antecedent sequences."""
+    return len(xs) == len(ys) and all(expand(a) == expand(b) for a, b in zip(xs, ys))
+
+
+def sequent_eq(a: Sequent, b: Sequent) -> bool:
+    """``formula_eq`` on the succedents and ``context_eq`` on the antecedents."""
+    return context_eq(a.antecedent, b.antecedent) and formula_eq(a.succedent, b.succedent)
 
 
 def _variant(name, avoid):
@@ -458,11 +485,17 @@ def _tokenize(text):
 
 
 class _Parser:
+    # deeper input is refused: the parser and the later walks (expand, alpha_key,
+    # render, the evaluators) recurse per level, within Python's default limit
+    MAX_NESTING = 100
+    TOO_DEEP = f"nested deeper than {MAX_NESTING} levels"
+
     def __init__(self, text, sig):
         self.toks = _tokenize(text)
         self.i = 0
         self.sig = sig
         self.bound = []
+        self.level = 0
 
     def peek(self):
         return self.toks[self.i][0]
@@ -481,6 +514,15 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, found {found!r}", self.pos())
         return self.take()
 
+    def nested(self, parse):
+        """Run one recursive grammar step a level deeper, within MAX_NESTING."""
+        if self.level == self.MAX_NESTING:
+            raise ParseError(self.TOO_DEEP, self.pos())
+        self.level += 1
+        value = parse()
+        self.level -= 1
+        return value
+
     def ident(self, what="identifier"):
         tok = self.peek()
         if tok is None or not tok[0].isalpha() and tok[0] != "_" or tok in _KEYWORDS:
@@ -493,7 +535,7 @@ class _Parser:
         left = self.cmpterm()
         if self.peek() == "->":
             self.take()
-            return Imp(left, self.formula())
+            return Imp(left, self.nested(self.formula))
         return left
 
     def cmpterm(self):
@@ -520,14 +562,14 @@ class _Parser:
     def unary(self):
         if self.peek() == "~":
             self.take()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         return self.atom()
 
     def atom(self):
         tok, pos = self.peek(), self.pos()
         if tok == "(":
             self.take()
-            f = self.formula()
+            f = self.nested(self.formula)
             self.expect(")")
             return f
         if tok in _KEYWORDS:
@@ -535,7 +577,7 @@ class _Parser:
             v = Var(self.ident("variable"))
             self.expect(".")
             self.bound.append(v.name)
-            body = self.formula()
+            body = self.nested(self.formula)
             self.bound.pop()
             return (Forall if tok == "forall" else Exists)(v, body)
         name = self.ident("formula")
@@ -565,7 +607,7 @@ class _Parser:
         pos = self.pos()
         name = self.ident("term")
         if self.peek() == "(":
-            args = self.term_args()
+            args = self.nested(self.term_args)
             try:
                 prof = self.sig._function(name, len(args))
             except SignatureError as e:
@@ -595,7 +637,13 @@ class _Parser:
     def finish(self, value):
         if self.peek() is not None:
             raise ParseError(f"unexpected {self.peek()!r}", self.pos())
-        return value
+        # chains like p /\ q /\ ... nest without recursion: walk the tree by layers
+        layer = [*value.antecedent, value.succedent] if isinstance(value, Sequent) else [value]
+        for _ in range(self.MAX_NESTING + 1):
+            if not layer:
+                return value
+            layer = [k for x in layer for k in children(x)]
+        raise ParseError(self.TOO_DEEP, self.pos())
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:

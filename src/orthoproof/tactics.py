@@ -14,12 +14,13 @@ proof scripts).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .kernel import MODES, Derivation, hyp, node, weaken
 from .syntax import (
     And, Compat, Exists, Forall, Formula, Imp, Letter, Neg, Or, Sequent,
-    expand, substitute,
+    context_eq, expand, formula_eq, sequent_eq, substitute,
 )
 
 
@@ -39,27 +40,12 @@ def _assume(prefix, chi):
     return _n("assume", tuple(prefix) + (chi,), chi)
 
 
-def _ctx(d: Derivation):
-    return d.conclusion.antecedent
-
-
 def _relabel(d: Derivation, succ: Formula) -> Derivation:
     """Swap the root's succedent for an abbreviation of the same formula."""
-    if expand(succ) != expand(d.conclusion.succedent):
+    if not formula_eq(succ, d.conclusion.succedent):
         raise TacticError("relabel changed the conclusion")
     return Derivation(Sequent(d.conclusion.antecedent, succ), d.rule,
                       d.premises, d.instantiation)
-
-
-def _eq_f(a, b):
-    return expand(a) == expand(b)
-
-
-def _eq_seq(a: Sequent, b: Sequent) -> bool:
-    if len(a.antecedent) != len(b.antecedent):
-        return False
-    pairs = zip(a.antecedent + (a.succedent,), b.antecedent + (b.succedent,))
-    return all(_eq_f(x, y) for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,94 +154,65 @@ def _l25_dn_elim(g, phi, psi, d):
 
 # -- generalized rules, built by recursion on the trailing context ----------
 
-def _t26_contract(g, phi, delta, psi, d):
+def _t26(base, front, fronts, delta, psi, *ds):
+    """A rule generalized over a trailing context delta, by recursion on it.
+
+    ``base(psi, *ds)`` builds the rule without delta; the conclusion's
+    antecedent is ``front + delta``.  Each premise whose entry in ``fronts``
+    is a context has antecedent ``that context + delta``: its last delta
+    formula is discharged with imp_i before the recursive call, and the
+    result is restored with imp_e.  A premise whose entry is None is passed
+    on unchanged.
+    """
     if not delta:
-        return _l25_contract(g, phi, psi, d)
+        return base(psi, *ds)
     *dp, dl = delta
-    inner = _t26_contract(g, phi, tuple(dp), Imp(dl, psi),
-                          _n("imp_i", g + (phi, phi) + tuple(dp), Imp(dl, psi), d))
-    return _n("imp_e", g + (phi,) + tuple(dp) + (dl,), psi, inner)
+    dp, arrow = tuple(dp), Imp(dl, psi)
+    inner = _t26(base, front, fronts, dp, arrow,
+                 *(d if f is None else _n("imp_i", f + dp, arrow, d)
+                   for f, d in zip(fronts, ds)))
+    return _n("imp_e", front + dp + (dl,), psi, inner)
+
+
+def _t26_contract(g, phi, delta, psi, d):
+    return _t26(partial(_l25_contract, g, phi), g + (phi,), (g + (phi, phi),), delta, psi, d)
 
 
 def _t26_expand(g, phi, delta, psi, d):
-    if not delta:
-        return _l25_expand(g, phi, psi, d)
-    *dp, dl = delta
-    inner = _t26_expand(g, phi, tuple(dp), Imp(dl, psi),
-                        _n("imp_i", g + (phi,) + tuple(dp), Imp(dl, psi), d))
-    return _n("imp_e", g + (phi, phi) + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_l25_expand, g, phi), g + (phi, phi), (g + (phi,),), delta, psi, d)
 
 
 def _t26_cut(g, phi, delta, psi, d1, d2):
-    if not delta:
-        return _n("cut", g, psi, d1, d2)
-    *dp, dl = delta
-    inner = _t26_cut(g, phi, tuple(dp), Imp(dl, psi), d1,
-                     _n("imp_i", g + (phi,) + tuple(dp), Imp(dl, psi), d2))
-    return _n("imp_e", g + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_n, "cut", g), g, (None, g + (phi,)), delta, psi, d1, d2)
 
 
 def _t26_paste(g, phi, delta, psi, d1, d2):
-    if not delta:
-        return _n("paste", g + (phi,), psi, d1, d2)
-    *dp, dl = delta
-    inner = _t26_paste(g, phi, tuple(dp), Imp(dl, psi), d1,
-                       _n("imp_i", g + tuple(dp), Imp(dl, psi), d2))
-    return _n("imp_e", g + (phi,) + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_n, "paste", g + (phi,)), g + (phi,), (None, g), delta, psi, d1, d2)
 
 
 def _t26_cexch(g, phi, psi, delta, chi, d1, d2, d3):
-    if not delta:
-        return _n("cexch", g + (psi, phi), chi, d1, d2, d3)
-    *dp, dl = delta
-    inner = _t26_cexch(g, phi, psi, tuple(dp), Imp(dl, chi), d1,
-                       _n("imp_i", g + (phi, psi) + tuple(dp), Imp(dl, chi), d2),
-                       d3)
-    return _n("imp_e", g + (psi, phi) + tuple(dp) + (dl,), chi, inner)
+    return _t26(partial(_n, "cexch", g + (psi, phi)), g + (psi, phi),
+                (None, g + (phi, psi), None), delta, chi, d1, d2, d3)
 
 
 def _t26_explode_l(g, phi, delta, psi):
-    if not delta:
-        return _l231(g, phi, psi)
-    *dp, dl = delta
-    inner = _t26_explode_l(g, phi, tuple(dp), Imp(dl, psi))
-    return _n("imp_e", g + (Neg(phi), phi) + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_l231, g, phi), g + (Neg(phi), phi), (), delta, psi)
 
 
 def _t26_explode_r(g, phi, delta, psi):
-    if not delta:
-        return _l233(g, phi, psi)
-    *dp, dl = delta
-    inner = _t26_explode_r(g, phi, tuple(dp), Imp(dl, psi))
-    return _n("imp_e", g + (phi, Neg(phi)) + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_l233, g, phi), g + (phi, Neg(phi)), (), delta, psi)
 
 
 def _t26_dn_elim(g, phi, delta, psi, d):
-    if not delta:
-        return _l25_dn_elim(g, phi, psi, d)
-    *dp, dl = delta
-    inner = _t26_dn_elim(g, phi, tuple(dp), Imp(dl, psi),
-                         _n("imp_i", g + (Neg(Neg(phi)),) + tuple(dp), Imp(dl, psi), d))
-    return _n("imp_e", g + (phi,) + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_l25_dn_elim, g, phi), g + (phi,), (g + (Neg(Neg(phi)),),), delta, psi, d)
 
 
 def _t26_dn_intro(g, phi, delta, psi, d):
-    if not delta:
-        return _l25_dn_intro(g, phi, psi, d)
-    *dp, dl = delta
-    inner = _t26_dn_intro(g, phi, tuple(dp), Imp(dl, psi),
-                          _n("imp_i", g + (phi,) + tuple(dp), Imp(dl, psi), d))
-    return _n("imp_e", g + (Neg(Neg(phi)),) + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_l25_dn_intro, g, phi), g + (Neg(Neg(phi)),), (g + (phi,),), delta, psi, d)
 
 
 def _t26_lem(g, phi, delta, psi, d1, d2):
-    if not delta:
-        return _n("lem", g, psi, d1, d2)
-    *dp, dl = delta
-    inner = _t26_lem(g, phi, tuple(dp), Imp(dl, psi),
-                     _n("imp_i", g + (phi,) + tuple(dp), Imp(dl, psi), d1),
-                     _n("imp_i", g + (Neg(phi),) + tuple(dp), Imp(dl, psi), d2))
-    return _n("imp_e", g + tuple(dp) + (dl,), psi, inner)
+    return _t26(partial(_n, "lem", g), g, (g + (phi,), g + (Neg(phi),)), delta, psi, d1, d2)
 
 
 # -- compatibility of a conjunction with its conjuncts ----------------------
@@ -851,6 +808,7 @@ def _p57ee(g, x, phi, psi, d1, d2, d3):
 
 _PHI, _PSI, _CHI = Letter("phi"), Letter("psi"), Letter("chi")
 _METAVARS = ("phi", "psi", "chi")
+_CONTEXTS = {"G": "gamma", "D": "delta"}    # shape markers and their inst keys
 
 
 @dataclass(frozen=True)
@@ -900,10 +858,8 @@ def _fill_shape(shape, inst):
     items, succ = shape
     ante = []
     for it in items:
-        if it == "G":
-            ante.extend(inst.get("gamma", ()))
-        elif it == "D":
-            ante.extend(inst.get("delta", ()))
+        if it in _CONTEXTS:
+            ante.extend(inst.get(_CONTEXTS[it], ()))
         else:
             ante.append(_fill_formula(it, inst))
     return Sequent(tuple(ante), _fill_formula(succ, inst))
@@ -951,17 +907,11 @@ def _bind_shape(shape, sequent, inst):
         raise TacticError("antecedent length mismatch")
     pos = 0
     for it in items:
-        if it == "G":
-            want = inst["gamma"]
-            got = sequent.antecedent[pos:pos + len(want)]
-            if not all(_eq_f(a, b) for a, b in zip(got, want)):
-                raise TacticError("ambient context mismatch")
-            pos += len(want)
-        elif it == "D":
-            want = inst["delta"]
-            got = sequent.antecedent[pos:pos + len(want)]
-            if not all(_eq_f(a, b) for a, b in zip(got, want)):
-                raise TacticError("trailing context mismatch")
+        if it in _CONTEXTS:
+            want = inst[_CONTEXTS[it]]
+            if not context_eq(sequent.antecedent[pos:pos + len(want)], want):
+                kind = "ambient" if it == "G" else "trailing"
+                raise TacticError(f"{kind} context mismatch")
             pos += len(want)
         else:
             _bind_formula(it, sequent.antecedent[pos], inst)
@@ -1402,7 +1352,7 @@ def _match_l56(prem_seqs, concl, args):
     if pair is None or not isinstance(pair[0], Forall):
         raise TacticError("L5.6 concludes a compatibility with a universal")
     fa, sub = pair
-    if not _eq_f(sub, substitute(fa.body, fa.var, t)):
+    if not formula_eq(sub, substitute(fa.body, fa.var, t)):
         raise TacticError("right component is not the instance at t")
     return {"gamma": concl.antecedent, "x": fa.var, "t": t, "phi": fa.body}
 
@@ -1420,7 +1370,7 @@ def _match_p57ei(prem_seqs, concl, args):
         raise TacticError("P5.7.EI concludes an existential")
     x, phi = pair
     want = Sequent(concl.antecedent, substitute(phi, x, t))
-    if not _eq_seq(prem_seqs[0], want):
+    if not sequent_eq(prem_seqs[0], want):
         raise TacticError("premise is not the instance at t")
     return {"gamma": concl.antecedent, "x": x, "t": t, "phi": phi}
 
@@ -1443,7 +1393,7 @@ def _match_p57ee(prem_seqs, concl, args):
     inst = {"gamma": g, "x": x, "phi": phi, "psi": psi}
     want, _ = _inst_p57ee(inst)
     for seq, expected in zip(prem_seqs, want):
-        if not _eq_seq(seq, expected):
+        if not sequent_eq(seq, expected):
             raise TacticError("premise shape mismatch for P5.7.EE")
     return inst
 
@@ -1505,7 +1455,7 @@ def derive(entry_id: str, inst, premises=()) -> Derivation:
         raise TacticError(
             f"{entry_id} takes {len(want)} premises, got {len(prems)}")
     for d, expected in zip(prems, want):
-        if not _eq_seq(d.conclusion, expected):
+        if not sequent_eq(d.conclusion, expected):
             raise TacticError(
                 f"{entry_id}: premise {d.conclusion} does not match {expected}")
     return entry.builder(inst, prems)
@@ -1583,6 +1533,6 @@ def match_and_build(entry_id: str, premises, conclusion: Sequent,
     inst = entry.match([d.conclusion for d in premises], conclusion,
                        args or {})
     d = entry.builder(inst, tuple(premises))
-    if not _eq_seq(d.conclusion, conclusion):
+    if not sequent_eq(d.conclusion, conclusion):
         raise TacticError(f"{entry_id} built {d.conclusion}, not {conclusion}")
     return d

@@ -2,6 +2,7 @@ import pytest
 from click.testing import CliRunner
 
 from orthoproof.cli import main
+from orthoproof.kernel import PREMISE_COUNTS
 
 GOOD_SCRIPT = """\
 theorem arrow mode=NOM
@@ -105,6 +106,18 @@ def test_validate_lattice_file(runner, tmp_path):
 def test_validate_bad_sequent(runner):
     res = invoke(runner, ["validate", "p |-"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("sequent", [
+    "(" * 200 + "p" + ")" * 200 + " |- p",   # deep parser recursion
+    "~" * 3000 + "p |- p",                   # deep parser recursion
+    "~" * 600 + "p |- p",                    # parses without a limit, then expand recursed too deep
+], ids=["parens200", "neg3000", "neg600"])
+def test_validate_too_deep_is_a_one_line_input_error(runner, sequent):
+    res = invoke(runner, ["validate", sequent])
+    assert res.exit_code == 2
+    lines = res.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: nested deeper than")
 
 
 def test_decide2_orthomodular_law_sequent(runner):
@@ -307,3 +320,56 @@ def test_repl_bad_formula_is_reported_not_fatal(runner):
     res = repl(runner, "goal: p |-\nassume p\nquit\n")
     assert "rejected:" in res.output
     assert "1: p |- p" in res.output
+
+
+# one forward step per rule, with explicit premise lines; a trailing filler
+# line makes the default (most recent lines) choose differently
+_FORWARD_CASES = {
+    "cut": ("NOM", ["g |- p", "g, p |- q"], "cut from 1 2", "g |- q"),
+    "paste": ("NOM", ["g |- p", "g |- q"], "paste from 1 2", "g, p |- q"),
+    "cexch": ("NOM", ["a, b |- a", "a, b |- c", "b, a |- b"], "cexch from 1 2 3",
+              "b, a |- c"),
+    "and_i": ("NOM", ["g |- p", "g |- q"], "and_i from 1 2", "g |- p /\\ q"),
+    "and_e1": ("NOM", ["g |- p /\\ q"], "and_e1 from 1", "g |- p"),
+    "and_e2": ("NOM", ["g |- p /\\ q"], "and_e2 from 1", "g |- q"),
+    "imp_i": ("NOM", ["g, p |- q"], "imp_i from 1", "g |- p -> q"),
+    "imp_e": ("NOM", ["g |- p -> q"], "imp_e from 1", "g, p |- q"),
+    "lem": ("NOM", ["p |- q", "~p |- q"], "lem from 1 2", "|- q"),
+    "explode": ("NOM", ["g |- ~p"], "explode from 1",
+                "rejected: explode's succedent is unconstrained; state the target sequent"),
+    "exch": ("NOM_E", ["a, b |- c"], "exch from 1", "b, a |- c"),
+    "qexch": ("NOM_q", ["a, b |- c"], "qexch from 1", "b, a |- c"),
+    "all_i": ("NOM_Q", ["|- R(y)"], "all_i x=y from 1", "|- forall y. R(y)"),
+    "all_e": ("NOM_Q", ["|- forall x. R(x)"], "all_e t=c from 1", "|- R(c)"),
+}
+
+
+@pytest.mark.parametrize("rule", [r for r in PREMISE_COUNTS if PREMISE_COUNTS[r]])
+def test_repl_forward_step_with_explicit_premises(runner, rule):
+    mode, premises, step, expected = _FORWARD_CASES[rule]
+    text = "".join(f"hyp h{i}: {s}\n{s} by hyp h{i}\n" for i, s in enumerate(premises))
+    res = repl(runner, text + "assume z\n" + step + "\nquit\n", mode=mode)
+    assert res.exit_code == 0
+    assert f"{len(premises) + 1}: z |- z" in res.output
+    if not expected.startswith("rejected:"):
+        expected = f"{len(premises) + 2}: {expected}"
+    assert expected in res.output
+
+
+def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):
+    text = "assume R(x), S(x)\nqexch from 1\nquit\n"
+    res = repl(runner, text, mode="NOM_q")
+    assert "rejected: qexch: swapped formulas share a free variable" in res.output
+
+
+@pytest.mark.parametrize("line, message", [
+    ("frob from 1", "unrecognized input; 'help' lists commands"),
+    ("hyp", "usage: hyp NAME: SEQ"),
+    ("assume", "assume needs its context"),
+    ("imp_i from x", "'from' takes line numbers"),
+    ("imp_i t=c from 1", "imp_i takes no instantiation arguments"),
+    ("all_e from 1", "all_e takes one t= argument"),
+])
+def test_repl_forward_rejections(runner, line, message):
+    res = repl(runner, f"assume p\n{line}\nquit\n", mode="NOM_Q")
+    assert f"rejected: {message}" in res.output

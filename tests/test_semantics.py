@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import propositional_strategy
+from orthoproof import semantics
 from orthoproof.lattice import boolean, free_oml2, mo, sasaki_and, sasaki_arrow
 from orthoproof.semantics import (
     Countermodel, Interpretation, QStructure, Valid, classical_valid,
@@ -131,6 +132,24 @@ class TestCountermodelSearch:
 
     def test_excluded_middle_has_no_countermodel(self):
         assert countermodel_search(parse_sequent("|- p \\/ ~p")) == Valid()
+
+    def test_shared_operands_are_evaluated_once(self, monkeypatch):
+        # expand turns a >< b into a DAG using each operand three times, so
+        # an unshared walk of >< nested 9 deep makes over 3^9 calls
+        text = "p"
+        for i in range(9):
+            text = f"({text}) >< {'qrp'[i % 3]}"
+        calls = []
+        walk = semantics._ev_grid
+
+        def counting(f, *rest):
+            calls.append(id(f))
+            return walk(f, *rest)
+
+        monkeypatch.setattr(semantics, "_ev_grid", counting)
+        assert validate_sequent(parse_sequent(f"{text} |- p \\/ ~p"), M2) == Valid()
+        assert len(calls) <= 2 * len(set(calls)) + 2
+        assert len(calls) < 150
 
 
 class TestClassical:

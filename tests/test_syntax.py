@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import corpus_signature, formula_strategy, random_formula
+from orthoproof.kernel import check_inference
+from orthoproof.lattice import by_name
+from orthoproof.semantics import validate_sequent
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
     ParseError, Sequent, Signature, SignatureError, Var,
-    expand, free_variables, is_nonduplicating, parse_formula, parse_sequent,
-    parse_term, render, render_sequent, substitute,
+    _Parser, alpha_key, expand, free_variables, is_nonduplicating,
+    parse_formula, parse_sequent, parse_term, render, render_sequent,
+    substitute,
 )
 
 p, q, r = Letter("p"), Letter("q"), Letter("r")
@@ -92,6 +96,40 @@ class TestParsing:
         sig = Signature()
         sig.declare_constant("c")
         assert parse_term("g(f(x),c)", sig) == App("g", (App("f", (Var("x"),)), Const("c")))
+
+
+def _nested(kind, depth):
+    """A sequent whose first formula is nested ``depth`` levels deep: its tree
+    (terms included) is that high, or it sits inside that many parentheses."""
+    n = depth - 1
+    return {
+        "neg": "~" * n + "p |- p",
+        "parens": "(" * depth + "p" + ")" * depth + " |- p",
+        "and": " /\\ ".join(["p"] * (n + 1)) + " |- p",
+        "imp": " -> ".join(["p"] * (n + 1)) + " |- p",
+        "forall": "forall x. " * (n - 1) + "R(x) |- p",
+        "term": "R(" + "f(" * (n - 1) + "x" + ")" * (n - 1) + ") |- p",
+    }[kind]
+
+
+class TestNestingLimit:
+    KINDS = ("neg", "parens", "and", "imp", "forall", "term")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_past_the_limit_is_a_parse_error(self, kind):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_sequent(_nested(kind, _Parser.MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_at_the_limit_every_later_walk_is_safe(self, kind):
+        s = parse_sequent(_nested(kind, _Parser.MAX_NESTING))
+        f = s.antecedent[0]
+        assert parse_sequent(render_sequent(s)) == s
+        assert alpha_key(expand(f)) == alpha_key(expand(parse_formula(render(f))))
+        assert substitute(f, "x", Var("y")) is not None
+        assert check_inference("assume", [], Sequent((f,), f), "NOM_q") is None
+        if kind not in ("forall", "term"):
+            assert validate_sequent(s, by_name("MO2")) is not None
 
 
 class TestExpand:
