@@ -13,8 +13,8 @@ seed (ORTHOPROOF_SEED, default 0, for the subspace sweeps).
 
 from __future__ import annotations
 
+import copy
 import pathlib
-import re
 import sys
 
 import click
@@ -22,7 +22,10 @@ import click
 from .hilbert import verify as hilbert_verify_rows
 from .kernel import MODES, PREMISE_COUNTS
 from .lattice import LatticeFileError, by_name, parse_lattice
-from .script import ScriptError, check_file, parse_justification, split_by
+from .script import (
+    HYP_RE, ScriptError, ScriptLine, check_file, check_line, parse_justification,
+    parse_step, split_by, strip_comment,
+)
 from .semantics import (
     Valid, classical_valid, countermodel_search, decide_two_var,
     validate_sequent,
@@ -52,6 +55,21 @@ def _parse_cli_sequent(text: str) -> Sequent:
         _input_error(err)
 
 
+def _read_input(path) -> str:
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        _input_error(f"{path}: {err}")
+
+
+def _evaluate(fn, *args):
+    """Run a semantics function; a sequent that is not propositional is an input error."""
+    try:
+        return fn(*args)
+    except ValueError as err:
+        _input_error(err)
+
+
 @click.group()
 def main():
     """Sequent proof checking and finite-model validation tools.
@@ -71,7 +89,7 @@ def check(paths, fmt):
     all_ok = True
     for path in paths:
         try:
-            reports = check_file(pathlib.Path(path).read_text())
+            reports = check_file(_read_input(path))
         except (ParseError, SignatureError, ScriptError) as err:
             _input_error(f"{path}: {err}")
         for r in reports:
@@ -96,13 +114,13 @@ def validate(sequent, name, lattice_file, fmt):
     s = _parse_cli_sequent(sequent)
     try:
         if lattice_file:
-            L = parse_lattice(pathlib.Path(lattice_file).read_text(),
+            L = parse_lattice(_read_input(lattice_file),
                               name=pathlib.Path(lattice_file).stem)
         else:
             L = by_name(name)
     except (LatticeFileError, KeyError) as err:
         _input_error(err.args[0])
-    v = validate_sequent(s, L)
+    v = _evaluate(validate_sequent, s, L)
     if isinstance(v, Valid):
         click.echo(f"valid\t{L.name}" if fmt == "tsv" else f"VALID on {L.name}")
         sys.exit(0)
@@ -116,10 +134,7 @@ def validate(sequent, name, lattice_file, fmt):
 def decide2(sequent, fmt):
     """Decide a two-letter sequent (complete for two letters)."""
     s = _parse_cli_sequent(sequent)
-    try:
-        v = decide_two_var(s)
-    except ValueError as err:
-        _input_error(err)
+    v = _evaluate(decide_two_var, s)
     if isinstance(v, Valid):
         click.echo("valid" if fmt == "tsv" else "VALID (complete for 2 letters)")
         sys.exit(0)
@@ -133,7 +148,7 @@ def decide2(sequent, fmt):
 def countermodel(sequent, fmt):
     """Search the lattice battery for a falsifying assignment."""
     s = _parse_cli_sequent(sequent)
-    v = countermodel_search(s)
+    v = _evaluate(countermodel_search, s)
     if isinstance(v, Valid):
         click.echo("none" if fmt == "tsv" else "no countermodel found in battery")
         sys.exit(0)
@@ -147,7 +162,7 @@ def countermodel(sequent, fmt):
 def classical(sequent, fmt):
     """Check two-valued validity of a sequent."""
     s = _parse_cli_sequent(sequent)
-    if classical_valid(s):
+    if _evaluate(classical_valid, s):
         click.echo("valid" if fmt == "tsv" else "VALID (two-valued)")
         sys.exit(0)
     v = validate_sequent(s, by_name("2"))
@@ -197,8 +212,6 @@ def catalog(fmt):
 # ---------------------------------------------------------------------------
 # interactive session
 
-_LINE_PREFIX = re.compile(r"^line \d+: ")
-
 _HELP = """\
 commands:
   hyp NAME: SEQ               declare a hypothesis
@@ -215,16 +228,16 @@ t=/x= values are written without spaces; `exch` and `qexch` swap the last
 two antecedent formulas (use the full form for other positions)."""
 
 
-class _Forward(Exception):
-    """Forward application could not produce a conclusion."""
+class _Rejected(Exception):
+    """An input the session answers with one 'rejected: ...' line."""
 
 
 def _forward_primitive(rule, args, prems):
     """Conclusion of a forward rule application; the kernel re-checks it."""
     wanted = {"all_i": ["x"], "all_e": ["t"]}.get(rule, [])
     if list(args) != wanted:
-        raise _Forward(f"{rule} takes " + (f"one {wanted[0]}= argument" if wanted
-                                           else "no instantiation arguments"))
+        raise _Rejected(f"{rule} takes " + (f"one {wanted[0]}= argument" if wanted
+                                            else "no instantiation arguments"))
     (p1, *rest) = prems
     ante, succ, e = p1.antecedent, p1.succedent, expand(p1.succedent)
     if rule == "cut":
@@ -237,130 +250,127 @@ def _forward_primitive(rule, args, prems):
         return Sequent(ante, And(succ, rest[0].succedent))
     if rule in ("and_e1", "and_e2"):
         if not isinstance(e, And):
-            raise _Forward("the premise succedent is not a conjunction")
+            raise _Rejected("the premise succedent is not a conjunction")
         return Sequent(ante, e.left if rule == "and_e1" else e.right)
     if rule == "imp_i":
         if not ante:
-            raise _Forward("imp_i needs a premise with an antecedent")
+            raise _Rejected("imp_i needs a premise with an antecedent")
         return Sequent(ante[:-1], Imp(ante[-1], succ))
     if rule == "imp_e":
         if not isinstance(e, Imp):
-            raise _Forward("the premise succedent is not an arrow")
+            raise _Rejected("the premise succedent is not an arrow")
         return Sequent(ante + (e.left,), e.right)
     if rule == "lem":
         if not ante:
-            raise _Forward("lem premises need a final assumption to discharge")
+            raise _Rejected("lem premises need a final assumption to discharge")
         return Sequent(ante[:-1], succ)
     if rule == "explode":
-        raise _Forward("explode's succedent is unconstrained; "
-                       "state the target sequent")
+        raise _Rejected("explode's succedent is unconstrained; "
+                        "state the target sequent")
     if rule in ("exch", "qexch"):
         if len(ante) < 2:
-            raise _Forward(f"{rule} needs at least two antecedent formulas")
+            raise _Rejected(f"{rule} needs at least two antecedent formulas")
         return Sequent(ante[:-2] + (ante[-1], ante[-2]), succ)
     if rule == "all_i":
         return Sequent(ante, Forall(args["x"], succ))
     if not isinstance(e, Forall):
-        raise _Forward("the premise succedent is not universally quantified")
+        raise _Rejected("the premise succedent is not universally quantified")
     return Sequent(ante, substitute(e.body, e.var, args["t"]))
 
 
+def _justification(ln):
+    """The text after ``by`` that parses back into the justification of ``ln``."""
+    if ln.rule == "hyp":
+        return f"hyp {ln.hyp_name}"
+    words = [ln.rule] if ln.catalog_id is None else ["derived", ln.catalog_id]
+    words += [f"{k}={render_term(v)}" for k, v in ln.args]
+    return " ".join(words + (["from", *map(str, ln.refs)] if ln.refs else []))
+
+
 class _Session:
+    """Hypotheses, goal and lines parsed with one signature; each line is
+    checked once, by the script's line checker, when it is entered."""
+
     def __init__(self, mode):
         self.mode = mode
-        self.hyps = []          # (name, sequent text)
-        self.goal = None        # sequent text
-        self.steps = []         # (sequent text, justification text)
+        self.sig = Signature()
+        self.hyps = {}          # name -> Sequent
+        self.goal = None        # Sequent
+        self.lines = []         # accepted ScriptLines, numbered from 1
+        self.derivations = {}   # line number -> checked Derivation
 
-    # -- script assembly ----------------------------------------------------
+    def _script(self, goal):
+        return ([f"hyp {n}: {render_sequent(s)}" for n, s in self.hyps.items()]
+                + [f"goal: {goal}"]
+                + [f"{ln.number}: {render_sequent(ln.sequent)} by {_justification(ln)}"
+                   for ln in self.lines])
 
-    def _script_text(self, goal_text):
-        lines = [f"theorem repl mode={self.mode}"]
-        lines.extend(f"hyp {n}: {t}" for n, t in self.hyps)
-        lines.append(f"goal: {goal_text}")
-        lines.extend(f"{i}: {s} by {j}"
-                     for i, (s, j) in enumerate(self.steps, 1))
-        lines.append("qed")
-        return "\n".join(lines) + "\n"
-
-    def _try_step(self, seq_text, just):
-        self.steps.append((seq_text, just))
-        try:
-            report = check_file(self._script_text(goal_text=seq_text))[0]
-            msg = None if report.accepted else next(
-                (st.message for st in report.lines if not st.ok), report.message)
-        except (ScriptError, ParseError, SignatureError) as err:
-            msg = _LINE_PREFIX.sub("", str(err))
-        if msg is not None:
-            self.steps.pop()
-            click.echo(f"rejected: {msg}")
-            return
-        click.echo(f"{len(self.steps)}: {seq_text}")
-        if self.goal is not None and sequent_eq(parse_sequent(seq_text),
-                                                parse_sequent(self.goal)):
+    def _add(self, ln):
+        result = check_line(ln, self.derivations, self.hyps, self.mode)
+        if isinstance(result, str):
+            raise _Rejected(result)
+        self.lines.append(ln)
+        self.derivations[ln.number] = result
+        click.echo(f"{ln.number}: {render_sequent(ln.sequent)}")
+        if self.goal is not None and sequent_eq(ln.sequent, self.goal):
             click.echo("goal reached.")
 
     # -- forward application -------------------------------------------------
 
     def _resolve_refs(self, refs, arity):
-        n = len(self.steps)
+        n = len(self.lines)
         if not refs and n < arity:
-            raise _Forward(f"needs {arity} premise line(s); only {n} available")
-        refs = refs or range(n - arity + 1, n + 1)
+            raise _Rejected(f"needs {arity} premise line(s); only {n} available")
+        refs = refs or tuple(range(n - arity + 1, n + 1))
         if len(refs) != arity:
-            raise _Forward(f"needs {arity} premise line(s), got {len(refs)}")
+            raise _Rejected(f"needs {arity} premise line(s), got {len(refs)}")
         bad = [r for r in refs if not 1 <= r <= n]
         if bad:
-            raise _Forward(f"no line {bad[0]}")
-        return list(refs)
+            raise _Rejected(f"no line {bad[0]}")
+        return refs
 
-    def _forward(self, line):
+    def _forward(self, line, sig):
+        number = len(self.lines) + 1
         head, _, remainder = line.partition(" ")
         remainder = remainder.strip()
         if head == "assume":
             if not remainder:
-                raise _Forward("assume needs its context: assume g, p")
-            s = parse_sequent(f"{remainder} |- p")   # succedent is discarded
-            concl = Sequent(s.antecedent, s.antecedent[-1])
-            self._try_step(render_sequent(concl), "assume")
+                raise _Rejected("assume needs its context: assume g, p")
+            depth, cut = 0, -1          # the last formula follows the last top-level comma
+            for i, ch in enumerate(remainder):
+                depth += (ch == "(") - (ch == ")")
+                if ch == "," and not depth:
+                    cut = i
+            text = f"{remainder} |- {remainder[cut + 1:]} by assume"
+            self._add(parse_step(number, text, sig))
             return
         if head != "derived" and head not in PREMISE_COUNTS:
-            raise _Forward("unrecognized input; 'help' lists commands")
+            raise _Rejected("unrecognized input; 'help' lists commands")
         # the script justification grammar: RULE [t=|x=] [from N ...]
-        rule, eid, args, refs, _ = parse_justification(line, Signature())
+        rule, eid, args, refs, _ = parse_justification(line, sig)
         if eid is not None and args:
-            raise _Forward("forward derived lines take no arguments; "
-                           "state the target sequent")
+            raise _Rejected("forward derived lines take no arguments; "
+                            "state the target sequent")
         arity = PREMISE_COUNTS[rule] if eid is None else len(catalog_lookup(eid).premises)
         refs = self._resolve_refs(refs, arity)
-        prems = [parse_sequent(self.steps[r - 1][0]) for r in refs]
-        if eid is None:
-            concl = _forward_primitive(rule, dict(args), prems)
-        else:
-            concl = infer_conclusion(eid, prems)
-            rule = f"derived {eid}"
-        just = rule + "".join(f" {k}={render_term(v)}" for k, v in args)
-        if refs:
-            just += f" from {' '.join(map(str, refs))}"
-        self._try_step(render_sequent(concl), just)
+        prems = [self.lines[r - 1].sequent for r in refs]
+        concl = (_forward_primitive(rule, dict(args), prems) if eid is None
+                 else infer_conclusion(eid, prems))
+        self._add(ScriptLine(number, concl, rule, eid, args, refs))
 
     # -- commands -------------------------------------------------------------
 
-    def _show(self):
-        click.echo(f"mode: {self.mode}")
-        for n, t in self.hyps:
-            click.echo(f"hyp {n}: {t}")
-        click.echo(f"goal: {self.goal if self.goal else '(unset)'}")
-        for i, (s, j) in enumerate(self.steps, 1):
-            click.echo(f"{i}: {s}  by {j}")
-
     def _export(self, path):
-        if not self.steps:
+        if not self.lines:
             click.echo("nothing to export")
             return
-        goal_text = self.goal if self.goal else self.steps[-1][0]
-        text = self._script_text(goal_text)
-        pathlib.Path(path).write_text(text)
+        goal = self.goal if self.goal is not None else self.lines[-1].sequent
+        text = "\n".join([f"theorem repl mode={self.mode}",
+                          *self._script(render_sequent(goal)), "qed\n"])
+        try:
+            pathlib.Path(path).write_text(text)
+        except OSError as err:
+            raise _Rejected(f"cannot write {path}: {err.strerror or err}")
         report = check_file(text)[0]
         verdict = "accepted" if report.accepted else "rejected"
         click.echo(f"exported to {path}: {verdict}")
@@ -368,8 +378,8 @@ class _Session:
             click.echo(report.message)
 
     def handle(self, raw) -> bool:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = strip_comment(raw)
+        if not line:
             return True
         if line in ("quit", "exit"):
             return False
@@ -377,32 +387,33 @@ class _Session:
             click.echo(_HELP)
             return True
         if line == "show":
-            self._show()
+            click.echo(f"mode: {self.mode}")
+            goal = "(unset)" if self.goal is None else render_sequent(self.goal)
+            click.echo("\n".join(self._script(goal)))
             return True
+        sig = copy.deepcopy(self.sig)   # kept only if the input is accepted
         try:
             if line.partition(" ")[0] == "hyp":
-                decl, _, seq_text = line[4:].partition(":")
-                name, seq_text = decl.strip(), seq_text.strip()
-                if not name or " " in name or not seq_text:
-                    raise _Forward("usage: hyp NAME: SEQ")
-                parse_sequent(seq_text)
-                self.hyps.append((name, seq_text))
-                click.echo(f"hyp {name}: {seq_text}")
+                m = HYP_RE.match(line)
+                if not m or not m.group(2):
+                    raise _Rejected("usage: hyp NAME: SEQ")
+                if m.group(1) in self.hyps:
+                    raise _Rejected(f"duplicate hypothesis '{m.group(1)}'")
+                self.hyps[m.group(1)] = parse_sequent(m.group(2), sig)
+                click.echo(f"hyp {m.group(1)}: {m.group(2)}")
             elif line.startswith("goal:"):
-                seq_text = line[5:].strip()
-                parse_sequent(seq_text)
-                self.goal = seq_text
-                click.echo(f"goal: {seq_text}")
+                self.goal = parse_sequent(line[5:], sig)
+                click.echo(f"goal: {line[5:].strip()}")
             elif line.startswith("export "):
                 self._export(line[7:].strip())
+            elif split_by(line):
+                self._add(parse_step(len(self.lines) + 1, line, sig))
             else:
-                parts = split_by(line)
-                if parts:
-                    self._try_step(parts[0].strip(), parts[1].strip())
-                else:
-                    self._forward(line)
-        except (_Forward, TacticError, ScriptError, ParseError, SignatureError) as err:
+                self._forward(line, sig)
+        except (_Rejected, TacticError, ScriptError, ParseError, SignatureError) as err:
             click.echo(f"rejected: {err}")
+        else:
+            self.sig = sig
         return True
 
 

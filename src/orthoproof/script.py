@@ -88,14 +88,15 @@ class ScriptReport:
 
 
 _THEOREM_RE = re.compile(r"theorem\s+(\S+)\s+mode=(\S+)\s*$")
-_HYP_RE = re.compile(r"hyp\s+([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.*)$")
+HYP_RE = re.compile(r"hyp\s+([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.*)$")
 _STEP_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
 # the greedy prefix splits at the last 'by', also in runs like "... by by RULE"
 _BY_RE = re.compile(r"(.*)\s\bby\b(?=\s)(.*)")
 _ARG_RE = re.compile(r"([tx])=(\S+)$")
 
 
-def _strip(raw: str) -> str:
+def strip_comment(raw: str) -> str:
+    """A line without its ``#`` comment and surrounding whitespace."""
     cut = raw.find("#")
     if cut >= 0:
         raw = raw[:cut]
@@ -157,6 +158,26 @@ def parse_justification(text, sig, lineno=0):
     return rule, catalog_id, tuple(args), refs, None
 
 
+def _sequent(src, sig, lineno):
+    try:
+        return parse_sequent(src, sig)
+    except ParseError as exc:
+        raise ScriptError(str(exc), lineno)
+
+
+def parse_step(number: int, text: str, sig: Signature, lineno: int = 0) -> ScriptLine:
+    """Parse one proof line, ``SEQUENT by JUSTIFICATION``, with ``sig``.
+
+    Scripts and the REPL read their steps through this one function."""
+    parts = split_by(text)
+    if parts is None:
+        raise ScriptError("expected 'SEQUENT by RULE ...'", lineno)
+    seq_src, just = parts
+    rule, cid, args, refs, hyp_name = parse_justification(just, sig, lineno)
+    return ScriptLine(number, _sequent(seq_src, sig, lineno), rule, cid,
+                      args, refs, hyp_name, lineno)
+
+
 def parse_script_file(text: str, signature: Optional[Signature] = None):
     """Parse a file into a tuple of ProofScripts.
 
@@ -169,15 +190,8 @@ def parse_script_file(text: str, signature: Optional[Signature] = None):
     hyps: list = []
     steps: list = []
     in_theorem = False
-
-    def sequent(src, lineno):
-        try:
-            return parse_sequent(src, sig)
-        except ParseError as exc:
-            raise ScriptError(str(exc), lineno)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = strip_comment(raw)
         if not line:
             continue
         if not in_theorem:
@@ -196,14 +210,14 @@ def parse_script_file(text: str, signature: Optional[Signature] = None):
             scripts.append(ProofScript(name, mode, goal, tuple(hyps), tuple(steps)))
             in_theorem = False
             continue
-        m = _HYP_RE.match(line)
+        m = HYP_RE.match(line)
         if m and line.startswith("hyp"):
             if goal is not None:
                 raise ScriptError("hypotheses must precede the goal", lineno)
             hname = m.group(1)
             if any(h[0] == hname for h in hyps):
                 raise ScriptError(f"duplicate hypothesis '{hname}'", lineno)
-            hyps.append((hname, sequent(m.group(2), lineno)))
+            hyps.append((hname, _sequent(m.group(2), sig, lineno)))
             continue
         if line.startswith("goal"):
             rest = line[4:].lstrip()
@@ -211,7 +225,7 @@ def parse_script_file(text: str, signature: Optional[Signature] = None):
                 raise ScriptError("expected 'goal: SEQUENT'", lineno)
             if goal is not None:
                 raise ScriptError("duplicate goal", lineno)
-            goal = sequent(rest[1:], lineno)
+            goal = _sequent(rest[1:], sig, lineno)
             continue
         m = _STEP_RE.match(line)
         if not m:
@@ -221,92 +235,73 @@ def parse_script_file(text: str, signature: Optional[Signature] = None):
         number = int(m.group(1))
         if steps and number <= steps[-1].number:
             raise ScriptError("line numbers must increase", lineno)
-        parts = split_by(m.group(2))
-        if parts is None:
-            raise ScriptError("expected 'SEQUENT by RULE ...'", lineno)
-        seq_src, just = parts
-        rule, cid, args, refs, hyp_name = parse_justification(just, sig, lineno)
-        steps.append(ScriptLine(number, sequent(seq_src, lineno), rule, cid,
-                                args, refs, hyp_name, lineno))
+        steps.append(parse_step(number, m.group(2), sig, lineno))
     if in_theorem:
         raise ScriptError("missing 'qed' at end of file", len(text.splitlines()))
     return tuple(scripts)
 
 
+def check_line(ln: ScriptLine, derivations: dict, hypotheses: dict, mode: str):
+    """Check one line against the derivations of the earlier lines (by line
+    number) and the declared hypotheses (by name).
+
+    Returns the line's derivation, or the message saying why it fails.
+    Scripts and the REPL check their lines through this one function."""
+    missing = [r for r in ln.refs if r not in derivations]
+    if missing:
+        return f"reference to line {missing[0]}, which is not proven yet"
+    premises = [derivations[r] for r in ln.refs]
+    if ln.rule == "hyp":
+        declared = hypotheses.get(ln.hyp_name)
+        if declared is None:
+            return f"no hypothesis named '{ln.hyp_name}'"
+        if not sequent_eq(ln.sequent, declared):
+            return f"sequent differs from hypothesis {ln.hyp_name}"
+        return Derivation(ln.sequent, "hyp")
+    if ln.rule == "derived":
+        from .tactics import TacticError, match_and_build
+        try:
+            d = match_and_build(ln.catalog_id, premises, ln.sequent, mode, dict(ln.args))
+        except TacticError as exc:
+            return str(exc)
+        fail = check_derivation(d, mode, tuple(hypotheses.values()))
+        if fail is not None:
+            return str(fail)
+        if not sequent_eq(d.conclusion, ln.sequent):
+            return "catalog entry proves a different sequent"
+        return d
+    inst = dict(ln.args)
+    instantiation = inst.get("t") if ln.rule == "all_e" else inst.get("x")
+    violation = check_inference(ln.rule, [p.conclusion for p in premises],
+                                ln.sequent, mode, instantiation)
+    if violation is not None:
+        return str(violation)
+    return Derivation(ln.sequent, ln.rule, tuple(premises), instantiation)
+
+
 def check_script(script: ProofScript) -> ScriptReport:
     """Re-derive every line through the kernel and report per-line status."""
     report = ScriptReport(script.name, script.mode, accepted=False)
-    hyp_sequents = tuple(s for _, s in script.hypotheses)
-    by_name = dict(script.hypotheses)
+    hyps = dict(script.hypotheses)
     derivations = {}
-    all_ok = True
     for ln in script.lines:
-        status = LineStatus(ln.number, ok=True)
-        report.lines.append(status)
-        premises = []
-        for r in ln.refs:
-            if r not in derivations:
-                status.ok = False
-                status.message = f"reference to line {r}, which is not proven yet"
-                break
-            premises.append(derivations[r])
-        if not status.ok:
-            all_ok = False
-            continue
-
-        if ln.rule == "hyp":
-            declared = by_name.get(ln.hyp_name)
-            if declared is None:
-                status.ok = False
-                status.message = f"no hypothesis named '{ln.hyp_name}'"
-            elif not sequent_eq(ln.sequent, declared):
-                status.ok = False
-                status.message = f"sequent differs from hypothesis {ln.hyp_name}"
-            else:
-                derivations[ln.number] = Derivation(ln.sequent, "hyp")
-        elif ln.rule == "derived":
-            from .tactics import TacticError, match_and_build
-            try:
-                d = match_and_build(ln.catalog_id, premises, ln.sequent,
-                                    script.mode, dict(ln.args))
-            except TacticError as exc:
-                status.ok = False
-                status.message = str(exc)
-            else:
-                fail = check_derivation(d, script.mode, hyp_sequents)
-                if fail is not None:
-                    status.ok = False
-                    status.message = str(fail)
-                elif not sequent_eq(d.conclusion, ln.sequent):
-                    status.ok = False
-                    status.message = "catalog entry proves a different sequent"
-                else:
-                    derivations[ln.number] = d
-        else:
-            inst = dict(ln.args)
-            instantiation = inst.get("t") if ln.rule == "all_e" else inst.get("x")
-            violation = check_inference(
-                ln.rule, [p.conclusion for p in premises], ln.sequent,
-                script.mode, instantiation)
-            if violation is not None:
-                status.ok = False
-                status.message = str(violation)
-            else:
-                derivations[ln.number] = Derivation(
-                    ln.sequent, ln.rule, tuple(premises), instantiation)
-        if not status.ok:
-            all_ok = False
+        result = check_line(ln, derivations, hyps, script.mode)
+        ok = isinstance(result, Derivation)
+        report.lines.append(LineStatus(ln.number, ok, "ok" if ok else result))
+        if ok:
+            derivations[ln.number] = result
+        elif all(r in derivations for r in ln.refs):
             # keep downstream lines checkable; acceptance is already lost
-            derivations.setdefault(ln.number, Derivation(ln.sequent, "hyp"))
+            derivations[ln.number] = Derivation(ln.sequent, "hyp")
 
     if not script.lines:
         report.message = "no proof lines"
         return report
     last = script.lines[-1]
-    if all_ok:
+    if all(ls.ok for ls in report.lines):
         if sequent_eq(last.sequent, script.goal):
             final = derivations[last.number]
-            fail = check_derivation(final, script.mode, hyp_sequents)
+            fail = check_derivation(final, script.mode, tuple(hyps.values()))
             if fail is None:
                 report.accepted = True
                 report.derivation = final

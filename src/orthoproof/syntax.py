@@ -198,30 +198,34 @@ _BTAG = {And: "&", Imp: ">", Or: "|", Compat: "#"}
 
 def alpha_key(f: Formula):
     """Canonical key: equal keys iff formulas differ only in bound names."""
-    k = getattr(f, "_akey", None)
-    if k is None:
-        k = _fkey(f, None, 0)
-        object.__setattr__(f, "_akey", k)
-    return k
+    return _fkey(f, None, 0)
 
 
 def _fkey(f, env, depth):
     if env and not (f.free & env.keys()):
         env = None
-    if env is None and depth:
-        # no captured references: the key is position-independent, reuse cache
-        return alpha_key(f)
+    if env is None:
+        # no captured references: the key is position-independent and cached on
+        # the node, so a shared sub-formula (expand reuses the operands of ><)
+        # is keyed once
+        k = getattr(f, "_akey", None)
+        if k is not None:
+            return k
     if isinstance(f, Letter):
-        return ("L", f.name)
-    if isinstance(f, Atom):
-        return ("A", f.name) + tuple(_term_key(t, env, depth) for t in f.args)
-    if isinstance(f, Neg):
-        return ("~", _fkey(f.sub, env, depth))
-    if isinstance(f, _Binary):
-        return (_BTAG[type(f)], _fkey(f.left, env, depth), _fkey(f.right, env, depth))
-    env = dict(env) if env else {}
-    env[f.var.name] = depth
-    return (_QTAG[type(f)], f.var.sort, _fkey(f.body, env, depth + 1))
+        k = ("L", f.name)
+    elif isinstance(f, Atom):
+        k = ("A", f.name) + tuple(_term_key(t, env, depth) for t in f.args)
+    elif isinstance(f, Neg):
+        k = ("~", _fkey(f.sub, env, depth))
+    elif isinstance(f, _Binary):
+        k = (_BTAG[type(f)], _fkey(f.left, env, depth), _fkey(f.right, env, depth))
+    else:
+        inner = dict(env) if env else {}
+        inner[f.var.name] = depth
+        k = (_QTAG[type(f)], f.var.sort, _fkey(f.body, inner, depth + 1))
+    if env is None:
+        object.__setattr__(f, "_akey", k)
+    return k
 
 
 def free_variables(f: Formula) -> frozenset:

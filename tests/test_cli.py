@@ -373,3 +373,107 @@ def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):
 def test_repl_forward_rejections(runner, line, message):
     res = repl(runner, f"assume p\n{line}\nquit\n", mode="NOM_Q")
     assert f"rejected: {message}" in res.output
+
+
+def test_repl_duplicate_hyp_is_rejected_when_declared(runner):
+    res = repl(runner, "hyp h1: p |- p\nhyp h1: q |- q\nassume p\nshow\nquit\n")
+    assert "rejected: duplicate hypothesis 'h1'" in res.output
+    assert "1: p |- p" in res.output
+    assert "hyp h1: q |- q" not in res.output
+
+
+def test_repl_export_to_a_bad_path_keeps_the_session(runner, tmp_path):
+    text = f"assume p\nexport {tmp_path}\nexport {tmp_path}/missing/s.nom\nassume q\nquit\n"
+    res = repl(runner, text)
+    assert res.exit_code == 0
+    assert res.output.count("rejected: cannot write") == 2
+    assert "2: q |- q" in res.output
+
+
+def test_repl_step_is_parsed_with_the_session_signature(runner, tmp_path):
+    out = tmp_path / "r.nom"
+    res = repl(runner, f"goal: R(x) |- R(x)\nassume R\nassume R(x)\nexport {out}\nquit\n")
+    assert "rejected: relation R used without arguments" in res.output
+    assert "1: R(x) |- R(x)" in res.output
+    assert f"exported to {out}: accepted" in res.output
+
+
+def test_repl_rejected_step_leaves_no_symbols_behind(runner):
+    # the rejected line would have made p a relation
+    res = repl(runner, "|- p(a) by assume\nassume p\nquit\n")
+    assert "rejected:" in res.output
+    assert "1: p |- p" in res.output
+
+
+def test_repl_export_of_every_kind_of_step_checks(runner, tmp_path):
+    out = tmp_path / "kinds.nom"
+    text = ("hyp h1: g |- p\nhyp h2: g |- p -> q\n"
+            "g |- p by hyp h1\n"             # SEQ by JUST
+            "g |- p -> q by hyp h2\n"
+            "derived P2.1 from 1 2\n"        # derived forward step
+            "imp_i from 3\n"                 # primitive forward step
+            "g |- p /\\ q by and_i from 1 3\n"
+            f"export {out}\nquit\n")
+    res = repl(runner, text)
+    assert "5: g |- p /\\ q" in res.output
+    assert f"exported to {out}: accepted" in res.output
+    res2 = invoke(runner, ["check", str(out)])
+    assert res2.exit_code == 0
+    assert "repl [NOM]: accepted" in res2.output
+
+
+def test_repl_checks_each_step_once_and_never_rechecks_the_session(monkeypatch, tmp_path, capsys):
+    from orthoproof import cli, script
+    from orthoproof.cli import _Session
+    calls = {"check_file": 0, "check_inference": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "check_file", counted("check_file", cli.check_file))
+    monkeypatch.setattr(script, "check_inference",
+                        counted("check_inference", script.check_inference))
+    session = _Session("NOM")
+    # (input, script.check_inference calls it may make)
+    steps = [("hyp h: |- p", 0), ("|- p by hyp h", 0), ("derived P2.4.dni from 1", 0)]
+    for n in range(2, 34, 4):               # lines n+1 .. n+4, all primitive
+        steps += [("assume p", 1), ("imp_i", 1), ("p |- p by assume", 1),
+                  (f"|- p -> p by imp_i from {n + 3}", 1)]
+    for step, expected in steps:
+        before = calls["check_inference"]
+        assert session.handle(step)
+        assert calls["check_inference"] - before == expected
+    assert len(session.lines) == 34
+    assert "rejected" not in capsys.readouterr().out
+    assert calls["check_file"] == 0
+    session.handle(f"export {tmp_path / 's.nom'}")
+    assert calls["check_file"] == 1
+    assert "accepted" in capsys.readouterr().out
+
+
+_NOT_PROPOSITIONAL = ("forall x. R(x) |- R(c)", "R(c) |- R(c)")
+
+
+@pytest.mark.parametrize("command", ["validate", "countermodel", "classical", "decide2"])
+@pytest.mark.parametrize("sequent", _NOT_PROPOSITIONAL)
+def test_semantics_commands_refuse_a_predicate_sequent(command, sequent):
+    res = CliRunner().invoke(main, [command, sequent])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "not propositional" in res.stderr
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args", [["check"], ["validate", "p |- p", "--lattice-file"]])
+def test_undecodable_input_file_is_an_input_error(args, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    res = CliRunner().invoke(main, args + [str(bad)])
+    assert res.exit_code == 2
+    assert len(res.stderr.splitlines()) == 1
+    assert "can't decode" in res.stderr
+    assert "Traceback" not in res.output

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from conftest import corpus_signature, formula_strategy, random_formula
 from orthoproof.kernel import check_inference
 from orthoproof.lattice import by_name
+from orthoproof import syntax
 from orthoproof.semantics import validate_sequent
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
     ParseError, Sequent, Signature, SignatureError, Var,
-    _Parser, alpha_key, expand, free_variables, is_nonduplicating,
+    _Parser, alpha_key, children, expand, free_variables, is_nonduplicating,
     parse_formula, parse_sequent, parse_term, render, render_sequent,
     substitute,
 )
@@ -208,6 +209,47 @@ class TestAlphaEquality:
         s1 = Sequent((Forall(x, Atom("R", (x,))),), p)
         s2 = Sequent((Forall(y, Atom("R", (y,))),), p)
         assert s1 == s2
+
+
+def _compat_chain(depth):
+    f = p
+    for i in range(depth):
+        f = Compat(f, q if i % 2 else r)
+    return f
+
+
+class TestAlphaKeyOnSharedNodes:
+    def test_each_distinct_node_is_keyed_once(self, monkeypatch):
+        # expand uses each operand of >< twice: keyed as a tree, >< nested 12
+        # deep takes over 2^12 calls
+        e = expand(_compat_chain(12))
+        nodes, stack = set(), [e]
+        while stack:
+            f = stack.pop()
+            if id(f) not in nodes:
+                nodes.add(id(f))
+                stack.extend(children(f))
+        calls = []
+        key = syntax._fkey
+
+        def counting(f, env, depth):
+            calls.append(id(f))
+            return key(f, env, depth)
+
+        monkeypatch.setattr(syntax, "_fkey", counting)
+        alpha_key(e)
+        assert set(calls) == nodes
+        assert len(calls) <= 2 * len(nodes) + 1
+
+    def test_keys_below_a_binder_still_use_bound_positions(self):
+        f = Forall(x, Compat(Atom("R", (x,)), Compat(p, Atom("R", (x,)))))
+        g = Forall(y, Compat(Atom("R", (y,)), Compat(p, Atom("R", (y,)))))
+        assert alpha_key(expand(f)) == alpha_key(expand(g))
+        assert f != Forall(y, Compat(Atom("R", (x,)), Compat(p, Atom("R", (y,)))))
+
+    def test_key_at_the_nesting_limit_completes(self):
+        e = expand(_compat_chain(_Parser.MAX_NESTING - 1))
+        assert alpha_key(e) is alpha_key(e)
 
 
 def _prime_bound(f):
