@@ -314,26 +314,26 @@ def check_derivation(d: Derivation, mode, hypotheses=()):
     checked once; a node's validity depends only on its own sequents.
     """
     seen = set()
-    stack = [((), d)]
+    stack = [(None, d)]      # (link, node); a link is (parent's link, index) or None
     while stack:
-        path, n = stack.pop()
+        at, n = stack.pop()
         if id(n) in seen:
             continue
         seen.add(id(n))
-        if n.rule == "hyp":
-            if n.premises:
-                return CheckFailure(path, RuleViolation("hyp", "hypotheses take no premises"),
-                                    n.conclusion)
-            if not any(_hyp_match(n.conclusion, h) for h in hypotheses):
-                return CheckFailure(
-                    path, RuleViolation("hyp", "sequent is not a declared hypothesis"),
-                    n.conclusion)
-            continue
-        v = check_inference(n.rule, [p.conclusion for p in n.premises],
-                            n.conclusion, mode, n.instantiation)
+        if n.rule != "hyp":
+            v = check_inference(n.rule, [p.conclusion for p in n.premises],
+                                n.conclusion, mode, n.instantiation)
+        else:
+            v = (RuleViolation("hyp", "hypotheses take no premises") if n.premises
+                 else None if any(_hyp_match(n.conclusion, h) for h in hypotheses)
+                 else RuleViolation("hyp", "sequent is not a declared hypothesis"))
         if v is not None:
-            return CheckFailure(path, v, n.conclusion)
-        stack.extend(reversed([(path + (i,), p) for i, p in enumerate(n.premises)]))
+            path = []
+            while at:
+                at, i = at
+                path.append(i)
+            return CheckFailure(tuple(reversed(path)), v, n.conclusion)
+        stack.extend(((at, i), n.premises[i]) for i in reversed(range(len(n.premises))))
     return None
 
 

@@ -17,8 +17,14 @@ __all__ = [
     "verify_oml", "sasaki_and", "sasaki_arrow",
     "boolean", "mo", "product", "free_oml2", "o6",
     "generated_subalgebra", "parse_lattice", "battery", "by_name",
-    "LatticeFileError",
+    "LatticeFileError", "MAX_ELEMENTS",
 ]
+
+# the largest lattice file accepted: the header allocates n x n tables, the
+# meet and join tables take O(n^3) Python steps, and a file at the limit takes
+# about 3 s to read and verify on a 2-core machine (F2, the largest built-in
+# lattice, has 96 elements)
+MAX_ELEMENTS = 256
 
 
 class LatticeFileError(Exception):
@@ -304,9 +310,10 @@ def by_name(name: str) -> FiniteOML:
 def parse_lattice(text: str, name: str = "file") -> FiniteOML:
     """Read the line-based lattice format and verify the result.
 
-    Format: an ``oml N`` header, then ``leq I J`` and ``neg I J`` lines;
-    ``#`` starts a comment.  Reflexive leq pairs may be omitted and the
-    transitive closure is applied; neg lines are symmetrized.
+    Format: an ``oml N`` header (N at most ``MAX_ELEMENTS``), then
+    ``leq I J`` and ``neg I J`` lines; ``#`` starts a comment.  Reflexive
+    leq pairs may be omitted and the transitive closure is applied; neg
+    lines are symmetrized.
     """
     n = None
     leq = None
@@ -323,6 +330,9 @@ def parse_lattice(text: str, name: str = "file") -> FiniteOML:
                 n = int(parts[1])
                 if n < 1:
                     raise LatticeFileError(f"line {lineno}: need at least one element")
+                if n > MAX_ELEMENTS:
+                    raise LatticeFileError(
+                        f"line {lineno}: {n} elements, more than the limit of {MAX_ELEMENTS}")
                 leq = np.eye(n, dtype=bool)
                 neg = np.full(n, -1, dtype=int)
                 continue

@@ -4,12 +4,14 @@ Core connectives are ~ (orthocomplement), /\ (meet), -> (Sasaki arrow)
 and the quantifier forall; \/ , >< (compatibility) and exists are kept
 as derived nodes until `expand` rewrites them away.  All syntax values
 are immutable, and formulas compare equal up to renaming of bound
-variables.
+variables.  Formula nodes are hash-consed: building a node with the
+class and fields of a live one returns that node.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field
 
 DEFAULT_SORT = "_"
@@ -104,15 +106,30 @@ def _term_key(t, env, depth):
 # formulas
 
 
-class Formula:
-    """Base class.  Equality and hashing are alpha-equivalence."""
+# one node per formula structure, after Filliatre & Conchon, "Type-Safe Modular
+# Hash-Consing" (2006): formula fields are keyed by identity, since they are
+# interned already, strings, variables and term tuples by value.  The table
+# holds its nodes weakly, so it never keeps a formula alive.
+_INTERNED = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    def __call__(cls, *fields):
+        key = (cls, *[id(x) if isinstance(x, Formula) else x for x in fields])
+        f = _INTERNED.get(key)
+        if f is None:
+            f = _INTERNED[key] = super().__call__(*fields)
+        return f
+
+
+class Formula(metaclass=_Interned):
+    """Base class.  Equality and hashing are alpha-equivalence; identity
+    implies equality, but alpha-variants (and copies made without the
+    constructor, such as ``deepcopy``) are equal distinct objects."""
 
     def __eq__(self, other):
         return self is other or (
             isinstance(other, Formula) and alpha_key(self) == alpha_key(other))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(alpha_key(self))
@@ -295,12 +312,13 @@ def _expand(f):
 
 def formula_eq(a: Formula, b: Formula) -> bool:
     """Alpha-equality after ``expand``: the one equality of the proof path."""
-    return expand(a) == expand(b)
+    return a is b or expand(a) == expand(b)
 
 
 def context_eq(xs, ys) -> bool:
     """Position-wise ``formula_eq`` of two antecedent sequences."""
-    return len(xs) == len(ys) and all(expand(a) == expand(b) for a, b in zip(xs, ys))
+    return len(xs) == len(ys) and all(
+        a is b or expand(a) == expand(b) for a, b in zip(xs, ys))
 
 
 def sequent_eq(a: Sequent, b: Sequent) -> bool:
@@ -347,26 +365,23 @@ def _subst(f, x, t):
 
 
 def is_nonduplicating(f: Formula) -> bool:
-    """True when no variable occurs twice inside any single atom."""
-    if isinstance(f, Letter):
-        return True
-    if isinstance(f, Atom):
-        seen = []
-        stack = list(f.args)
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Var):
-                if t.name in seen:
-                    return False
-                seen.append(t.name)
-            elif isinstance(t, App):
-                stack.extend(t.args)
-        return True
-    if isinstance(f, Neg):
-        return is_nonduplicating(f.sub)
-    if isinstance(f, _Binary):
-        return is_nonduplicating(f.left) and is_nonduplicating(f.right)
-    return is_nonduplicating(f.body)
+    """True when no variable occurs twice inside any single atom; computed
+    once per node and cached on it."""
+    nd = getattr(f, "_nd", None)
+    if nd is None:
+        if isinstance(f, Atom):
+            names, stack = [], list(f.args)
+            while stack:
+                t = stack.pop()
+                if isinstance(t, Var):
+                    names.append(t.name)
+                else:
+                    stack.extend(children(t))
+            nd = len(names) == len(set(names))
+        else:
+            nd = all(is_nonduplicating(g) for g in children(f))
+        object.__setattr__(f, "_nd", nd)
+    return nd
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,18 @@ def test_validate_lattice_file(runner, tmp_path):
     assert "VALID on two" in res.output
 
 
+@pytest.mark.parametrize("n", [257, 100_000])
+def test_validate_refuses_a_lattice_file_past_the_element_limit(n, tmp_path):
+    f = tmp_path / "big.oml"
+    f.write_text(f"oml {n}\nleq 0 1\nneg 0 1\n")
+    res = CliRunner().invoke(main, ["validate", "p |- p", "--lattice-file", str(f)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "more than the limit of 256" in res.stderr
+    assert "Traceback" not in res.output
+
+
 def test_validate_bad_sequent(runner):
     res = invoke(runner, ["validate", "p |-"])
     assert res.exit_code == 2

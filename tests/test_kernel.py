@@ -275,6 +275,33 @@ class TestCheckDerivation:
         fail = check_derivation(d, "NOM", hyps)
         assert fail.path == (1, 0)
 
+    def test_shared_bad_node_is_reported_at_its_first_preorder_position(self):
+        # one bad node object below two valid branches, at paths (0, 1, 1)
+        # and (1, 0, 0); a valid leaf is shared as well
+        good = node("assume", S("g, q |- q"))
+        bad_node = node("assume", S("g, q |- p"))
+        left = node("and_i", S("g, q |- q /\\ (q /\\ p)"),
+                    good, node("and_i", S("g, q |- q /\\ p"), good, bad_node))
+        right = node("and_i", S("g, q |- (p /\\ q) /\\ q"),
+                     node("and_i", S("g, q |- p /\\ q"), bad_node, good), good)
+        d = node("and_i", S("g, q |- (q /\\ (q /\\ p)) /\\ ((p /\\ q) /\\ q)"),
+                 left, right)
+        fail = check_derivation(d, "NOM")
+        assert fail.path == (0, 1, 1)
+        assert fail.violation.rule == "assume"
+        assert fail.conclusion == bad_node.conclusion
+        assert str(fail).startswith("at 0.1.1 [g, q |- p]: assume:")
+
+    def test_unmatched_hyp_leaf_under_a_valid_node(self):
+        hyps = (S("g |- p"),)
+        d = node("and_i", S("g |- p /\\ q"), hyp(S("g |- p")), hyp(S("g |- q")))
+        fail = check_derivation(d, "NOM", hyps)
+        assert fail.path == (1,)
+        assert fail.violation.rule == "hyp"
+        assert fail.violation.message == "sequent is not a declared hypothesis"
+        assert fail.conclusion == S("g |- q")
+        assert check_derivation(d, "NOM", hyps + (S("g |- q"),)) is None
+
     def test_monotone_modes(self):
         # a NOM derivation is accepted by every extension
         d = l231_tree()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from orthoproof.lattice import (
-    FiniteOML, LatticeFileError, OMLElement, battery, boolean, by_name,
+    MAX_ELEMENTS, FiniteOML, LatticeFileError, OMLElement, battery, boolean, by_name,
     free_oml2, generated_subalgebra, mo, o6, parse_lattice, product,
     sasaki_and, sasaki_arrow, verify_oml,
 )
@@ -218,6 +218,16 @@ class TestLatticeFile:
     def test_rejects_malformed(self, text, hint):
         with pytest.raises(LatticeFileError, match=hint):
             parse_lattice(text)
+
+    @pytest.mark.parametrize("n", [MAX_ELEMENTS + 1, 100_000])
+    def test_rejects_a_header_past_the_element_limit(self, n):
+        with pytest.raises(LatticeFileError, match=f"more than the limit of {MAX_ELEMENTS}"):
+            parse_lattice(f"oml {n}\nleq 0 1\nneg 0 1")
+
+    def test_a_header_at_the_element_limit_passes(self):
+        # the header is accepted; the first element line is read and refused
+        with pytest.raises(LatticeFileError, match="line 2: element out of range"):
+            parse_lattice(f"oml {MAX_ELEMENTS}\nleq 0 {MAX_ELEMENTS}")
 
     def test_rejects_cycle(self):
         txt = "oml 3\nleq 0 1\nleq 1 0\nneg 0 2\nneg 1 1"

@@ -1,3 +1,5 @@
+import copy
+import gc
 import random
 
 import pytest
@@ -11,7 +13,7 @@ from orthoproof.semantics import validate_sequent
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
     ParseError, Sequent, Signature, SignatureError, Var,
-    _Parser, alpha_key, children, expand, free_variables, is_nonduplicating,
+    _Parser, alpha_key, children, expand, formula_eq, free_variables, is_nonduplicating,
     parse_formula, parse_sequent, parse_term, render, render_sequent,
     substitute,
 )
@@ -250,6 +252,85 @@ class TestAlphaKeyOnSharedNodes:
     def test_key_at_the_nesting_limit_completes(self):
         e = expand(_compat_chain(_Parser.MAX_NESTING - 1))
         assert alpha_key(e) is alpha_key(e)
+
+
+def _compat_text(depth):
+    # the text of _compat_chain(depth), one pair of parentheses per level
+    text = "p"
+    for i in range(depth):
+        text = f"({text}) >< {'q' if i % 2 else 'r'}"
+    return text
+
+
+class TestHashConsing:
+    def test_same_structure_is_one_object(self):
+        assert And(p, Neg(q)) is And(Letter("p"), Neg(Letter("q")))
+        fc = App("f", (Const("c"),))
+        assert Atom("R", (x, fc)) is Atom("R", (Var("x"), App("f", (Const("c"),))))
+        assert Forall(x, Atom("R", (x,))) is Forall(Var("x"), Atom("R", (Var("x"),)))
+        assert Atom("R", (x,)) is not Atom("R", (Const("x"),))
+        assert Or(p, q) is not And(p, q)
+
+    @pytest.mark.parametrize("depth", [14, _Parser.MAX_NESTING - 1])
+    def test_equal_compat_chains_parsed_twice_are_one_object(self, depth):
+        # separately built equal chains are one object, so comparing them
+        # never walks their alpha keys, whose expanded DAG is exponential as a tree
+        a, b = parse_formula(_compat_text(depth)), parse_formula(_compat_text(depth))
+        assert a is b
+        assert a is _compat_chain(depth)
+        assert formula_eq(a, b)
+        assert expand(a) is expand(b)
+
+    def test_bound_names_are_kept(self):
+        f, g = parse_formula("forall x. R(x)"), parse_formula("forall y. R(y)")
+        assert f == g and formula_eq(f, g)
+        assert f is not g
+        assert (render(f), render(g)) == ("forall x. R(x)", "forall y. R(y)")
+
+    def test_derived_connectives_are_kept(self):
+        f = parse_formula("p \\/ q")
+        assert formula_eq(f, expand(f))
+        assert f is not expand(f)
+        assert render(f) == "p \\/ q"
+        assert render(expand(f)) == "~(~p /\\ ~q)"
+
+    def test_copies_made_without_the_constructor_stay_equal(self):
+        f = parse_formula("forall x. R(x) >< p")
+        g = copy.deepcopy(f)
+        assert g is not f
+        assert g == f and formula_eq(g, f) and hash(g) == hash(f)
+
+    def test_intern_table_holds_no_formula_alive(self):
+        gc.collect()
+        before = len(syntax._INTERNED)
+        fs = [And(Letter(f"fresh{i}"), Neg(Letter(f"fresh{i}"))) for i in range(10_000)]
+        assert len(syntax._INTERNED) == before + 30_000
+        del fs
+        gc.collect()
+        assert len(syntax._INTERNED) == before
+
+    def test_nonduplication_is_computed_once_per_node(self, monkeypatch):
+        f = expand(_compat_chain(12))
+        nodes, stack = set(), [f]
+        while stack:
+            g = stack.pop()
+            if id(g) not in nodes:
+                nodes.add(id(g))
+                stack.extend(children(g))
+        calls = []
+        check = syntax.is_nonduplicating
+
+        def counting(g):
+            calls.append(id(g))
+            return check(g)
+
+        monkeypatch.setattr(syntax, "is_nonduplicating", counting)
+        assert syntax.is_nonduplicating(f)
+        assert set(calls) == nodes
+        assert len(calls) <= 2 * len(nodes) + 1
+        calls.clear()
+        assert syntax.is_nonduplicating(f)
+        assert calls == [id(f)]
 
 
 def _prime_bound(f):
