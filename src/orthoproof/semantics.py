@@ -18,7 +18,7 @@ import numpy as np
 
 from .lattice import FiniteOML, battery, boolean, mo, sasaki_and, sasaki_arrow
 from .syntax import (
-    And, App, Atom, Const, Forall, Imp, Letter, Neg, Sequent, Var,
+    And, Atom, Const, Imp, Letter, Neg, Sequent, Var,
     children, expand, letters,
 )
 

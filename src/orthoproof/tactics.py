@@ -13,8 +13,10 @@ proof scripts).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 from functools import partial
+from itertools import takewhile
 from typing import Callable, Optional
 
 from .kernel import MODES, Derivation, hyp, node, weaken
@@ -51,7 +53,8 @@ def _relabel(d: Derivation, succ: Formula) -> Derivation:
 # ---------------------------------------------------------------------------
 # Derived-rule constructions.  Each function takes the ambient context ``g``
 # (a tuple of formulas), the schema formulas, and the premise derivations,
-# and returns the derivation tree of the conclusion.
+# and returns the derivation tree of the conclusion.  The parameter names
+# matter: ``_reg`` passes the instantiation by them.
 
 def _p21(g, phi, psi, d1, d2):
     # modus ponens via cut over the arrow elimination
@@ -809,6 +812,9 @@ def _p57ee(g, x, phi, psi, d1, d2, d3):
 _PHI, _PSI, _CHI = Letter("phi"), Letter("psi"), Letter("chi")
 _METAVARS = ("phi", "psi", "chi")
 _CONTEXTS = {"G": "gamma", "D": "delta"}    # shape markers and their inst keys
+# builder parameter names and the inst keys whose values they receive
+_PARAMS = {"g": "gamma", "delta": "delta", "phi": "phi", "psi": "psi",
+           "chi": "chi", "x": "x", "t": "t"}
 
 
 @dataclass(frozen=True)
@@ -817,11 +823,21 @@ class CatalogEntry:
     premises: tuple            # shapes: (items, succedent) with "G"/"D" markers
     conclusion: tuple
     modes: tuple
-    builder: Callable
+    builder: Callable          # schema values, then one derivation per premise
     locus: str
-    variables: tuple = ("phi", "psi")
+    params: tuple              # inst keys of the builder's schema parameters
     matcher: Optional[Callable] = None
     instantiator: Optional[Callable] = None
+
+    @property
+    def variables(self):
+        """The schema formulas an instantiation must give, in builder order."""
+        return tuple(k for k in self.params if k in _METAVARS)
+
+    def build(self, inst, prems):
+        """Run the builder; a missing context is empty."""
+        return self.builder(*(tuple(inst.get(k, ())) if k in _CONTEXTS.values()
+                              else inst[k] for k in self.params), *prems)
 
     def instantiate(self, inst):
         """Concrete premise sequents and conclusion for an assignment."""
@@ -919,403 +935,303 @@ def _bind_shape(shape, sequent, inst):
     _bind_formula(succ, sequent.succedent, inst)
 
 
+def _splits(items, ante):
+    """The (gamma, delta) pairs that fit shape ``items`` to antecedent
+    ``ante``, longest gamma first: gamma is a prefix and delta a suffix of
+    ``ante``, each empty unless the shape has its marker.  None if ``ante``
+    is shorter than the shape's formulas."""
+    spare = len(ante) - sum(1 for it in items if not isinstance(it, str))
+    if spare < 0:
+        return None
+    return [(ante[:k], ante[len(ante) - spare + k:]) for k in range(spare, -1, -1)
+            if (k == 0 or "G" in items) and (k == spare or "D" in items)]
+
+
+def _fit(entry, shapes, seqs, key, what, unbound):
+    """The first instantiation, over the splits of ``shapes[key]`` (named
+    ``what``), that binds every shape to its sequent and determines every
+    schema formula."""
+    splits = _splits(shapes[key][0], seqs[key].antecedent)
+    if splits is None:
+        raise TacticError(f"{entry.id}: {what} has too few antecedents")
+    last = TacticError(f"{entry.id}: shape mismatch")
+    for gamma, delta in splits:
+        inst = {"gamma": gamma, "delta": delta}
+        try:
+            for shape, seq in zip(shapes, seqs):
+                _bind_shape(shape, seq, inst)
+            for name in entry.variables:
+                if name not in inst:
+                    raise TacticError(f"{entry.id}: {name} {unbound}")
+            return inst
+        except TacticError as err:
+            last = err
+    raise last
+
+
 def _match_shapes(entry, premise_sequents, conclusion):
     if len(premise_sequents) != len(entry.premises):
         raise TacticError(
             f"{entry.id} takes {len(entry.premises)} premises, "
             f"got {len(premise_sequents)}")
-    items, _ = entry.conclusion
-    fixed = sum(1 for it in items if not isinstance(it, str))
-    has_g, has_d = "G" in items, "D" in items
-    spare = len(conclusion.antecedent) - fixed
-    if spare < 0:
-        raise TacticError(f"{entry.id}: conclusion has too few antecedents")
-    if has_g and has_d:
-        splits = [(k, spare - k) for k in range(spare, -1, -1)]
-    elif has_g:
-        splits = [(spare, 0)]
-    elif has_d:
-        splits = [(0, spare)]
-    else:
-        splits = [(0, 0)] if spare == 0 else []
-    last_error = TacticError(f"{entry.id}: shape mismatch")
-    for g_len, d_len in splits:
-        inst = {
-            "gamma": conclusion.antecedent[:g_len],
-            "delta": conclusion.antecedent[len(conclusion.antecedent) - d_len:],
-        }
-        try:
-            _bind_shape(entry.conclusion, conclusion, inst)
-            for shape, seq in zip(entry.premises, premise_sequents):
-                _bind_shape(shape, seq, inst)
-            for name in entry.variables:
-                if name not in inst:
-                    raise TacticError(f"{entry.id}: {name} undetermined")
-            return inst
-        except TacticError as err:
-            last_error = err
-    raise last_error
+    return _fit(entry, (entry.conclusion, *entry.premises),
+                (conclusion, *premise_sequents), 0, "conclusion", "undetermined")
 
 
 _CATALOG: "dict[str, CatalogEntry]" = {}
 
 
 def _reg(eid, prems, concl, builder, locus, modes=MODES,
-         variables=("phi", "psi"), matcher=None, instantiator=None):
+         matcher=None, instantiator=None):
+    """Register ``builder`` bare: its leading parameters named in ``_PARAMS``
+    receive the instantiation (``g`` the ambient context, ``delta`` the
+    trailing one), and the positional parameters after them the premise
+    derivations, one per premise shape."""
     if eid in _CATALOG:
         raise ValueError(f"duplicate catalog id {eid}")
+    names = [p.name for p in inspect.signature(builder).parameters.values()
+             if p.kind is p.POSITIONAL_OR_KEYWORD]
+    params = tuple(_PARAMS[n] for n in takewhile(_PARAMS.__contains__, names))
+    if len(names) - len(params) != len(prems):
+        raise ValueError(f"{eid}: builder takes {len(names) - len(params)} "
+                         f"premises, not {len(prems)}")
     _CATALOG[eid] = CatalogEntry(eid, tuple(prems), concl, tuple(modes),
-                                 builder, locus, tuple(variables),
-                                 matcher, instantiator)
-
-
-def _g(inst):
-    return tuple(inst.get("gamma", ()))
-
-
-def _d(inst):
-    return tuple(inst.get("delta", ()))
+                                 builder, locus, params, matcher, instantiator)
 
 
 _NPS = Neg(And(_PHI, _PSI))
 
 _reg("P2.1", [_sh("G", _PHI), _sh("G", Imp(_PHI, _PSI))], _sh("G", _PSI),
-     lambda i, p: _p21(_g(i), i["phi"], i["psi"], *p), "modus ponens")
+     _p21, "modus ponens")
 _reg("P2.2", [_sh("G", _PHI), _sh("G", Neg(_PHI))], _sh("G", _PSI),
-     lambda i, p: _p22(_g(i), i["phi"], i["psi"], *p),
-     "explosion from a contradiction")
+     _p22, "explosion from a contradiction")
 _reg("L2.3.1", [], _sh("G", Neg(_PHI), _PHI, _PSI),
-     lambda i, p: _l231(_g(i), i["phi"], i["psi"]),
-     "explosion, negation first")
+     _l231, "explosion, negation first")
 _reg("L2.3.2", [], _sh("G", Neg(Neg(_PHI)), _PHI),
-     lambda i, p: _l232(_g(i), i["phi"]),
-     "double negation elimination under assumption", variables=("phi",))
+     _l232, "double negation elimination under assumption")
 _reg("L2.3.3", [], _sh("G", _PHI, Neg(_PHI), _PSI),
-     lambda i, p: _l233(_g(i), i["phi"], i["psi"]),
-     "explosion, negation second")
+     _l233, "explosion, negation second")
 _reg("L2.3.4", [], _sh("G", _PHI, Neg(Neg(_PHI))),
-     lambda i, p: _l234(_g(i), i["phi"]),
-     "double negation introduction under assumption", variables=("phi",))
+     _l234, "double negation introduction under assumption")
 _reg("P2.4.dni", [_sh("G", _PHI)], _sh("G", Neg(Neg(_PHI))),
-     lambda i, p: _dni(_g(i), i["phi"], p[0]),
-     "double negation introduction", variables=("phi",))
+     _dni, "double negation introduction")
 _reg("P2.4.dne", [_sh("G", Neg(Neg(_PHI)))], _sh("G", _PHI),
-     lambda i, p: _dne(_g(i), i["phi"], p[0]),
-     "double negation elimination", variables=("phi",))
+     _dne, "double negation elimination")
 _reg("P2.4.reductio1", [_sh("G", _PHI, _PSI), _sh("G", _PHI, Neg(_PSI))],
-     _sh("G", Neg(_PHI)),
-     lambda i, p: _reductio1(_g(i), i["phi"], i["psi"], *p),
-     "reductio ad absurdum")
+     _sh("G", Neg(_PHI)), _reductio1, "reductio ad absurdum")
 _reg("P2.4.reductio2", [_sh("G", Neg(_PHI), _PSI), _sh("G", Neg(_PHI), Neg(_PSI))],
-     _sh("G", _PHI),
-     lambda i, p: _reductio2(_g(i), i["phi"], i["psi"], *p),
-     "reductio ad absurdum, refuting a negation")
+     _sh("G", _PHI), _reductio2, "reductio ad absurdum, refuting a negation")
 _reg("P2.4.cm1", [_sh("G", _PHI, Neg(_PHI))], _sh("G", Neg(_PHI)),
-     lambda i, p: _cm1(_g(i), i["phi"], p[0]),
-     "consequentia mirabilis", variables=("phi",))
+     _cm1, "consequentia mirabilis")
 _reg("P2.4.cm2", [_sh("G", Neg(_PHI), _PHI)], _sh("G", _PHI),
-     lambda i, p: _cm2(_g(i), i["phi"], p[0]),
-     "consequentia mirabilis, positive form", variables=("phi",))
+     _cm2, "consequentia mirabilis, positive form")
 _reg("L2.5.expand", [_sh("G", _PHI, _PSI)], _sh("G", _PHI, _PHI, _PSI),
-     lambda i, p: _l25_expand(_g(i), i["phi"], i["psi"], p[0]),
-     "duplicate the last assumption")
+     _l25_expand, "duplicate the last assumption")
 _reg("L2.5.contract", [_sh("G", _PHI, _PHI, _PSI)], _sh("G", _PHI, _PSI),
-     lambda i, p: _l25_contract(_g(i), i["phi"], i["psi"], p[0]),
-     "contract a duplicated assumption")
+     _l25_contract, "contract a duplicated assumption")
 _reg("L2.5.dn_intro", [_sh("G", _PHI, _PSI)], _sh("G", Neg(Neg(_PHI)), _PSI),
-     lambda i, p: _l25_dn_intro(_g(i), i["phi"], i["psi"], p[0]),
-     "double negation introduction in the last assumption")
+     _l25_dn_intro, "double negation introduction in the last assumption")
 _reg("L2.5.dn_elim", [_sh("G", Neg(Neg(_PHI)), _PSI)], _sh("G", _PHI, _PSI),
-     lambda i, p: _l25_dn_elim(_g(i), i["phi"], i["psi"], p[0]),
-     "double negation elimination in the last assumption")
+     _l25_dn_elim, "double negation elimination in the last assumption")
 
 _reg("T2.6.contract", [_sh("G", _PHI, _PHI, "D", _PSI)], _sh("G", _PHI, "D", _PSI),
-     lambda i, p: _t26_contract(_g(i), i["phi"], _d(i), i["psi"], p[0]),
-     "generalized contraction")
+     _t26_contract, "generalized contraction")
 _reg("T2.6.expand", [_sh("G", _PHI, "D", _PSI)], _sh("G", _PHI, _PHI, "D", _PSI),
-     lambda i, p: _t26_expand(_g(i), i["phi"], _d(i), i["psi"], p[0]),
-     "generalized expansion")
+     _t26_expand, "generalized expansion")
 _reg("T2.6.cut", [_sh("G", _PHI), _sh("G", _PHI, "D", _PSI)], _sh("G", "D", _PSI),
-     lambda i, p: _t26_cut(_g(i), i["phi"], _d(i), i["psi"], *p),
-     "generalized cut")
+     _t26_cut, "generalized cut")
 _reg("T2.6.paste", [_sh("G", _PHI), _sh("G", "D", _PSI)], _sh("G", _PHI, "D", _PSI),
-     lambda i, p: _t26_paste(_g(i), i["phi"], _d(i), i["psi"], *p),
-     "generalized paste")
+     _t26_paste, "generalized paste")
 _reg("T2.6.cexch",
      [_sh("G", _PHI, _PSI, _PHI), _sh("G", _PHI, _PSI, "D", _CHI),
       _sh("G", _PSI, _PHI, _PSI)],
-     _sh("G", _PSI, _PHI, "D", _CHI),
-     lambda i, p: _t26_cexch(_g(i), i["phi"], i["psi"], _d(i), i["chi"], *p),
-     "generalized compatible exchange", variables=("phi", "psi", "chi"))
+     _sh("G", _PSI, _PHI, "D", _CHI), _t26_cexch, "generalized compatible exchange")
 _reg("T2.6.explode_l", [], _sh("G", Neg(_PHI), _PHI, "D", _PSI),
-     lambda i, p: _t26_explode_l(_g(i), i["phi"], _d(i), i["psi"]),
-     "generalized explosion, negation first")
+     _t26_explode_l, "generalized explosion, negation first")
 _reg("T2.6.explode_r", [], _sh("G", _PHI, Neg(_PHI), "D", _PSI),
-     lambda i, p: _t26_explode_r(_g(i), i["phi"], _d(i), i["psi"]),
-     "generalized explosion, negation second")
+     _t26_explode_r, "generalized explosion, negation second")
 _reg("T2.6.dn_elim", [_sh("G", Neg(Neg(_PHI)), "D", _PSI)], _sh("G", _PHI, "D", _PSI),
-     lambda i, p: _t26_dn_elim(_g(i), i["phi"], _d(i), i["psi"], p[0]),
-     "generalized double negation elimination")
+     _t26_dn_elim, "generalized double negation elimination")
 _reg("T2.6.dn_intro", [_sh("G", _PHI, "D", _PSI)], _sh("G", Neg(Neg(_PHI)), "D", _PSI),
-     lambda i, p: _t26_dn_intro(_g(i), i["phi"], _d(i), i["psi"], p[0]),
-     "generalized double negation introduction")
+     _t26_dn_intro, "generalized double negation introduction")
 _reg("T2.6.lem", [_sh("G", _PHI, "D", _PSI), _sh("G", Neg(_PHI), "D", _PSI)],
-     _sh("G", "D", _PSI),
-     lambda i, p: _t26_lem(_g(i), i["phi"], _d(i), i["psi"], *p),
-     "generalized excluded middle")
+     _sh("G", "D", _PSI), _t26_lem, "generalized excluded middle")
 
 _reg("L2.7.1a", [], _sh("G", And(_PHI, _PSI), Neg(_PHI), And(_PHI, _PSI)),
-     lambda i, p: _l271a(_g(i), i["phi"], i["psi"]),
-     "a conjunction survives the negated first conjunct")
+     _l271a, "a conjunction survives the negated first conjunct")
 _reg("L2.7.1b", [], _sh("G", And(_PHI, _PSI), Neg(_PSI), And(_PHI, _PSI)),
-     lambda i, p: _l271b(_g(i), i["phi"], i["psi"]),
-     "a conjunction survives the negated second conjunct")
+     _l271b, "a conjunction survives the negated second conjunct")
 _reg("L2.7.2a", [], _sh("G", Neg(_PHI), And(_PHI, _PSI), Neg(_PHI)),
-     lambda i, p: _l272a(_g(i), i["phi"], i["psi"]),
-     "a negated conjunct survives the conjunction")
+     _l272a, "a negated conjunct survives the conjunction")
 _reg("L2.7.2b", [], _sh("G", Neg(_PSI), And(_PHI, _PSI), Neg(_PSI)),
-     lambda i, p: _l272b(_g(i), i["phi"], i["psi"]),
-     "a negated conjunct survives the conjunction, second form")
+     _l272b, "a negated conjunct survives the conjunction, second form")
 _reg("L2.7.3a", [], _sh("G", _NPS, _PHI, _NPS),
-     lambda i, p: _l273a(_g(i), i["phi"], i["psi"]),
-     "a negated conjunction survives the first conjunct")
+     _l273a, "a negated conjunction survives the first conjunct")
 _reg("L2.7.3b", [], _sh("G", _NPS, _PSI, _NPS),
-     lambda i, p: _l273b(_g(i), i["phi"], i["psi"]),
-     "a negated conjunction survives the second conjunct")
+     _l273b, "a negated conjunction survives the second conjunct")
 _reg("L2.7.4a", [], _sh("G", _PHI, _NPS, _PHI),
-     lambda i, p: _l274a(_g(i), i["phi"], i["psi"]),
-     "a conjunct survives the negated conjunction")
+     _l274a, "a conjunct survives the negated conjunction")
 _reg("L2.7.4b", [], _sh("G", _PSI, _NPS, _PSI),
-     lambda i, p: _l274b(_g(i), i["phi"], i["psi"]),
-     "a conjunct survives the negated conjunction, second form")
+     _l274b, "a conjunct survives the negated conjunction, second form")
 
 _reg("P2.8.1", [_sh("G", _PHI, _NPS, "D", _CHI)], _sh("G", _NPS, _PHI, "D", _CHI),
-     lambda i, p: _p281(_g(i), i["phi"], i["psi"], _d(i), i["chi"], p[0]),
-     "exchange with a negated conjunction", variables=("phi", "psi", "chi"))
+     _p281, "exchange with a negated conjunction")
 _reg("P2.8.2", [_sh("G", _NPS, _PHI, "D", _CHI)], _sh("G", _PHI, _NPS, "D", _CHI),
-     lambda i, p: _p282(_g(i), i["phi"], i["psi"], _d(i), i["chi"], p[0]),
-     "exchange with a negated conjunction, reversed", variables=("phi", "psi", "chi"))
+     _p282, "exchange with a negated conjunction, reversed")
 _reg("P2.8.3", [_sh("G", _PSI, _NPS, "D", _CHI)], _sh("G", _NPS, _PSI, "D", _CHI),
-     lambda i, p: _p283(_g(i), i["phi"], i["psi"], _d(i), i["chi"], p[0]),
-     "exchange with a negated conjunction, second conjunct",
-     variables=("phi", "psi", "chi"))
+     _p283, "exchange with a negated conjunction, second conjunct")
 _reg("P2.8.4", [_sh("G", _NPS, _PSI, "D", _CHI)], _sh("G", _PSI, _NPS, "D", _CHI),
-     lambda i, p: _p284(_g(i), i["phi"], i["psi"], _d(i), i["chi"], p[0]),
-     "exchange with a negated conjunction, second conjunct reversed",
-     variables=("phi", "psi", "chi"))
+     _p284, "exchange with a negated conjunction, second conjunct reversed")
 
 _reg("P2.9.1", [_sh("G", Neg(_PHI))], _sh("G", _NPS),
-     lambda i, p: _p291(_g(i), i["phi"], i["psi"], p[0]),
-     "negation is antitone in the first conjunct")
+     _p291, "negation is antitone in the first conjunct")
 _reg("P2.9.2", [_sh("G", _PHI)], _sh("G", Neg(And(Neg(_PHI), _PSI))),
-     lambda i, p: _p292(_g(i), i["phi"], i["psi"], p[0]),
-     "a formula refutes conjunctions with its negation")
+     _p292, "a formula refutes conjunctions with its negation")
 _reg("P2.9.3", [_sh("G", Neg(_PSI))], _sh("G", _NPS),
-     lambda i, p: _p293(_g(i), i["phi"], i["psi"], p[0]),
-     "negation is antitone in the second conjunct")
+     _p293, "negation is antitone in the second conjunct")
 _reg("P2.9.4", [_sh("G", _PSI)], _sh("G", Neg(And(_PHI, Neg(_PSI)))),
-     lambda i, p: _p294(_g(i), i["phi"], i["psi"], p[0]),
-     "a formula refutes conjunctions with its negation, second form")
+     _p294, "a formula refutes conjunctions with its negation, second form")
 
 _T210 = Neg(And(_PHI, Neg(And(_PHI, _PSI))))
 _reg("T2.10.fwd", [_sh("G", Imp(_PHI, _PSI))], _sh("G", _T210),
-     lambda i, p: _t210_fwd(_g(i), i["phi"], i["psi"], p[0]),
-     "arrow to Sasaki form")
+     _t210_fwd, "arrow to Sasaki form")
 _reg("T2.10.bwd", [_sh("G", _T210)], _sh("G", Imp(_PHI, _PSI)),
-     lambda i, p: _t210_bwd(_g(i), i["phi"], i["psi"], p[0]),
-     "Sasaki form to arrow")
+     _t210_bwd, "Sasaki form to arrow")
 
 _reg("L3.6.1", [_sh(_PHI, _PSI), _sh(_PSI, _CHI)], _sh(_PHI, _CHI),
-     lambda i, p: _l361(i["phi"], i["psi"], i["chi"], *p),
-     "single-formula cut composition", variables=("phi", "psi", "chi"))
+     _l361, "single-formula cut composition")
 _reg("L3.6.2", [_sh(_PHI, _PSI)], _sh(Neg(_PSI), Neg(_PHI)),
-     lambda i, p: _l362(i["phi"], i["psi"], p[0]),
-     "contraposition on single formulas")
+     _l362, "contraposition on single formulas")
 
 _reg("T3.2.AX1", [], _sh(Imp(_PHI, Imp(_PSI, _PHI))),
-     lambda i, p: _ax1(i["phi"], i["psi"]),
-     "weakening axiom", modes=_E)
+     _ax1, "weakening axiom", modes=_E)
 _reg("T3.2.AX2", [],
      _sh(Imp(Imp(_PHI, _PSI),
              Imp(Imp(_PHI, Imp(_PSI, _CHI)), Imp(_PHI, _CHI)))),
-     lambda i, p: _ax2(i["phi"], i["psi"], i["chi"]),
-     "distribution axiom", modes=_E, variables=("phi", "psi", "chi"))
+     _ax2, "distribution axiom", modes=_E)
 _reg("T3.2.AX3", [], _sh(Imp(_PHI, Imp(_PSI, And(_PHI, _PSI)))),
-     lambda i, p: _ax3(i["phi"], i["psi"]),
-     "conjunction introduction axiom", modes=_E)
+     _ax3, "conjunction introduction axiom", modes=_E)
 _reg("T3.2.AX4", [], _sh(Imp(And(_PHI, _PSI), _PHI)),
-     lambda i, p: _ax4(i["phi"], i["psi"]),
-     "first projection axiom")
+     _ax4, "first projection axiom")
 _reg("T3.2.AX5", [], _sh(Imp(And(_PHI, _PSI), _PSI)),
-     lambda i, p: _ax5(i["phi"], i["psi"]),
-     "second projection axiom")
+     _ax5, "second projection axiom")
 _reg("T3.2.AX6", [],
      _sh(Imp(Imp(_PHI, _PSI), Imp(Imp(_PHI, Neg(_PSI)), Neg(_PHI)))),
-     lambda i, p: _ax6(i["phi"], i["psi"]),
-     "negation introduction axiom", modes=_E)
+     _ax6, "negation introduction axiom", modes=_E)
 _reg("T3.2.AX7", [], _sh(Imp(Neg(Neg(_PHI)), _PHI)),
-     lambda i, p: _ax7(i["phi"]),
-     "double negation axiom", variables=("phi",))
+     _ax7, "double negation axiom")
 
 _reg("T3.8.BOT", [], _sh("G", And(_PHI, Neg(_PHI)), _PSI),
-     lambda i, p: _t38bot(_g(i), i["phi"], i["psi"]),
-     "a contradiction proves everything")
+     _t38bot, "a contradiction proves everything")
 _OM1 = Neg(And(Neg(_PHI), Neg(And(Neg(_PHI), _PSI))))
 _reg("T3.8.OM1", [_sh(_PHI, _PSI)], _sh(_PSI, _OM1),
-     lambda i, p: _t38om1(i["phi"], i["psi"], p[0]),
-     "orthomodularity, expansion half")
+     _t38om1, "orthomodularity, expansion half")
 _reg("T3.8.OM2", [_sh(_PHI, _PSI)], _sh(Imp(Neg(_PHI), _PSI), _PSI),
-     lambda i, p: _t38om2(i["phi"], i["psi"], p[0]),
-     "orthomodularity, collapse half")
+     _t38om2, "orthomodularity, collapse half")
 _reg("C3.9.LEM", [_sh(_PHI, _PSI), _sh(Neg(_PHI), _PSI)], _sh(_PSI),
-     lambda i, p: _c39lem(i["phi"], i["psi"], *p),
-     "excluded middle on closed contexts")
+     _c39lem, "excluded middle on closed contexts")
 
 _reg("P4.2", [_sh("G", _PHI, _PSI, Neg(_PHI))], _sh("G", _PHI, Neg(_PSI)),
-     lambda i, p: _p42(_g(i), i["phi"], i["psi"], p[0]),
-     "negation transfer across assumptions")
+     _p42, "negation transfer across assumptions")
 _reg("L4.3", [_sh("G", _NPS), _sh("G", _CHI, Neg(_PHI), Neg(_CHI)),
               _sh("G", _CHI, Neg(_PSI), Neg(_CHI))],
-     _sh("G", Neg(_CHI)),
-     lambda i, p: _l43(_g(i), i["phi"], i["psi"], i["chi"], *p),
-     "refutation by a negated conjunction", variables=("phi", "psi", "chi"))
+     _sh("G", Neg(_CHI)), _l43, "refutation by a negated conjunction")
 _reg("T4.4", [_sh("G", _PSI), _sh("G", _PHI, _PSI)], _sh("G", Neg(_PHI), _PSI),
-     lambda i, p: _t44(_g(i), i["phi"], i["psi"], *p),
-     "stability under a negated assumption")
+     _t44, "stability under a negated assumption")
 _reg("C4.5.1", [_sh("G", _PHI, _PSI, _PHI)], _sh("G", _PHI, Neg(_PSI), _PHI),
-     lambda i, p: _c451(_g(i), i["phi"], i["psi"], p[0]),
-     "survival under the negated second assumption")
+     _c451, "survival under the negated second assumption")
 _reg("C4.5.2", [_sh("G", _PHI, _PSI, _PHI), _sh("G", _PSI, _PHI, _PSI)],
-     _sh("G", Neg(_PHI), _PSI, Neg(_PHI)),
-     lambda i, p: _c452(_g(i), i["phi"], i["psi"], *p),
+     _sh("G", Neg(_PHI), _PSI, Neg(_PHI)), _c452,
      "survival of the negated first assumption")
 
 _reg("C4.6.intro1", [_sh("G", _PHI)], _sh("G", Or(_PHI, _PSI)),
-     lambda i, p: _c46_intro1(_g(i), i["phi"], i["psi"], p[0]),
-     "disjunction introduction, left")
+     _c46_intro1, "disjunction introduction, left")
 _reg("C4.6.intro2", [_sh("G", _PSI)], _sh("G", Or(_PHI, _PSI)),
-     lambda i, p: _c46_intro2(_g(i), i["phi"], i["psi"], p[0]),
-     "disjunction introduction, right")
+     _c46_intro2, "disjunction introduction, right")
 _reg("C4.6.elim",
      [_sh("G", Or(_PHI, _PSI)), _sh("G", _PHI, _CHI), _sh("G", _PSI, _CHI),
       _sh("G", _CHI, _PHI, _CHI), _sh("G", _CHI, _PSI, _CHI)],
-     _sh("G", _CHI),
-     lambda i, p: _c46_elim(_g(i), i["phi"], i["psi"], i["chi"], *p),
-     "disjunction elimination", variables=("phi", "psi", "chi"))
+     _sh("G", _CHI), _c46_elim, "disjunction elimination")
 
 _CPT = Compat(_PHI, _PSI)
 _reg("P4.7.intro", [_sh("G", _PHI, _PSI, _PHI), _sh("G", _PSI, _PHI, _PSI)],
-     _sh("G", _CPT),
-     lambda i, p: _p47intro(_g(i), i["phi"], i["psi"], *p),
-     "compatibility introduction")
+     _sh("G", _CPT), _p47intro, "compatibility introduction")
 _reg("P4.7.exch1", [_sh("G", _CPT), _sh("G", _PHI, _PSI, "D", _CHI)],
-     _sh("G", _PSI, _PHI, "D", _CHI),
-     lambda i, p: _p47exch1(_g(i), i["phi"], i["psi"], _d(i), i["chi"], *p),
-     "exchange of compatible assumptions", variables=("phi", "psi", "chi"))
+     _sh("G", _PSI, _PHI, "D", _CHI), _p47exch1, "exchange of compatible assumptions")
 _reg("P4.7.exch2", [_sh("G", _CPT), _sh("G", _PSI, _PHI, "D", _CHI)],
-     _sh("G", _PHI, _PSI, "D", _CHI),
-     lambda i, p: _p47exch2(_g(i), i["phi"], i["psi"], _d(i), i["chi"], *p),
-     "exchange of compatible assumptions, reversed",
-     variables=("phi", "psi", "chi"))
+     _sh("G", _PHI, _PSI, "D", _CHI), _p47exch2,
+     "exchange of compatible assumptions, reversed")
 
 _reg("P4.8.1", [_sh("G", _CPT)], _sh("G", _PHI, _PSI, _PHI),
-     lambda i, p: _p481(_g(i), i["phi"], i["psi"], p[0]),
-     "compatible assumptions preserve the first")
+     _p481, "compatible assumptions preserve the first")
 _reg("P4.8.2", [_sh("G", _CPT)], _sh("G", _PSI, _PHI, _PSI),
-     lambda i, p: _p482(_g(i), i["phi"], i["psi"], p[0]),
-     "compatible assumptions preserve the second")
+     _p482, "compatible assumptions preserve the second")
 _reg("P4.8.3", [_sh("G", _CPT)], _sh("G", Compat(_PSI, _PHI)),
-     lambda i, p: _p483(_g(i), i["phi"], i["psi"], p[0]),
-     "compatibility is symmetric")
+     _p483, "compatibility is symmetric")
 _reg("P4.8.4", [_sh("G", _CPT)], _sh("G", Compat(_PHI, Neg(_PSI))),
-     lambda i, p: _p484(_g(i), i["phi"], i["psi"], p[0]),
-     "compatibility with the negated second argument")
+     _p484, "compatibility with the negated second argument")
 _reg("P4.8.5", [_sh("G", Compat(_PHI, Neg(_PSI)))], _sh("G", _CPT),
-     lambda i, p: _p485(_g(i), i["phi"], i["psi"], p[0]),
-     "compatibility from the negated second argument")
+     _p485, "compatibility from the negated second argument")
 _reg("P4.8.6", [_sh("G", _CPT)], _sh("G", Compat(Neg(_PHI), _PSI)),
-     lambda i, p: _p486(_g(i), i["phi"], i["psi"], p[0]),
-     "compatibility with the negated first argument")
+     _p486, "compatibility with the negated first argument")
 _reg("P4.8.7", [_sh("G", Compat(Neg(_PHI), _PSI))], _sh("G", _CPT),
-     lambda i, p: _p487(_g(i), i["phi"], i["psi"], p[0]),
-     "compatibility from the negated first argument")
+     _p487, "compatibility from the negated first argument")
 _reg("P4.8.8", [], _sh("G", Compat(_PHI, Imp(_PHI, _PSI))),
-     lambda i, p: _p488(_g(i), i["phi"], i["psi"]),
-     "a formula is compatible with arrows out of it")
+     _p488, "a formula is compatible with arrows out of it")
 _reg("P4.8.9", [], _sh("G", Compat(_PHI, And(_PHI, _PSI))),
-     lambda i, p: _p489(_g(i), i["phi"], i["psi"]),
-     "a formula is compatible with conjunctions containing it")
+     _p489, "a formula is compatible with conjunctions containing it")
 _reg("P4.8.10", [], _sh("G", Compat(_PSI, And(_PHI, _PSI))),
-     lambda i, p: _p4810(_g(i), i["phi"], i["psi"]),
-     "a formula is compatible with conjunctions containing it, second form")
+     _p4810, "a formula is compatible with conjunctions containing it, second form")
 
 _reg("P4.9", [_sh("G", _CPT), _sh("G", _PHI, _PSI)],
-     _sh("G", Neg(_PSI), Neg(_PHI)),
-     lambda i, p: _p49(_g(i), i["phi"], i["psi"], *p),
-     "contraposition under compatibility")
+     _sh("G", Neg(_PSI), Neg(_PHI)), _p49, "contraposition under compatibility")
 
 _reg("L4.10.1", [_sh("G", _CPT)], _sh("G", _PHI, _PSI, And(_PHI, _PSI)),
-     lambda i, p: _l4101(_g(i), i["phi"], i["psi"], p[0]),
-     "compatible assumptions conjoin")
+     _l4101, "compatible assumptions conjoin")
 _reg("L4.10.2", [_sh("G", _CPT)],
      _sh("G", _PHI, Neg(_PSI), And(_PHI, Neg(_PSI))),
-     lambda i, p: _l4102(_g(i), i["phi"], i["psi"], p[0]),
-     "compatible assumptions conjoin, negated second")
+     _l4102, "compatible assumptions conjoin, negated second")
 _reg("L4.10.3", [_sh("G", _CPT)],
      _sh("G", Neg(_PHI), _PSI, And(Neg(_PHI), _PSI)),
-     lambda i, p: _l4103(_g(i), i["phi"], i["psi"], p[0]),
-     "compatible assumptions conjoin, negated first")
+     _l4103, "compatible assumptions conjoin, negated first")
 _reg("L4.10.4", [_sh("G", _CPT)],
      _sh("G", Neg(_PHI), Neg(_PSI), And(Neg(_PHI), Neg(_PSI))),
-     lambda i, p: _l4104(_g(i), i["phi"], i["psi"], p[0]),
-     "compatible assumptions conjoin, both negated")
+     _l4104, "compatible assumptions conjoin, both negated")
 
 _OR1 = Or(And(_PHI, _PSI), And(_PHI, Neg(_PSI)))
 _OR2 = Or(And(Neg(_PHI), _PSI), And(Neg(_PHI), Neg(_PSI)))
 _reg("P4.11", [_sh("G", _CPT)], _sh("G", _PHI, _OR1),
-     lambda i, p: _p411(_g(i), i["phi"], i["psi"], p[0]),
-     "case split under compatibility")
+     _p411, "case split under compatibility")
 _reg("P4.11.full", [_sh("G", _CPT)], _sh("G", Or(_OR1, _OR2)),
-     lambda i, p: _p411full(_g(i), i["phi"], i["psi"], p[0]),
-     "compatibility gives the four-fold disjunction")
+     _p411full, "compatibility gives the four-fold disjunction")
 
 _reg("L4.12.and", [_sh("G", And(_PHI, _PSI))], _sh("G", _CPT),
-     lambda i, p: _l412and(_g(i), i["phi"], i["psi"], p[0]),
-     "a conjunction makes its conjuncts compatible")
+     _l412and, "a conjunction makes its conjuncts compatible")
 _reg("L4.12.and_nr", [_sh("G", And(_PHI, Neg(_PSI)))], _sh("G", _CPT),
-     lambda i, p: _l412and_nr(_g(i), i["phi"], i["psi"], p[0]),
-     "a signed conjunction makes its letters compatible")
+     _l412and_nr, "a signed conjunction makes its letters compatible")
 _reg("L4.12.nl", [_sh("G", And(Neg(_PHI), _PSI))], _sh("G", _CPT),
-     lambda i, p: _l412nl(_g(i), i["phi"], i["psi"], p[0]),
-     "a signed conjunction makes its letters compatible, negated first")
+     _l412nl, "a signed conjunction makes its letters compatible, negated first")
 _reg("L4.12.nlnr", [_sh("G", And(Neg(_PHI), Neg(_PSI)))], _sh("G", _CPT),
-     lambda i, p: _l412nlnr(_g(i), i["phi"], i["psi"], p[0]),
-     "a signed conjunction makes its letters compatible, both negated")
+     _l412nlnr, "a signed conjunction makes its letters compatible, both negated")
 _reg("L4.12.s1", [], _sh("G", And(_PHI, _PSI), _CPT),
-     lambda i, p: _l412s(_g(i), i["phi"], i["psi"], 1),
-     "assumed conjunction yields compatibility")
+     partial(_l412s, which=1), "assumed conjunction yields compatibility")
 _reg("L4.12.s2", [], _sh("G", And(_PHI, Neg(_PSI)), _CPT),
-     lambda i, p: _l412s(_g(i), i["phi"], i["psi"], 2),
-     "assumed signed conjunction yields compatibility")
+     partial(_l412s, which=2), "assumed signed conjunction yields compatibility")
 _reg("L4.12.s3", [], _sh("G", And(Neg(_PHI), _PSI), _CPT),
-     lambda i, p: _l412s(_g(i), i["phi"], i["psi"], 3),
+     partial(_l412s, which=3),
      "assumed signed conjunction yields compatibility, negated first")
 _reg("L4.12.s4", [], _sh("G", And(Neg(_PHI), Neg(_PSI)), _CPT),
-     lambda i, p: _l412s(_g(i), i["phi"], i["psi"], 4),
+     partial(_l412s, which=4),
      "assumed signed conjunction yields compatibility, both negated")
 
 _reg("L4.13.rule", [_sh("G", _OR1)], _sh("G", _CPT),
-     lambda i, p: _l413rule(_g(i), i["phi"], i["psi"], p[0]),
-     "a positive case split yields compatibility")
+     _l413rule, "a positive case split yields compatibility")
 _reg("L4.13.s1", [], _sh("G", _OR1, _CPT),
-     lambda i, p: _l413s1(_g(i), i["phi"], i["psi"]),
-     "assumed positive case split yields compatibility")
+     _l413s1, "assumed positive case split yields compatibility")
 _reg("L4.13.s2", [], _sh("G", _OR2, _CPT),
-     lambda i, p: _l413s2(_g(i), i["phi"], i["psi"]),
-     "assumed negative case split yields compatibility")
+     _l413s2, "assumed negative case split yields compatibility")
 _reg("P4.14", [_sh("G", Or(_OR1, _OR2))], _sh("G", _CPT),
-     lambda i, p: _p414(_g(i), i["phi"], i["psi"], p[0]),
-     "the four-fold disjunction gives compatibility")
+     _p414, "the four-fold disjunction gives compatibility")
 
 
 def _require(args, key, eid):
@@ -1407,19 +1323,12 @@ def _inst_p57ee(inst):
             Sequent(g, psi))
 
 
-_reg("L5.6", [], None,
-     lambda i, p: _l56(tuple(i.get("gamma", ())), i["x"], i["t"], i["phi"]),
-     "a universal is compatible with its instances", modes=_QMODES,
-     variables=("phi",), matcher=_match_l56, instantiator=_inst_l56)
-_reg("P5.7.EI", [None], None,
-     lambda i, p: _p57ei(tuple(i.get("gamma", ())), i["x"], i["t"], i["phi"], p[0]),
-     "existential introduction", modes=_QMODES,
-     variables=("phi",), matcher=_match_p57ei, instantiator=_inst_p57ei)
-_reg("P5.7.EE", [None, None, None], None,
-     lambda i, p: _p57ee(tuple(i.get("gamma", ())), i["x"], i["phi"], i["psi"],
-                         *p),
-     "existential elimination", modes=_QMODES,
-     variables=("phi", "psi"), matcher=_match_p57ee, instantiator=_inst_p57ee)
+_reg("L5.6", [], None, _l56, "a universal is compatible with its instances",
+     modes=_QMODES, matcher=_match_l56, instantiator=_inst_l56)
+_reg("P5.7.EI", [None], None, _p57ei, "existential introduction",
+     modes=_QMODES, matcher=_match_p57ei, instantiator=_inst_p57ei)
+_reg("P5.7.EE", [None, None, None], None, _p57ee, "existential elimination",
+     modes=_QMODES, matcher=_match_p57ee, instantiator=_inst_p57ee)
 
 
 def catalog():
@@ -1446,8 +1355,8 @@ def derive(entry_id: str, inst, premises=()) -> Derivation:
     for key in ("gamma", "delta"):
         if key in inst:
             inst[key] = tuple(inst[key])
-    for name in entry.variables:
-        if name not in inst:
+    for name in entry.params:
+        if name not in inst and name not in _CONTEXTS.values():
             raise TacticError(f"{entry_id} needs {name}")
     prems = tuple(hyp(p) if isinstance(p, Sequent) else p for p in premises)
     want, _ = entry.instantiate(inst)
@@ -1458,7 +1367,7 @@ def derive(entry_id: str, inst, premises=()) -> Derivation:
         if not sequent_eq(d.conclusion, expected):
             raise TacticError(
                 f"{entry_id}: premise {d.conclusion} does not match {expected}")
-    return entry.builder(inst, prems)
+    return entry.build(inst, prems)
 
 
 def infer_conclusion(entry_id: str, premise_sequents) -> Sequent:
@@ -1479,47 +1388,11 @@ def infer_conclusion(entry_id: str, premise_sequents) -> Sequent:
         raise TacticError(
             f"{entry_id} takes {len(entry.premises)} premises, "
             f"got {len(prems)}")
-    items0, _ = entry.premises[0]
-    fixed0 = sum(1 for it in items0 if not isinstance(it, str))
-    room0 = len(prems[0].antecedent) - fixed0
-    if room0 < 0:
-        raise TacticError(f"{entry_id}: first premise has too few antecedents")
-    if "G" in items0 and "D" in items0:
-        g_candidates = range(room0, -1, -1)
-    elif "G" in items0:
-        g_candidates = (room0,)
-    else:
-        g_candidates = (0,)
-    last = TacticError(f"{entry_id}: premises do not fit the entry")
-    for g_len in g_candidates:
-        gamma = prems[0].antecedent[:g_len] if "G" in items0 else ()
-        delta, ok = (), True
-        for shape, seq in zip(entry.premises, prems):
-            its, _ = shape
-            if "D" in its:
-                fx = sum(1 for it in its if not isinstance(it, str))
-                d_len = (len(seq.antecedent) - fx
-                         - (g_len if "G" in its else 0))
-                if d_len < 0:
-                    ok = False
-                    break
-                delta = seq.antecedent[len(seq.antecedent) - d_len:]
-                break
-        if not ok:
-            continue
-        inst = {"gamma": tuple(gamma), "delta": tuple(delta)}
-        try:
-            for shape, seq in zip(entry.premises, prems):
-                _bind_shape(shape, seq, inst)
-            for name in entry.variables:
-                if name not in inst:
-                    raise TacticError(
-                        f"{entry_id}: {name} is not determined by the "
-                        f"premises; state the target sequent")
-            return entry.instantiate(inst)[1]
-        except TacticError as err:
-            last = err
-    raise last
+    # gamma and delta are read off the first premise with a trailing context
+    key = next((k for k, (its, _) in enumerate(entry.premises) if "D" in its), 0)
+    inst = _fit(entry, entry.premises, prems, key, f"premise {key + 1}",
+                "is not determined by the premises; state the target sequent")
+    return entry.instantiate(inst)[1]
 
 
 def match_and_build(entry_id: str, premises, conclusion: Sequent,
@@ -1532,7 +1405,7 @@ def match_and_build(entry_id: str, premises, conclusion: Sequent,
         raise TacticError(f"{entry_id}: not available in mode {mode}")
     inst = entry.match([d.conclusion for d in premises], conclusion,
                        args or {})
-    d = entry.builder(inst, tuple(premises))
+    d = entry.build(inst, tuple(premises))
     if not sequent_eq(d.conclusion, conclusion):
         raise TacticError(f"{entry_id} built {d.conclusion}, not {conclusion}")
     return d

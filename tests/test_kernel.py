@@ -114,6 +114,21 @@ class TestImpRules:
     def test_or_expansion_is_not_an_implication(self):
         bad("imp_e", ["g |- p \\/ q"], "g, p |- q")
 
+    # each inference below is wrong in exactly one respect, so dropping the
+    # one side condition that catches it lets it through
+    def test_imp_i_near_misses(self):
+        assert "plus one formula" in bad("imp_i", ["h, p |- q"], "g |- p -> q").message
+        assert "discharged formula" in bad("imp_i", ["g, r |- q"], "g |- p -> q").message
+        assert "premise succedent" in bad("imp_i", ["g, p |- r"], "g |- p -> q").message
+        assert "plus one formula" in bad("imp_i", ["|- q"], "|- p -> q").message
+        assert "an implication" in bad("imp_i", ["g, p |- q"], "g |- q").message
+
+    def test_imp_e_near_misses(self):
+        assert "extend the premise" in bad("imp_e", ["h |- p -> q"], "g, p |- q").message
+        assert "added antecedent" in bad("imp_e", ["g |- p -> q"], "g, r |- q").message
+        assert "succedent must be" in bad("imp_e", ["g |- p -> q"], "g, p |- r").message
+        assert "at least one antecedent" in bad("imp_e", ["|- p -> q"], "|- q").message
+
 
 class TestLemExplode:
     def test_lem(self):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -12,7 +13,7 @@ from orthoproof.syntax import (
     Atom, Compat, Const, Exists, Forall, Letter, Sequent, Var, parse_sequent,
 )
 from orthoproof.tactics import (
-    TacticError, catalog, derive, lookup, match_and_build,
+    TacticError, catalog, derive, infer_conclusion, lookup, match_and_build,
 )
 
 S = parse_sequent
@@ -220,6 +221,14 @@ class TestRejections:
     def test_missing_metavariable(self):
         with pytest.raises(TacticError, match="psi"):
             derive("P2.1", {"phi": Letter("p"), "gamma": ()}, (S("p |- q"),))
+        # the quantifier builders also take x and t, which no shape names
+        p, q = Letter("p"), Letter("q")
+        with pytest.raises(TacticError, match="L5.6 needs x"):
+            derive("L5.6", {"phi": p})
+        with pytest.raises(TacticError, match="P5.7.EE needs x"):
+            derive("P5.7.EE", {"phi": p, "psi": q})
+        with pytest.raises(TacticError, match="P5.7.EI needs t"):
+            derive("P5.7.EI", {"phi": p, "x": Var("x")})
 
     def test_conclusion_mismatch(self):
         entry = lookup("P2.1")
@@ -228,6 +237,39 @@ class TestRejections:
         with pytest.raises(TacticError):
             match_and_build("P2.1", tuple(hyp(s) for s in prem_seqs),
                             S("|- p -> q"), "NOM")
+
+
+class TestInferConclusion:
+    def test_every_entry_with_premises(self):
+        # forward application over fresh instances, gamma and delta 0..2
+        outcomes = collections.Counter()
+        for entry in catalog():
+            if entry.matcher is not None or not entry.premises:
+                continue
+            shapes = (*entry.premises, entry.conclusion)
+            has_delta = any("D" in items for items, _ in shapes)
+            for glen in range(3):
+                for dlen in range(3) if has_delta else (0,):
+                    inst = fresh_inst(entry, glen, dlen)
+                    prem_seqs, concl = entry.instantiate(inst)
+                    try:
+                        got = infer_conclusion(entry.id, prem_seqs)
+                    except TacticError as err:
+                        # a conclusion variable that occurs in no premise
+                        assert "state the target sequent" in str(err), entry.id
+                        outcomes["stated"] += 1
+                        continue
+                    if dlen and entry.id in ("T2.6.expand", "T2.6.dn_intro"):
+                        # the longest gamma wins: delta joins the context
+                        assert got != concl and got.antecedent[:glen] == inst["gamma"]
+                    else:
+                        assert got == concl, (entry.id, glen, dlen)
+                    d = match_and_build(entry.id, tuple(hyp(s) for s in prem_seqs),
+                                        got, entry.modes[0])
+                    assert check_derivation(d, entry.modes[0],
+                                            hypotheses=prem_seqs) is None, entry.id
+                    outcomes["inferred"] += 1
+        assert outcomes == {"inferred": 261, "stated": 21}
 
 
 class TestSoundness:
