@@ -19,16 +19,10 @@ import sys
 
 import click
 
-from .hilbert import verify as hilbert_verify_rows
 from .kernel import MODES, PREMISE_COUNTS
-from .lattice import LatticeFileError, by_name, parse_lattice
 from .script import (
     HYP_RE, ScriptError, ScriptLine, check_file, check_line, parse_justification,
     parse_step, split_by, strip_comment,
-)
-from .semantics import (
-    Valid, classical_valid, countermodel_search, decide_two_var,
-    validate_sequent,
 )
 from .syntax import (  # parse_term is unused here; the benchmark's tracer wraps it
     And, Forall, Imp, ParseError, Sequent, Signature, SignatureError, expand,
@@ -111,6 +105,8 @@ def check(paths, fmt):
 @_FORMAT
 def validate(sequent, name, lattice_file, fmt):
     """Check one sequent against one finite lattice, all assignments."""
+    from .lattice import LatticeFileError, by_name, parse_lattice
+    from .semantics import Valid, validate_sequent
     s = _parse_cli_sequent(sequent)
     try:
         if lattice_file:
@@ -133,6 +129,7 @@ def validate(sequent, name, lattice_file, fmt):
 @_FORMAT
 def decide2(sequent, fmt):
     """Decide a two-letter sequent (complete for two letters)."""
+    from .semantics import Valid, decide_two_var
     s = _parse_cli_sequent(sequent)
     v = _evaluate(decide_two_var, s)
     if isinstance(v, Valid):
@@ -147,6 +144,7 @@ def decide2(sequent, fmt):
 @_FORMAT
 def countermodel(sequent, fmt):
     """Search the lattice battery for a falsifying assignment."""
+    from .semantics import Valid, countermodel_search
     s = _parse_cli_sequent(sequent)
     v = _evaluate(countermodel_search, s)
     if isinstance(v, Valid):
@@ -161,6 +159,8 @@ def countermodel(sequent, fmt):
 @_FORMAT
 def classical(sequent, fmt):
     """Check two-valued validity of a sequent."""
+    from .lattice import by_name
+    from .semantics import classical_valid, validate_sequent
     s = _parse_cli_sequent(sequent)
     if _evaluate(classical_valid, s):
         click.echo("valid" if fmt == "tsv" else "VALID (two-valued)")
@@ -180,6 +180,7 @@ def classical(sequent, fmt):
 @_FORMAT
 def hilbert_verify(dim, trials, seed, fmt):
     """Run the seeded subspace-model sweeps; exit 0 only if all pass."""
+    from .hilbert import verify as hilbert_verify_rows
     rows = hilbert_verify_rows(dim, trials, seed)
     if fmt == "tsv":
         for r in rows:

@@ -20,10 +20,10 @@ __all__ = [
     "LatticeFileError", "MAX_ELEMENTS",
 ]
 
-# the largest lattice file accepted: the header allocates n x n tables, the
-# meet and join tables take O(n^3) Python steps, and a file at the limit takes
-# about 3 s to read and verify on a 2-core machine (F2, the largest built-in
-# lattice, has 96 elements)
+# the largest lattice file accepted: the header allocates n x n tables and the
+# meet/join tables and verify_oml hold n^2 packed down-sets of n bits; a file
+# at the limit takes about 0.1 s to read and verify on a 2-core machine (F2,
+# the largest built-in lattice, has 96 elements)
 MAX_ELEMENTS = 256
 
 
@@ -50,15 +50,18 @@ class FiniteOML:
     order relation (or accepts them precomputed); ``verify_oml`` is the
     judge of whether the structure really is an orthomodular lattice.
     All factory functions in this module verify what they build, except
-    ``o6`` which exists to be rejected.
+    ``o6`` which exists to be rejected.  ``factors`` names the lattices
+    whose product this one is (set by ``product``); an inequality holds
+    here iff it holds in each of them.
     """
 
-    def __init__(self, leq, neg, name="", generators=None, tables=None):
+    def __init__(self, leq, neg, name="", generators=None, tables=None, factors=()):
         self.leq = np.array(leq, dtype=bool)
         self.neg = np.array(neg, dtype=int)
         self.n = self.leq.shape[0]
         self.name = name
         self.generators = tuple(generators) if generators is not None else None
+        self.factors = tuple(factors)
         bots = np.where(self.leq.all(axis=1))[0]
         tops = np.where(self.leq.all(axis=0))[0]
         self.bottom = int(bots[0]) if len(bots) else None
@@ -66,24 +69,10 @@ class FiniteOML:
         if tables is not None:
             self.meet, self.join = (np.array(t, dtype=int) for t in tables)
         else:
-            self.meet = self._bound_table(self.leq)
-            self.join = self._bound_table(self.leq.T)
+            self.meet = _bound_table(self.leq)
+            self.join = _bound_table(self.leq.T)
         for arr in (self.leq, self.neg, self.meet, self.join):
             arr.setflags(write=False)
-
-    def _bound_table(self, below):
-        # greatest lower bounds w.r.t. `below` (transpose gives least uppers);
-        # -1 marks a pair with no such bound, left for verify_oml to report
-        n = self.n
-        table = np.full((n, n), -1, dtype=int)
-        for a in range(n):
-            for b in range(a + 1):
-                bounds = np.where(below[:, a] & below[:, b])[0]
-                for c in bounds:
-                    if below[bounds, c].all():
-                        table[a, b] = table[b, a] = c
-                        break
-        return table
 
     def le(self, a, b) -> bool:
         return bool(self.leq[a, b])
@@ -115,6 +104,26 @@ class OMLElement:
         return self.lattice.le(self.index, other.index)
 
 
+def _bound_table(below):
+    # greatest lower bounds w.r.t. `below` (transpose gives least uppers): the
+    # down-sets of a and b meet in the down-set of a & b, so each intersection
+    # is looked up among the down-sets (row c of `downs` packs {x : x <= c});
+    # -1 marks a pair with no such bound, left for verify_oml to report
+    n = below.shape[0]
+    downs = np.ascontiguousarray(np.packbits(below.T, axis=1))
+    key = f"V{downs.shape[1]}"
+    order = np.argsort(downs.view(key).ravel(), kind="stable")
+    ranked = downs[order].view(key).ravel()
+    pairs = (downs[:, None] & downs[None, :]).view(key).reshape(n, n)
+    at = np.minimum(np.searchsorted(ranked, pairs), n - 1)
+    return np.where(ranked[at] == pairs, order[at], -1)
+
+
+def _first(mask):
+    """(row, column) of the first True of a 2-d mask in row-major order."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
+
+
 def verify_oml(L: FiniteOML):
     """Check every FiniteOML invariant; None if fine, else an OMLFailure.
 
@@ -127,8 +136,7 @@ def verify_oml(L: FiniteOML):
         return OMLFailure("reflexivity", (int(np.where(~leq.diagonal())[0][0]),))
     anti = leq & leq.T & ~np.eye(n, dtype=bool)
     if anti.any():
-        a, b = np.argwhere(anti)[0]
-        return OMLFailure("antisymmetry", (int(a), int(b)))
+        return OMLFailure("antisymmetry", _first(anti))
     gap = (leq @ leq) & ~leq
     if gap.any():
         a, c = np.argwhere(gap)[0]
@@ -136,30 +144,31 @@ def verify_oml(L: FiniteOML):
         return OMLFailure("transitivity", (int(a), b, int(c)))
     if L.bottom is None or L.top is None:
         return OMLFailure("bounds", ())
-    strict = leq & ~np.eye(n, dtype=bool)
+    idx = np.arange(n)
     for below, table, law in ((leq, L.meet, "meet"), (leq.T, L.join, "join")):
-        for a in range(n):
-            for b in range(a + 1):
-                bounds = below[:, a] & below[:, b]
-                maximal = bounds & ~((strict if below is leq else strict.T)
-                                     & bounds[None, :]).any(axis=1)
-                picks = np.where(maximal)[0]
-                if len(picks) != 1 or picks[0] != table[a, b]:
-                    return OMLFailure(law, (a, b))
+        # table[a, b] must be a common lower bound that every common lower
+        # bound lies below; pairs b <= a only, in row-major order
+        downs = np.packbits(below.T, axis=1)
+        known = (table >= 0) & (table < n)
+        t = np.where(known, table, 0)
+        stray = ((downs[:, None] & downs[None, :]) & ~downs[t]).any(axis=2)
+        bad = np.tril(~(known & below[t, idx[:, None]] & below[t, idx[None, :]])
+                      | stray)
+        if bad.any():
+            return OMLFailure(law, _first(bad))
     if (L.neg[L.neg] != np.arange(n)).any():
         return OMLFailure("involution", (int(np.where(L.neg[L.neg] != np.arange(n))[0][0]),))
     rev = leq != leq[L.neg][:, L.neg].T
     if rev.any():
-        a, b = np.argwhere(rev)[0]
-        return OMLFailure("antitone", (int(a), int(b)))
+        return OMLFailure("antitone", _first(rev))
     comp = np.where((L.meet[np.arange(n), L.neg] != L.bottom)
                     | (L.join[np.arange(n), L.neg] != L.top))[0]
     if len(comp):
         return OMLFailure("complement", (int(comp[0]),))
-    for a in range(n):
-        for b in range(n):
-            if leq[a, b] and L.join[a, L.meet[L.neg[a], b]] != b:
-                return OMLFailure("orthomodular", (a, b))
+    a, b = np.nonzero(leq)
+    broken = np.nonzero(L.join[a, L.meet[L.neg[a], b]] != b)[0]
+    if len(broken):
+        return OMLFailure("orthomodular", (int(a[broken[0]]), int(b[broken[0]])))
     return None
 
 
@@ -232,7 +241,7 @@ def product(L1: FiniteOML, L2: FiniteOML, name=None) -> FiniteOML:
     meet = L1.meet[a1, b1] * n2 + L2.meet[a2, b2]
     join = L1.join[a1, b1] * n2 + L2.join[a2, b2]
     label = name if name is not None else f"{L1.name}x{L2.name}"
-    return _checked(FiniteOML(leq, neg, label, tables=(meet, join)))
+    return _checked(FiniteOML(leq, neg, label, tables=(meet, join), factors=(L1, L2)))
 
 
 def o6() -> FiniteOML:
@@ -284,7 +293,7 @@ def free_oml2():
     """
     L = product(boolean(4), mo(2), name="F2")
     L2 = FiniteOML(L.leq, L.neg, "F2", generators=_F2_GENERATORS,
-                   tables=(L.meet, L.join))
+                   tables=(L.meet, L.join), factors=L.factors)
     return L2, _F2_GENERATORS
 
 

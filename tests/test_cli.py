@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from click.testing import CliRunner
 
@@ -488,4 +492,27 @@ def test_undecodable_input_file_is_an_input_error(args, tmp_path):
     assert res.exit_code == 2
     assert len(res.stderr.splitlines()) == 1
     assert "can't decode" in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    code = "import sys, orthoproof.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                         check=True)
+    assert out.stdout == "False\n"
+
+
+def test_validate_four_letters_on_f2_valid_through_the_factors():
+    res = CliRunner().invoke(main, ["validate", "p /\\ q, r, s |- s", "--lattice", "F2"])
+    assert res.exit_code == 0
+    assert res.stdout == "VALID on F2\n"
+
+
+def test_validate_four_letters_on_f2_past_the_sweep_budget():
+    res = CliRunner().invoke(main, ["validate", "p, q, r |- s", "--lattice", "F2"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1
+    assert "more than the sweep budget" in res.stderr
     assert "Traceback" not in res.output

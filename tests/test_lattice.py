@@ -1,9 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from orthoproof.lattice import (
-    MAX_ELEMENTS, FiniteOML, LatticeFileError, OMLElement, battery, boolean, by_name,
-    free_oml2, generated_subalgebra, mo, o6, parse_lattice, product,
+    MAX_ELEMENTS, FiniteOML, LatticeFileError, OMLElement, OMLFailure, battery, boolean,
+    by_name, free_oml2, generated_subalgebra, mo, o6, parse_lattice, product,
     sasaki_and, sasaki_arrow, verify_oml,
 )
 
@@ -233,3 +235,158 @@ class TestLatticeFile:
         txt = "oml 3\nleq 0 1\nleq 1 0\nneg 0 2\nneg 1 1"
         with pytest.raises(LatticeFileError):
             parse_lattice(txt)
+
+
+# --- tables from down-sets and verify_oml without pair loops -----------------
+
+def _reference_bound_table(below):
+    # the former pair loop: least index c among the common lower bounds of
+    # a and b that every common lower bound lies below
+    n = below.shape[0]
+    table = np.full((n, n), -1, dtype=int)
+    for a in range(n):
+        for b in range(a + 1):
+            bounds = np.where(below[:, a] & below[:, b])[0]
+            for c in bounds:
+                if below[bounds, c].all():
+                    table[a, b] = table[b, a] = c
+                    break
+    return table
+
+
+def _reference_verify(L):
+    # the former verify_oml, pair loops included
+    leq, n = L.leq, L.n
+    if not leq.diagonal().all():
+        return OMLFailure("reflexivity", (int(np.where(~leq.diagonal())[0][0]),))
+    anti = leq & leq.T & ~np.eye(n, dtype=bool)
+    if anti.any():
+        a, b = np.argwhere(anti)[0]
+        return OMLFailure("antisymmetry", (int(a), int(b)))
+    gap = (leq @ leq) & ~leq
+    if gap.any():
+        a, c = np.argwhere(gap)[0]
+        b = int(np.where(leq[a] & leq[:, c])[0][0])
+        return OMLFailure("transitivity", (int(a), b, int(c)))
+    if L.bottom is None or L.top is None:
+        return OMLFailure("bounds", ())
+    strict = leq & ~np.eye(n, dtype=bool)
+    for below, table, law in ((leq, L.meet, "meet"), (leq.T, L.join, "join")):
+        for a in range(n):
+            for b in range(a + 1):
+                bounds = below[:, a] & below[:, b]
+                maximal = bounds & ~((strict if below is leq else strict.T)
+                                     & bounds[None, :]).any(axis=1)
+                picks = np.where(maximal)[0]
+                if len(picks) != 1 or picks[0] != table[a, b]:
+                    return OMLFailure(law, (a, b))
+    if (L.neg[L.neg] != np.arange(n)).any():
+        return OMLFailure("involution", (int(np.where(L.neg[L.neg] != np.arange(n))[0][0]),))
+    rev = leq != leq[L.neg][:, L.neg].T
+    if rev.any():
+        a, b = np.argwhere(rev)[0]
+        return OMLFailure("antitone", (int(a), int(b)))
+    comp = np.where((L.meet[np.arange(n), L.neg] != L.bottom)
+                    | (L.join[np.arange(n), L.neg] != L.top))[0]
+    if len(comp):
+        return OMLFailure("complement", (int(comp[0]),))
+    for a in range(n):
+        for b in range(n):
+            if leq[a, b] and L.join[a, L.meet[L.neg[a], b]] != b:
+                return OMLFailure("orthomodular", (a, b))
+    return None
+
+
+def _relabelled(L, perm):
+    # the same structure with element i renamed perm[i]
+    inv = np.argsort(perm)
+    return FiniteOML(L.leq[np.ix_(inv, inv)], perm[L.neg[inv]], L.name)
+
+
+def _unchecked_product(L1, L2):
+    # product's layout without its verify_oml call, so O6 can be a factor
+    n2 = L2.n
+    I = np.arange(L1.n * n2)
+    return FiniteOML(np.kron(L1.leq, L2.leq), L1.neg[I // n2] * n2 + L2.neg[I % n2])
+
+
+def _random_preorder(rng, n, density, bounded=False):
+    leq = (rng.random((n, n)) < density) | np.eye(n, dtype=bool)
+    if bounded:
+        leq[0, :] = leq[:, n - 1] = True
+    while True:
+        closed = leq | (leq @ leq)
+        if (closed == leq).all():
+            return leq
+        leq = closed
+
+
+def _random_structure(rng):
+    # a relabelled OML or near-OML, or a random preorder, with its tables,
+    # negation or order sometimes disturbed
+    kind = rng.integers(4)
+    if kind == 3:
+        n = int(rng.integers(1, 8))
+        leq = _random_preorder(rng, n, 0.3, bounded=rng.random() < 0.8)
+        base = FiniteOML(leq, rng.permutation(n))
+    else:
+        base = [o6(), mo(2), boolean(2), mo(3), _unchecked_product(o6(), boolean(1)),
+                _unchecked_product(mo(2), boolean(1))][int(rng.integers(6))]
+        base = _relabelled(base, rng.permutation(base.n))
+    leq, neg, n = base.leq.copy(), base.neg.copy(), base.n
+    meet, join = base.meet.copy(), base.join.copy()
+    for _ in range(int(rng.integers(3))):
+        what = int(rng.integers(4))
+        a, b = (int(x) for x in rng.integers(n, size=2))
+        if what == 0:
+            meet[a, b] = rng.integers(-1, n)
+        elif what == 1:
+            join[a, b] = rng.integers(-1, n)
+        elif what == 2:
+            neg[a], neg[b] = neg[b], neg[a]
+        elif a != b and rng.random() < 0.3:
+            leq[a, b] = ~leq[a, b]
+    return FiniteOML(leq, neg, tables=(meet, join))
+
+
+def test_verify_oml_reports_what_the_pair_loops_reported():
+    rng = np.random.default_rng(7)
+    laws = Counter()
+    for _ in range(1500):
+        L = _random_structure(rng)
+        expected = _reference_verify(L)
+        assert verify_oml(L) == expected
+        laws[expected.law if expected else None] += 1
+    # the fuzz reaches every stage, the pair checks included
+    assert {"meet", "join", "orthomodular", None} <= set(laws), laws
+
+
+def test_tables_match_the_pair_loop_construction():
+    rng = np.random.default_rng(11)
+    lattices = [*battery(), o6(), boolean(5), mo(4), product(mo(3), boolean(2))]
+    lattices += [FiniteOML(_random_preorder(rng, n, 0.35), np.arange(n))
+                 for n in rng.integers(1, 9, size=300)]
+    for L in lattices:
+        built = FiniteOML(L.leq, L.neg)
+        assert (built.meet == _reference_bound_table(L.leq)).all()
+        assert (built.join == _reference_bound_table(L.leq.T)).all()
+
+
+def test_tables_at_the_element_limit_match_the_closed_form():
+    B = boolean(8)
+    assert B.n == MAX_ELEMENTS
+    lines = [f"oml {B.n}"]
+    lines += [f"leq {a} {a | 1 << i}" for a in range(B.n) for i in range(8) if not a >> i & 1]
+    lines += [f"neg {a} {int(B.neg[a])}" for a in range(B.n // 2)]
+    L = parse_lattice("\n".join(lines), "2^8")
+    assert (L.leq == B.leq).all()
+    assert (L.meet == B.meet).all() and (L.join == B.join).all()
+
+
+def test_products_record_their_factors():
+    B = battery()
+    assert [L.factors for L in B[:3]] == [(), (), ()]
+    assert [F.name for F in B[3].factors] == ["2", "MO2"]
+    F2, _ = free_oml2()
+    assert [F.name for F in F2.factors] == ["2^4", "MO2"]
+    assert F2 is B[4]

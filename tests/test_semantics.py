@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import propositional_strategy
-from orthoproof import semantics
-from orthoproof.lattice import boolean, free_oml2, mo, sasaki_and, sasaki_arrow
+from orthoproof import lattice, semantics
+from orthoproof.lattice import (
+    FiniteOML, battery, boolean, by_name, free_oml2, mo, sasaki_and, sasaki_arrow,
+)
 from orthoproof.semantics import (
     Countermodel, Interpretation, QStructure, Valid, classical_valid,
     countermodel_search, decide_two_var, eval_formula, eval_predicate,
@@ -14,8 +16,8 @@ from orthoproof.semantics import (
     sequent_true, validate_sequent,
 )
 from orthoproof.syntax import (
-    Atom, Const, Exists, Forall, Sequent, Signature, Var, parse_formula,
-    parse_sequent, substitute,
+    And, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or, Sequent, Signature,
+    Var, parse_formula, parse_sequent, substitute,
 )
 
 M2 = mo(2)
@@ -150,6 +152,96 @@ class TestCountermodelSearch:
         assert validate_sequent(parse_sequent(f"{text} |- p \\/ ~p"), M2) == Valid()
         assert len(calls) <= 2 * len(set(calls)) + 2
         assert len(calls) < 150
+
+
+def _swept(L):
+    """A copy of L without factors: validate_sequent sweeps all of it."""
+    return FiniteOML(L.leq, L.neg, L.name, tables=(L.meet, L.join))
+
+
+def _formula(rng, names, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return Letter(rng.choice(names))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Neg(_formula(rng, names, depth - 1))
+    return (And, Or, Imp, Compat)[kind - 1](_formula(rng, names, depth - 1),
+                                            _formula(rng, names, depth - 1))
+
+
+def _random_sequents(seed, count):
+    # sequents over p, q, r: two of every three valid by construction
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        names = "pqr"[:1 + i // 3 % 3]
+        a, b = _formula(rng, names, 3), _formula(rng, names, 3)
+        out.append((Sequent((a, b), b), Sequent((b,), Neg(Neg(b))), Sequent((a,), b))[i % 3])
+    return out
+
+
+class TestProductShortcut:
+    SEQUENTS = _random_sequents(5, 45)
+
+    @pytest.mark.parametrize("name", ["2xMO2", "F2"])
+    def test_matches_the_full_sweep(self, name):
+        L = by_name(name)
+        verdicts = []
+        for s in self.SEQUENTS:
+            fast, full = validate_sequent(s, L), validate_sequent(s, _swept(L))
+            assert type(fast) is type(full), str(s)
+            if isinstance(full, Countermodel):
+                assert (fast.lattice, fast.assignment, fast.fold, fast.succedent) == \
+                    (full.lattice, full.assignment, full.fold, full.succedent)
+            verdicts.append(type(full))
+        assert Valid in verdicts and Countermodel in verdicts
+
+    def test_countermodel_search_matches_sweeping_the_battery(self):
+        swept = [_swept(L) for L in battery()]
+        for s in self.SEQUENTS:
+            assert countermodel_search(s) == countermodel_search(s, swept), str(s)
+
+    def test_valid_on_every_factor_skips_the_product_sweep(self, monkeypatch):
+        grids = []
+        walk = semantics._ev_grid
+        monkeypatch.setattr(semantics, "_ev_grid",
+                            lambda f, L, *rest: grids.append(L.name) or walk(f, L, *rest))
+        assert validate_sequent(parse_sequent("p, q |- q"), by_name("F2")) == Valid()
+        assert set(grids) == {"2^4", "MO2"}
+
+
+class TestSweepBudget:
+    def test_four_letters_on_f2_valid_through_the_factors(self):
+        s = parse_sequent("p /\\ q, r, s |- s \\/ ~s")
+        assert validate_sequent(s, by_name("F2")) == Valid()
+
+    def test_four_letters_on_f2_invalid_is_refused(self):
+        assert 96 ** 4 > semantics.MAX_CELLS >= 96 ** 3
+        with pytest.raises(ValueError, match="sweep budget"):
+            validate_sequent(parse_sequent("p, q, r |- s"), by_name("F2"))
+
+    def test_refused_before_any_evaluation(self, monkeypatch):
+        monkeypatch.setattr(semantics, "MAX_CELLS", 35)
+        monkeypatch.setattr(semantics, "_ev_grid", None)
+        with pytest.raises(ValueError, match="6\\^2 = 36 assignments on MO2"):
+            validate_sequent(parse_sequent("p |- q"), M2)
+
+    def test_slices_keep_the_least_countermodel(self, monkeypatch):
+        L = _swept(by_name("2xMO2"))
+        whole = [validate_sequent(s, L) for s in TestProductShortcut.SEQUENTS]
+        monkeypatch.setattr(semantics, "_SLICE", 7)
+        assert [validate_sequent(s, L) for s in TestProductShortcut.SEQUENTS] == whole
+
+
+def test_decide_two_var_builds_no_lattice(monkeypatch):
+    battery()
+
+    def refuse(L):
+        raise AssertionError(f"built {L.name}")
+
+    monkeypatch.setattr(lattice, "verify_oml", refuse)
+    assert decide_two_var(parse_sequent(OM_LAW)) == Valid()
+    assert decide_two_var(parse_sequent("q, p |- q")).lattice == "MO2"
 
 
 class TestClassical:
