@@ -14,6 +14,7 @@ schemas of its expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .syntax import (
     And, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
@@ -313,13 +314,7 @@ def check_derivation(d: Derivation, mode, hypotheses=()):
     Tactic-built derivations share subtrees, so each distinct node is
     checked once; a node's validity depends only on its own sequents.
     """
-    seen = set()
-    stack = [(None, d)]      # (link, node); a link is (parent's link, index) or None
-    while stack:
-        at, n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
+    for n in _preorder(d):
         if n.rule != "hyp":
             v = check_inference(n.rule, [p.conclusion for p in n.premises],
                                 n.conclusion, mode, n.instantiation)
@@ -328,27 +323,35 @@ def check_derivation(d: Derivation, mode, hypotheses=()):
                  else None if any(_hyp_match(n.conclusion, h) for h in hypotheses)
                  else RuleViolation("hyp", "sequent is not a declared hypothesis"))
         if v is not None:
-            path = []
-            while at:
-                at, i = at
-                path.append(i)
-            return CheckFailure(tuple(reversed(path)), v, n.conclusion)
-        stack.extend(((at, i), n.premises[i]) for i in reversed(range(len(n.premises))))
+            return CheckFailure(_path(d, n), v, n.conclusion)
     return None
 
 
-def _instantiation_vars(d: Derivation):
-    out, seen, stack = set(), set(), [d]
+def _preorder(d: Derivation):
+    """Each distinct node once, where the unshared tree's preorder first meets it."""
+    seen, stack = set(), [d]
     while stack:
         n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if n.rule == "all_i" and n.instantiation is not None:
-            x = n.instantiation
-            out.add(x.name if isinstance(x, Var) else str(x))
-        stack.extend(n.premises)
-    return out
+        if id(n) not in seen:
+            seen.add(id(n))
+            yield n
+            stack.extend(reversed(n.premises))
+
+
+def _path(d: Derivation, target: Derivation) -> tuple:
+    # premise indices to target's first occurrence: the walk reaches a node from
+    # the last node met before it that has it as a premise, at its first index
+    met, path = list(takewhile(lambda n: n is not target, _preorder(d))), []
+    while target is not d:
+        at = max(j for j, n in enumerate(met) if any(p is target for p in n.premises))
+        path.append(next(i for i, p in enumerate(met[at].premises) if p is target))
+        target, met = met[at], met[:at]
+    return tuple(reversed(path))
+
+
+def _instantiation_vars(d: Derivation):
+    return {x.name if isinstance(x, Var) else str(x) for n in _preorder(d)
+            if n.rule == "all_i" and (x := n.instantiation) is not None}
 
 
 def weaken(d: Derivation, delta) -> Derivation:
@@ -362,12 +365,9 @@ def weaken(d: Derivation, delta) -> Derivation:
     delta = tuple(delta)
     if not delta:
         return d
-    clash = _instantiation_vars(d)
-    free = set()
-    for f in delta:
-        free |= f.free
-    if clash & free:
-        raise ValueError(f"prefix would capture quantified variable(s) {clash & free}")
+    clash = _instantiation_vars(d) & set().union(*(f.free for f in delta))
+    if clash:
+        raise ValueError(f"prefix would capture quantified variable(s) {clash}")
     return _weaken(d, delta, {})
 
 

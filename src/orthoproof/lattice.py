@@ -128,8 +128,9 @@ def verify_oml(L: FiniteOML):
     """Check every FiniteOML invariant; None if fine, else an OMLFailure.
 
     Checks, in order: partial order, bounds, unique binary meets/joins
-    (agreeing with the cached tables), orthocomplement laws, and finally
-    the orthomodular law a <= b  =>  a | (~a & b) = b.
+    (agreeing with the cached tables on the pairs b <= a), orthocomplement
+    laws, the orthomodular law a <= b  =>  a | (~a & b) = b, and finally
+    that each table is symmetric, which covers the pairs a < b.
     """
     leq, n = L.leq, L.n
     if not leq.diagonal().all():
@@ -169,6 +170,11 @@ def verify_oml(L: FiniteOML):
     broken = np.nonzero(L.join[a, L.meet[L.neg[a], b]] != b)[0]
     if len(broken):
         return OMLFailure("orthomodular", (int(a[broken[0]]), int(b[broken[0]])))
+    for table, law in ((L.meet, "meet"), (L.join, "join")):
+        # the pairs a < b: the checks above read the table's lower triangle
+        skew = np.triu(table != table.T, 1)
+        if skew.any():
+            return OMLFailure(law, _first(skew))
     return None
 
 
@@ -194,13 +200,16 @@ def sasaki_arrow(L: FiniteOML, a: int, b: int) -> int:
 
 
 def boolean(k: int) -> FiniteOML:
-    """Boolean algebra 2^k; elements are bitmasks."""
+    """Boolean algebra 2^k; elements are bitmasks.  For k >= 2 it is the
+    product of k copies of ``2`` and records them as its factors."""
     n = 1 << k
     idx = np.arange(n)
     leq = (idx[:, None] & idx[None, :]) == idx[:, None]
     neg = (n - 1) ^ idx
     tables = (idx[:, None] & idx[None, :], idx[:, None] | idx[None, :])
-    return _checked(FiniteOML(leq, neg, "2" if k == 1 else f"2^{k}", tables=tables))
+    factors = (boolean(1),) * k if k >= 2 else ()
+    return _checked(FiniteOML(leq, neg, "2" if k == 1 else f"2^{k}", tables=tables,
+                              factors=factors))
 
 
 def mo(m: int) -> FiniteOML:

@@ -159,9 +159,11 @@ def validate_sequent(s: Sequent, L: FiniteOML) -> Verdict:
     order, ascending element index), so the reported countermodel is
     deterministic and the least one.  A sequent valid on every factor of
     a product is valid on the product (everything is componentwise), so
-    only the other sequents sweep a product.
+    only the other sequents sweep a product; a repeated factor, such as
+    the ``2`` of a Boolean algebra ``2^k``, is validated once.
     """
-    if L.factors and all(isinstance(validate_sequent(s, F), Valid) for F in L.factors):
+    if L.factors and all(isinstance(validate_sequent(s, F), Valid)
+                         for F in dict.fromkeys(L.factors)):
         return Valid()
     names = sequent_letters(s)
     k = len(names)

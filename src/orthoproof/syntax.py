@@ -316,8 +316,10 @@ def formula_eq(a: Formula, b: Formula) -> bool:
 
 
 def context_eq(xs, ys) -> bool:
-    """Position-wise ``formula_eq`` of two antecedent sequences."""
-    return len(xs) == len(ys) and all(
+    """Position-wise ``formula_eq`` of two antecedent sequences.  Tuple
+    equality answers first: it tests identity, then alpha-equality, and
+    either implies ``formula_eq``; only a mismatch compares expansions."""
+    return xs == ys or len(xs) == len(ys) and all(
         a is b or expand(a) == expand(b) for a, b in zip(xs, ys))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, wraps
 from itertools import takewhile
 from typing import Callable, Optional
 
@@ -38,6 +38,30 @@ def _n(rule, ante, succ, *prems, inst=None):
     return node(rule, Sequent(tuple(ante), succ), *prems, instantiation=inst)
 
 
+# The sub-lemmas of the build in progress (``CatalogEntry.build``), None
+# between builds: (builder, argument ids) -> (arguments, derivation).  The
+# arguments are kept so that no id is reused while the memo lives.
+_MEMO = None
+
+
+def _shared(builder):
+    """Build a pure sub-lemma once per catalog build and share the node.
+
+    Formulas are hash-consed, so equal arguments are the same objects; a
+    context tuple keys as the ids of its members."""
+    @wraps(builder)
+    def shared(*args):
+        if _MEMO is None:
+            return builder(*args)
+        key = (builder, *[tuple(map(id, a)) if type(a) is tuple else id(a) for a in args])
+        hit = _MEMO.get(key)
+        if hit is None:
+            hit = _MEMO[key] = (args, builder(*args))
+        return hit[1]
+    return shared
+
+
+@_shared
 def _assume(prefix, chi):
     return _n("assume", tuple(prefix) + (chi,), chi)
 
@@ -69,10 +93,12 @@ def _p22(g, phi, psi, d1, d2):
     return _n("cut", g, psi, d2, inner)
 
 
+@_shared
 def _l231(g, phi, psi):
     return _n("explode", g + (Neg(phi), phi), psi, _assume(g, Neg(phi)))
 
 
+@_shared
 def _l232(g, phi):
     nn = Neg(Neg(phi))
     return _n("lem", g + (nn,), phi,
@@ -80,6 +106,7 @@ def _l232(g, phi):
               _n("explode", g + (nn, Neg(phi)), phi, _assume(g, nn)))
 
 
+@_shared
 def _l233(g, phi, psi):
     target = Imp(phi, Imp(Neg(phi), psi))
     left = _n("imp_i", g + (Neg(phi),), target,
@@ -95,6 +122,7 @@ def _l233(g, phi, psi):
               _n("imp_e", g + (phi,), Imp(Neg(phi), psi), root))
 
 
+@_shared
 def _l234(g, phi):
     nn = Neg(Neg(phi))
     return _n("lem", g + (phi,), nn,
@@ -198,6 +226,7 @@ def _t26_cexch(g, phi, psi, delta, chi, d1, d2, d3):
                 (None, g + (phi, psi), None), delta, chi, d1, d2, d3)
 
 
+@_shared
 def _t26_explode_l(g, phi, delta, psi):
     return _t26(partial(_l231, g, phi), g + (Neg(phi), phi), (), delta, psi)
 
@@ -256,6 +285,7 @@ def _l272b(g, phi, psi):
     return _n("cut", g0 + (a,), Neg(psi), first, cex)
 
 
+@_shared
 def _l273a(g, phi, psi):
     a = And(phi, psi)
     g0 = g + (Neg(a),)
@@ -266,6 +296,7 @@ def _l273a(g, phi, psi):
     return _cm1(g0 + (phi,), a, cex)
 
 
+@_shared
 def _l273b(g, phi, psi):
     a = And(phi, psi)
     g0 = g + (Neg(a),)
@@ -835,9 +866,15 @@ class CatalogEntry:
         return tuple(k for k in self.params if k in _METAVARS)
 
     def build(self, inst, prems):
-        """Run the builder; a missing context is empty."""
-        return self.builder(*(tuple(inst.get(k, ())) if k in _CONTEXTS.values()
-                              else inst[k] for k in self.params), *prems)
+        """Run the builder; a missing context is empty.  The build shares
+        its repeated sub-lemmas (``_shared``), and forgets them when done."""
+        global _MEMO
+        _MEMO = {}
+        try:
+            return self.builder(*(tuple(inst.get(k, ())) if k in _CONTEXTS.values()
+                                  else inst[k] for k in self.params), *prems)
+        finally:
+            _MEMO = None
 
     def instantiate(self, inst):
         """Concrete premise sequents and conclusion for an assignment."""

@@ -509,6 +509,13 @@ def test_validate_four_letters_on_f2_valid_through_the_factors():
     assert res.stdout == "VALID on F2\n"
 
 
+def test_countermodel_seven_letters_valid_through_two():
+    # F2's factor 2^4 alone would need 16^7 cells; 2^4 is valid through 2
+    res = CliRunner().invoke(main, ["countermodel", "p /\\ q, r, s, t, u |- v \\/ ~v"])
+    assert res.exit_code == 0
+    assert "no countermodel found in battery" in res.stdout
+
+
 def test_validate_four_letters_on_f2_past_the_sweep_budget():
     res = CliRunner().invoke(main, ["validate", "p, q, r |- s", "--lattice", "F2"])
     assert res.exit_code == 2

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 
+from orthoproof import kernel
 from orthoproof.kernel import (
-    MODES, PREMISE_COUNTS, CheckFailure, Derivation, check_derivation,
-    check_inference, hyp, node, weaken,
+    MODES, PREMISE_COUNTS, CheckFailure, Derivation, RuleViolation, _hyp_match,
+    check_derivation, check_inference, hyp, node, weaken,
 )
 from orthoproof.syntax import (
-    App, Const, Signature, Var, parse_formula, parse_sequent,
+    App, Const, Letter, Sequent, Signature, Var, parse_formula, parse_sequent,
 )
+from orthoproof.tactics import catalog, derive
 
 S = parse_sequent
 F = parse_formula
@@ -63,6 +67,21 @@ class TestCutPaste:
         bad("paste", ["g |- p", "g |- q"], "g, r |- q")
         bad("paste", ["g |- p", "g |- q"], "g |- q")
 
+    # one inference per side condition, wrong in exactly that respect
+    def test_cut_near_misses(self):
+        assert "first premise" in bad("cut", ["h |- p", "g, p |- q"], "g |- q").message
+        assert "cut formula" in bad("cut", ["g |- p", "g, r |- q"], "g |- q").message
+        assert "conclude the succedent" in bad("cut", ["g |- p", "g, p |- r"],
+                                               "g |- q").message
+
+    def test_paste_near_misses(self):
+        assert "at least one antecedent" in bad("paste", ["|- p", "|- q"], "|- q").message
+        for prems in (["h |- p", "g |- q"], ["g |- p", "h |- q"]):
+            assert "share the conclusion's antecedent" in bad("paste", prems,
+                                                              "g, p |- q").message
+        assert "pasted formula" in bad("paste", ["g |- p", "g |- q"], "g, r |- q").message
+        assert "second premise" in bad("paste", ["g |- p", "g |- q"], "g, p |- r").message
+
 
 class TestCexch:
     def test_ok(self):
@@ -79,6 +98,16 @@ class TestCexch:
 
     def test_too_short(self):
         bad("cexch", ["p |- p", "p |- r", "p |- p"], "p |- r")
+
+    def test_near_misses(self):
+        good = ["g, p, q |- p", "g, p, q |- r", "g, q, p |- q"]
+        assert "at least two" in bad("cexch", ["p |- p", "p |- r", "p |- p"],
+                                     "p |- r").message
+        for i, wrong, what in ((0, "h, p, q |- p", "first"), (0, "g, p, q |- q", "first"),
+                               (1, "h, p, q |- r", "second"), (1, "g, p, q |- s", "second"),
+                               (2, "h, q, p |- q", "third"), (2, "g, q, p |- p", "third")):
+            prems = good[:i] + [wrong] + good[i + 1:]
+            assert f"{what} premise" in bad("cexch", prems, "g, q, p |- r").message
 
 
 class TestAndRules:
@@ -307,6 +336,12 @@ class TestCheckDerivation:
         assert fail.conclusion == bad_node.conclusion
         assert str(fail).startswith("at 0.1.1 [g, q |- p]: assume:")
 
+    def test_one_bad_object_in_both_premise_slots_is_reported_at_the_first(self):
+        bad_node = node("assume", S("g, q |- p"))
+        d = node("and_i", S("g, q |- q /\\ (p /\\ p)"), node("assume", S("g, q |- q")),
+                 node("and_i", S("g, q |- p /\\ p"), bad_node, bad_node))
+        assert check_derivation(d, "NOM").path == (1, 0)
+
     def test_unmatched_hyp_leaf_under_a_valid_node(self):
         hyps = (S("g |- p"),)
         d = node("and_i", S("g |- p /\\ q"), hyp(S("g |- p")), hyp(S("g |- q")))
@@ -378,3 +413,110 @@ class TestWeaken:
             weaken(d, (F("R(x)", sg),))
         w = weaken(d, (F("q"),))
         assert check_derivation(w, "NOM_Q", (S("q, p |- R(x)", sg),)) is None
+
+
+# --- failure paths against the former walk ----------------------------------
+
+def reference_check_derivation(d, mode, hypotheses=()):
+    """The former kernel walk, which carried a (parent link, index) pair per
+    stack entry; kept as the reference for failure paths."""
+    seen = set()
+    stack = [(None, d)]      # (link, node); a link is (parent's link, index) or None
+    while stack:
+        at, n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if n.rule != "hyp":
+            v = check_inference(n.rule, [p.conclusion for p in n.premises],
+                                n.conclusion, mode, n.instantiation)
+        else:
+            v = (RuleViolation("hyp", "hypotheses take no premises") if n.premises
+                 else None if any(_hyp_match(n.conclusion, h) for h in hypotheses)
+                 else RuleViolation("hyp", "sequent is not a declared hypothesis"))
+        if v is not None:
+            path = []
+            while at:
+                at, i = at
+                path.append(i)
+            return CheckFailure(tuple(reversed(path)), v, n.conclusion)
+        stack.extend(((at, i), n.premises[i]) for i in reversed(range(len(n.premises))))
+    return None
+
+
+def parent_counts(d):
+    """id -> (node, number of premise slots that hold it) over the distinct nodes."""
+    out, seen, stack = {id(d): [d, 0]}, set(), [d]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        for p in n.premises:
+            out.setdefault(id(p), [p, 0])[1] += 1
+            stack.append(p)
+    return out
+
+
+def replace_node(d, target, new):
+    """``d`` with every occurrence of the object ``target`` replaced by
+    ``new``; nodes above no occurrence keep their identity."""
+    memo, stack = {id(target): new}, [d]
+    while stack:
+        n = stack[-1]
+        todo = [p for p in n.premises if id(p) not in memo]
+        if id(n) not in memo and todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if id(n) not in memo:
+            prems = tuple(memo[id(p)] for p in n.premises)
+            memo[id(n)] = n if all(a is b for a, b in zip(prems, n.premises)) \
+                else Derivation(n.conclusion, n.rule, prems, n.instantiation)
+    return memo[id(d)]
+
+
+def corruptions(rng, n):
+    """Variants of node ``n``, each wrong in one field."""
+    c, z = n.conclusion, F("zz")
+    if n.rule == "hyp":
+        return [hyp(Sequent(c.antecedent, z)), hyp(Sequent(c.antecedent + (z,), c.succedent))]
+    other = rng.choice([r for r in PREMISE_COUNTS if r != n.rule])
+    concl = rng.choice([Sequent(c.antecedent, z), Sequent(c.antecedent + (z,), c.succedent),
+                        Sequent(c.antecedent[1:], c.succedent)])
+    return [Derivation(c, other, n.premises, n.instantiation),
+            Derivation(concl, n.rule, n.premises, n.instantiation)]
+
+
+def test_failure_paths_match_the_former_walk():
+    rng = random.Random(8)
+    entries = [e for e in catalog() if e.matcher is None and e.premises]
+    cases = shared_failures = 0
+    for e in rng.sample(entries, 12):
+        inst = {v: Letter(f"m{i}") for i, v in enumerate(e.variables)}
+        inst["gamma"] = tuple(Letter(f"g{i}") for i in range(rng.randrange(3)))
+        prems, _ = e.instantiate(inst)
+        d = derive(e.id, inst, prems)
+        counts = list(parent_counts(d).values())
+        shared = [n for n, k in counts if k > 1]
+        shared_ids = {id(n) for n in shared}
+        leaves = [n for n, _ in counts if n.rule == "hyp"]
+        picks = rng.sample(shared, min(3, len(shared))) + leaves \
+            + rng.sample([n for n, _ in counts], 2)
+        for target in picks:
+            for variant in corruptions(rng, target):
+                broken = replace_node(d, target, variant)
+                for mode in MODES:
+                    got = check_derivation(broken, mode, prems)
+                    assert got == reference_check_derivation(broken, mode, prems), \
+                        (e.id, target.rule, mode)
+                    cases += 1
+                    shared_failures += got is not None and id(target) in shared_ids \
+                        and got.conclusion == variant.conclusion
+    assert cases > 300 and shared_failures > 20
+
+
+def test_kernel_does_not_grow():
+    # a speedup never makes the trusted kernel bigger
+    with open(kernel.__file__, encoding="utf-8") as fh:
+        assert len(fh.read().splitlines()) <= 390

@@ -349,16 +349,45 @@ def _random_structure(rng):
     return FiniteOML(leq, neg, tables=(meet, join))
 
 
+def _reference_symmetry(L):
+    # the check that follows the former ones: the pairs a < b, which the
+    # former loops never read, in row-major order
+    for table, law in ((L.meet, "meet"), (L.join, "join")):
+        for a in range(L.n):
+            for b in range(a + 1, L.n):
+                if table[a, b] != table[b, a]:
+                    return OMLFailure(law, (a, b))
+    return None
+
+
 def test_verify_oml_reports_what_the_pair_loops_reported():
+    # every structure the former loops rejected keeps their law and pair; one
+    # they passed fails only where a table differs from its transpose
     rng = np.random.default_rng(7)
-    laws = Counter()
+    laws, skewed = Counter(), Counter()
     for _ in range(1500):
         L = _random_structure(rng)
         expected = _reference_verify(L)
+        if expected is None:
+            expected = _reference_symmetry(L)
+            skewed[expected.law if expected else None] += 1
         assert verify_oml(L) == expected
         laws[expected.law if expected else None] += 1
     # the fuzz reaches every stage, the pair checks included
     assert {"meet", "join", "orthomodular", None} <= set(laws), laws
+    assert {"meet", "join", None} <= set(skewed), skewed
+
+
+def test_verify_oml_reads_the_upper_triangle():
+    M = mo(2)
+    meet = M.meet.copy()
+    meet[1, 3] = 5          # the true meet of a1 and a2 is bottom
+    bad = FiniteOML(M.leq, M.neg, "MO2", tables=(meet, M.join))
+    assert str(verify_oml(bad)) == "meet fails at (1, 3)"
+    join = M.join.copy()
+    join[2, 4] = 0
+    bad = FiniteOML(M.leq, M.neg, "MO2", tables=(M.meet, join))
+    assert str(verify_oml(bad)) == "join fails at (2, 4)"
 
 
 def test_tables_match_the_pair_loop_construction():
@@ -383,9 +412,17 @@ def test_tables_at_the_element_limit_match_the_closed_form():
     assert (L.meet == B.meet).all() and (L.join == B.join).all()
 
 
+def test_boolean_algebras_record_copies_of_two():
+    assert boolean(1).factors == ()
+    B3 = boolean(3)
+    assert len(B3.factors) == 3 and all(F is B3.factors[0] for F in B3.factors)
+    assert B3.factors[0].name == "2" and B3.factors[0].factors == ()
+    assert [F.name for F in by_name("2^2").factors] == ["2", "2"]
+
+
 def test_products_record_their_factors():
     B = battery()
-    assert [L.factors for L in B[:3]] == [(), (), ()]
+    assert [L.factors for L in (B[0], B[2])] == [(), ()]
     assert [F.name for F in B[3].factors] == ["2", "MO2"]
     F2, _ = free_oml2()
     assert [F.name for F in F2.factors] == ["2^4", "MO2"]

@@ -207,7 +207,27 @@ class TestProductShortcut:
         monkeypatch.setattr(semantics, "_ev_grid",
                             lambda f, L, *rest: grids.append(L.name) or walk(f, L, *rest))
         assert validate_sequent(parse_sequent("p, q |- q"), by_name("F2")) == Valid()
-        assert set(grids) == {"2^4", "MO2"}
+        assert set(grids) == {"2", "MO2"}      # 2^4 itself is valid through 2
+
+    @pytest.mark.parametrize("L", [by_name("2^2"), boolean(3)], ids=["2^2", "2^3"])
+    def test_boolean_algebras_match_the_full_sweep(self, L):
+        verdicts = []
+        for s in self.SEQUENTS:
+            fast, full = validate_sequent(s, L), validate_sequent(s, _swept(L))
+            assert fast == full, str(s)
+            if isinstance(full, Countermodel):
+                assert (fast.lattice, fast.assignment, fast.fold, fast.succedent) == \
+                    (full.lattice, full.assignment, full.fold, full.succedent)
+            verdicts.append(type(full))
+        assert Valid in verdicts and Countermodel in verdicts
+
+    def test_a_boolean_algebra_is_validated_once_through_two(self, monkeypatch):
+        grids = []
+        walk = semantics._ev_grid
+        monkeypatch.setattr(semantics, "_ev_grid",
+                            lambda f, L, *rest: grids.append(L.name) or walk(f, L, *rest))
+        assert validate_sequent(parse_sequent("p, q |- q"), boolean(3)) == Valid()
+        assert grids == ["2", "2", "2"]     # p, q and the succedent q, on one sweep of 2
 
 
 class TestSweepBudget:

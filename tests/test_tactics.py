@@ -1,16 +1,20 @@
 import collections
+import dataclasses
+import hashlib
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import propositional_strategy
+from orthoproof import tactics
 from orthoproof.kernel import check_derivation, hyp, weaken
 from orthoproof.lattice import by_name
 from orthoproof.semantics import Interpretation, sequent_letters, sequent_true
 from orthoproof.syntax import (
-    Atom, Compat, Const, Exists, Forall, Letter, Sequent, Var, parse_sequent,
+    Atom, Compat, Const, Exists, Forall, Letter, Sequent, Var, parse_sequent, render,
 )
 from orthoproof.tactics import (
     TacticError, catalog, derive, infer_conclusion, lookup, match_and_build,
@@ -124,6 +128,102 @@ class TestSharedSubtrees:
         assert distinct_nodes(w) == distinct_nodes(d)
         assert w.conclusion.antecedent[0] == Letter("z")
         assert check_derivation(w, "NOM", hypotheses=prem_seqs) is None
+
+
+# Recorded before builders shared their repeated sub-lemmas: over the 387
+# instantiations below, the digest of the unfolded trees, the distinct
+# node objects and the distinct node structures.
+TREES_DIGEST = "9cd8b0aaf38befbb41109f04b587ffe67c59071fc3dc3b6be72d75a6ad545d22"
+UNSHARED_NODE_OBJECTS = 270_333
+NODE_STRUCTURES = 198_549
+
+
+def node_digests(d, text):
+    """id -> digest of the unfolded tree below each distinct node: its rule,
+    conclusion, instantiation and its premises' digests.  ``text`` caches
+    each formula's rendering (holding the formula, so no id is reused)."""
+    out, stack = {}, [d]
+    while stack:
+        n = stack[-1]
+        todo = [p for p in n.premises if id(p) not in out]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if id(n) in out:
+            continue
+        c = n.conclusion
+        fs = [(text.get(id(f)) or text.setdefault(id(f), (f, render(f))))[1]
+              for f in (*c.antecedent, c.succedent)]
+        h = hashlib.sha256("\0".join((n.rule, *fs, repr(n.instantiation))).encode())
+        for p in n.premises:
+            h.update(out[id(p)])
+        out[id(n)] = h.digest()
+    return out
+
+
+@lru_cache(maxsize=None)
+def every_instantiation():
+    """(instantiations, node objects, node structures, digest) over every
+    propositional entry at gamma 0..2, and delta 0..2 where a shape has D."""
+    total, objects, structures, count, text = hashlib.sha256(), 0, 0, 0, {}
+    for e in catalog():
+        if e.matcher is not None:
+            continue
+        has_delta = any("D" in items for items, _ in (*e.premises, e.conclusion))
+        for glen in range(3):
+            for dlen in range(3) if has_delta else (0,):
+                inst = fresh_inst(e, glen, dlen)
+                d = derive(e.id, inst, e.instantiate(inst)[0])
+                out = node_digests(d, text)
+                total.update(out[id(d)])
+                objects += len(out)
+                structures += len(set(out.values()))
+                count += 1
+    return count, objects, structures, total.hexdigest()
+
+
+class TestBuildSharing:
+    def test_unfolded_trees_are_unchanged(self):
+        count, _, structures, digest = every_instantiation()
+        assert (count, structures, digest) == (387, NODE_STRUCTURES, TREES_DIGEST)
+
+    def test_repeated_sub_lemmas_are_one_object(self):
+        assert every_instantiation()[1] < UNSHARED_NODE_OBJECTS
+
+    def test_sharing_lives_inside_one_build(self):
+        g, p = (Letter("g"),), Letter("p")
+        assert tactics._assume(g, p) is not tactics._assume(g, p)
+        seen = []
+
+        def builder(g, phi):
+            seen.append(tactics._assume(g, phi) is tactics._assume(tuple([*g]), phi))
+            return tactics._l232(g, phi)
+
+        entry = dataclasses.replace(lookup("L2.3.2"), builder=builder)
+        entry.build({"gamma": g, "phi": p}, ())
+        assert seen == [True] and tactics._MEMO is None
+
+    def test_no_memo_outlives_a_build(self):
+        entry = lookup("L2.3.3")
+        inst = fresh_inst(entry, 1)
+        derive(entry.id, inst)
+        assert tactics._MEMO is None
+        match_and_build(entry.id, (), entry.instantiate(inst)[1], "NOM")
+        assert tactics._MEMO is None
+
+    def test_no_memo_outlives_a_build_that_raises(self):
+        sizes = []
+
+        def builder(g, phi):
+            tactics._l232(g, phi)
+            sizes.append(len(tactics._MEMO))
+            raise TacticError("stopped")
+
+        entry = dataclasses.replace(lookup("L2.3.2"), builder=builder)
+        with pytest.raises(TacticError, match="stopped"):
+            entry.build(fresh_inst(entry, 1), ())
+        assert sizes[0] > 0 and tactics._MEMO is None
 
 
 class TestSpotShapes:
