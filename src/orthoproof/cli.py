@@ -86,6 +86,8 @@ def check(paths, fmt):
             reports = check_file(_read_input(path))
         except (ParseError, SignatureError, ScriptError) as err:
             _input_error(f"{path}: {err}")
+        if not reports:
+            _input_error(f"{path}: no theorems")
         for r in reports:
             all_ok = all_ok and r.accepted
             verdict = "accepted" if r.accepted else "rejected"
@@ -392,7 +394,8 @@ class _Session:
             goal = "(unset)" if self.goal is None else render_sequent(self.goal)
             click.echo("\n".join(self._script(goal)))
             return True
-        sig = copy.deepcopy(self.sig)   # kept only if the input is accepted
+        # kept only if the input is accepted; the interned letter nodes are shared
+        sig = copy.deepcopy(self.sig, {id(f): f for f in self.sig.letters.values()})
         try:
             if line.partition(" ")[0] == "hyp":
                 m = HYP_RE.match(line)

@@ -45,18 +45,23 @@ class SignatureError(Exception):
 
 # ---------------------------------------------------------------------------
 # terms
+#
+# every term and formula node knows its height: the nodes on the longest path
+# down its tree, terms included, computed once from its children's heights
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
     sort: str = DEFAULT_SORT
+    height = 1
 
 
 @dataclass(frozen=True)
 class Const:
     name: str
     sort: str = DEFAULT_SORT
+    height = 1
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,9 @@ class App:
     name: str
     args: tuple
     sort: str = DEFAULT_SORT
+
+    def __post_init__(self):
+        object.__setattr__(self, "height", 1 + max((t.height for t in self.args), default=0))
 
 
 def term_free_vars(t) -> frozenset:
@@ -138,6 +146,7 @@ class Formula(metaclass=_Interned):
 @dataclass(frozen=True, eq=False)
 class Letter(Formula):
     name: str
+    height = 1
 
     def __post_init__(self):
         object.__setattr__(self, "free", frozenset())
@@ -153,6 +162,7 @@ class Atom(Formula):
         for t in self.args:
             fv |= term_free_vars(t)
         object.__setattr__(self, "free", fv)
+        object.__setattr__(self, "height", 1 + max((t.height for t in self.args), default=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +171,13 @@ class Neg(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "free", self.sub.free)
+        object.__setattr__(self, "height", 1 + self.sub.height)
 
 
 class _Binary(Formula):
     def __post_init__(self):
         object.__setattr__(self, "free", self.left.free | self.right.free)
+        object.__setattr__(self, "height", 1 + max(self.left.height, self.right.height))
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +207,7 @@ class Compat(_Binary):
 class _Quant(Formula):
     def __post_init__(self):
         object.__setattr__(self, "free", self.body.free - {self.var.name})
+        object.__setattr__(self, "height", 1 + self.body.height)
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +424,7 @@ class Signature:
     declares it (with wildcard sorts), and later uses must stay
     consistent.  Building a Signature with ``permissive=False`` turns
     undeclared symbols into errors instead.  The wildcard sort "_"
-    matches every sort.
+    matches every sort.  ``letters`` maps each letter used to its node.
     """
 
     sorts: set = field(default_factory=set)
@@ -419,7 +432,7 @@ class Signature:
     functions: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
     permissive: bool = True
-    letters: set = field(default_factory=set)
+    letters: dict = field(default_factory=dict)
 
     def declare_sort(self, name):
         self.sorts.add(name)
@@ -475,8 +488,7 @@ class Signature:
     def _letter(self, name):
         if name in self.relations:
             raise SignatureError(f"relation {name} used without arguments")
-        self.letters.add(name)
-        return Letter(name)
+        return self.letters.get(name) or self.letters.setdefault(name, Letter(name))
 
 
 def _sorts_fit(declared, actual):
@@ -486,54 +498,44 @@ def _sorts_fit(declared, actual):
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s+|#[^\n]*|(\|-|->|/\\|\\/|><|[~(),.])|([A-Za-z_][A-Za-z0-9_']*)")
+# every token, and "" for a character that starts none
+_TOKEN_RE = re.compile(r"(\|-|->|/\\|\\/|><|[~(),.]|[A-Za-z_][A-Za-z0-9_']*)|\S")
+_COMMENT_RE = re.compile(r"#[^\n]*")
 _KEYWORDS = {"forall", "exists"}
-
-
-def _tokenize(text):
-    toks, i = [], 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        if m.group(1):
-            toks.append((m.group(1), i))
-        elif m.group(2):
-            toks.append((m.group(2), i))
-        i = m.end()
-    toks.append((None, len(text)))
-    return toks
+# the left-associative connectives, climbed in one loop: (precedence, node)
+_CLIMB = {"\\/": (1, Or), "/\\": (2, And)}
 
 
 class _Parser:
+    """Recursive descent with precedence climbing (Pratt, POPL 1973) over the
+    token strings of one ``findall``; positions are found only for errors."""
+
     # deeper input is refused: the parser and the later walks (expand, alpha_key,
     # render, the evaluators) recurse per level, within Python's default limit
     MAX_NESTING = 100
     TOO_DEEP = f"nested deeper than {MAX_NESTING} levels"
 
     def __init__(self, text, sig):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.sig = sig
-        self.bound = []
-        self.level = 0
+        if "#" in text:  # blank comments out, keeping every offset
+            text = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        if "" in self.toks:
+            at = self.pos(self.toks.index(""))
+            raise ParseError(f"unexpected character {text[at]!r}", at)
+        self.toks.append(None)
+        self.i, self.sig, self.bound, self.level = 0, sig, [], 0
 
-    def peek(self):
-        return self.toks[self.i][0]
-
-    def pos(self):
-        return self.toks[self.i][1]
-
-    def take(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok[0]
+    def pos(self, i=None):
+        """The character offset of token ``i``, the current one by default."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        return starts[self.i if i is None else i]
 
     def expect(self, tok):
-        if self.peek() != tok:
-            found = self.peek() if self.peek() is not None else "end of input"
-            raise ParseError(f"expected {tok!r}, found {found!r}", self.pos())
-        return self.take()
+        found = self.toks[self.i]
+        if found != tok:
+            raise ParseError(f"expected {tok!r}, found {found or 'end of input'!r}", self.pos())
+        self.i += 1
 
     def nested(self, parse):
         """Run one recursive grammar step a level deeper, within MAX_NESTING."""
@@ -545,126 +547,119 @@ class _Parser:
         return value
 
     def ident(self, what="identifier"):
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok is None or not tok[0].isalpha() and tok[0] != "_" or tok in _KEYWORDS:
             raise ParseError(f"expected {what}", self.pos())
-        return self.take()
+        self.i += 1
+        return tok
 
-    # grammar, lowest precedence first
+    # grammar: -> (right-associative), then one non-associative ><, then
+    # \/ and /\ by climbing, then prefix ~
 
     def formula(self):
-        left = self.cmpterm()
-        if self.peek() == "->":
-            self.take()
-            return Imp(left, self.nested(self.formula))
-        return left
-
-    def cmpterm(self):
-        left = self.orterm()
-        if self.peek() == "><":
-            self.take()
-            return Compat(left, self.orterm())
-        return left
-
-    def orterm(self):
-        f = self.andterm()
-        while self.peek() == "\\/":
-            self.take()
-            f = Or(f, self.andterm())
+        f = self.climb(1)
+        if self.toks[self.i] == "><":
+            self.i += 1
+            f = Compat(f, self.climb(1))
+        if self.toks[self.i] == "->":
+            self.i += 1
+            return Imp(f, self.nested(self.formula))
         return f
 
-    def andterm(self):
+    def climb(self, least):
         f = self.unary()
-        while self.peek() == "/\\":
-            self.take()
-            f = And(f, self.unary())
-        return f
+        while True:
+            op = _CLIMB.get(self.toks[self.i])
+            if op is None or op[0] < least:
+                return f
+            self.i += 1
+            f = op[1](f, self.climb(op[0] + 1))
 
     def unary(self):
-        if self.peek() == "~":
-            self.take()
-            return Neg(self.nested(self.unary))
-        return self.atom()
-
-    def atom(self):
-        tok, pos = self.peek(), self.pos()
+        # each ~ takes one level, as a recursive step would
+        n = 0
+        while self.toks[self.i] == "~":
+            self.i += 1
+            if self.level == self.MAX_NESTING:
+                raise ParseError(self.TOO_DEEP, self.pos())
+            self.level += 1
+            n += 1
+        start, tok = self.i, self.toks[self.i]
         if tok == "(":
-            self.take()
+            self.i += 1
             f = self.nested(self.formula)
             self.expect(")")
-            return f
-        if tok in _KEYWORDS:
-            self.take()
+        elif tok in _KEYWORDS:
+            self.i += 1
             v = Var(self.ident("variable"))
             self.expect(".")
             self.bound.append(v.name)
-            body = self.nested(self.formula)
+            f = (Forall if tok == "forall" else Exists)(v, self.nested(self.formula))
             self.bound.pop()
-            return (Forall if tok == "forall" else Exists)(v, body)
-        name = self.ident("formula")
-        if self.peek() != "(":
+        else:
+            name = self.ident("formula")
             try:
-                return self.sig._letter(name)
+                if self.toks[self.i] != "(":
+                    f = self.sig._letter(name)
+                else:
+                    args = self.term_args()
+                    self._check_sorts(self.sig._relation(name, len(args)), args, name, start)
+                    f = Atom(name, args)
             except SignatureError as e:
-                raise ParseError(str(e), pos) from None
-        args = self.term_args()
-        try:
-            prof = self.sig._relation(name, len(args))
-        except SignatureError as e:
-            raise ParseError(str(e), pos) from None
-        self._check_sorts(prof, args, name, pos)
-        return Atom(name, args)
+                raise ParseError(str(e), self.pos(start)) from None
+        self.level -= n
+        for _ in range(n):
+            f = Neg(f)
+        return f
 
     def term_args(self):
         self.expect("(")
         args = [self.term()]
-        while self.peek() == ",":
-            self.take()
+        while self.toks[self.i] == ",":
+            self.i += 1
             args.append(self.term())
         self.expect(")")
         return tuple(args)
 
     def term(self):
-        pos = self.pos()
+        start = self.i
         name = self.ident("term")
-        if self.peek() == "(":
+        if self.toks[self.i] == "(":
             args = self.nested(self.term_args)
             try:
                 prof = self.sig._function(name, len(args))
             except SignatureError as e:
-                raise ParseError(str(e), pos) from None
-            self._check_sorts(prof[0], args, name, pos)
+                raise ParseError(str(e), self.pos(start)) from None
+            self._check_sorts(prof[0], args, name, start)
             return App(name, args, prof[1])
         if name not in self.bound and name in self.sig.constants:
             return Const(name, self.sig.constants[name])
         return Var(name)
 
-    def _check_sorts(self, declared, args, name, pos):
+    def _check_sorts(self, declared, args, name, start):
         for want, arg in zip(declared, args):
             if not _sorts_fit(want, arg.sort):
                 raise ParseError(
-                    f"{arg.sort}-sorted argument where {name} wants {want}", pos)
+                    f"{arg.sort}-sorted argument where {name} wants {want}", self.pos(start))
 
     def sequent(self):
         ante = []
-        if self.peek() != "|-":
+        if self.toks[self.i] != "|-":
             ante.append(self.formula())
-            while self.peek() == ",":
-                self.take()
+            while self.toks[self.i] == ",":
+                self.i += 1
                 ante.append(self.formula())
         self.expect("|-")
         return Sequent(tuple(ante), self.formula())
 
     def finish(self, value):
-        if self.peek() is not None:
-            raise ParseError(f"unexpected {self.peek()!r}", self.pos())
-        # chains like p /\ q /\ ... nest without recursion: walk the tree by layers
-        layer = [*value.antecedent, value.succedent] if isinstance(value, Sequent) else [value]
-        for _ in range(self.MAX_NESTING + 1):
-            if not layer:
-                return value
-            layer = [k for x in layer for k in children(x)]
-        raise ParseError(self.TOO_DEEP, self.pos())
+        if self.toks[self.i] is not None:
+            raise ParseError(f"unexpected {self.toks[self.i]!r}", self.pos())
+        # chains like p /\ q /\ ... nest without recursion; each node knows its height
+        roots = (*value.antecedent, value.succedent) if isinstance(value, Sequent) else (value,)
+        if max(x.height for x in roots) > self.MAX_NESTING:
+            raise ParseError(self.TOO_DEEP, self.pos())
+        return value
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:

@@ -79,6 +79,16 @@ def test_check_missing_file_is_a_usage_error(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n   # and another\n"])
+def test_check_file_without_theorems_is_an_input_error(runner, tmp_path, text):
+    p = tmp_path / "empty.nom"
+    p.write_text(text)
+    res = invoke(runner, ["check", str(p)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [f"error: {p}: no theorems"]
+
+
 # --- validate / decide2 / countermodel / classical ---------------------------
 
 def test_validate_valid(runner):
@@ -419,6 +429,19 @@ def test_repl_rejected_step_leaves_no_symbols_behind(runner):
     res = repl(runner, "|- p(a) by assume\nassume p\nquit\n")
     assert "rejected:" in res.output
     assert "1: p |- p" in res.output
+
+
+def test_repl_session_keeps_the_interned_letter_nodes(capsys):
+    # each step parses with a copy of the session signature; the copy must
+    # hand out the shared nodes, not deep copies of them
+    from orthoproof.cli import _Session
+    from orthoproof.syntax import Letter
+    session = _Session("NOM")
+    for step in ("assume p", "p |- p by assume", "imp_i"):
+        assert session.handle(step)
+    assert session.sig.letters["p"] is Letter("p")
+    assert all(ln.sequent.succedent.left is Letter("p") for ln in session.lines[2:])
+    assert "rejected" not in capsys.readouterr().out
 
 
 def test_repl_export_of_every_kind_of_step_checks(runner, tmp_path):

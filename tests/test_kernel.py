@@ -285,6 +285,78 @@ class TestArityAndModes:
             check_inference("assume", [], S("p |- p"), "CLASSICAL")
 
 
+# One inference per side condition of and_i, and_e*, lem, explode, exch and
+# the quantifier rules, wrong in exactly that respect: (rule, premises,
+# conclusion, mode, instantiation, the violation's message).  Where the
+# other conditions cannot pass it, the message tells the guards apart.
+NEAR_MISSES = [
+    pytest.param("and_i", ["g |- p", "g |- q"], "g |- p -> q", "NOM", None,
+                 "succedent must be a conjunction", id="and_i-conjunction"),
+    pytest.param("and_i", ["h |- p", "g |- q"], "g |- p /\\ q", "NOM", None,
+                 "premises must share the conclusion's antecedent", id="and_i-context-1"),
+    pytest.param("and_i", ["g |- p", "h |- q"], "g |- p /\\ q", "NOM", None,
+                 "premises must share the conclusion's antecedent", id="and_i-context-2"),
+    pytest.param("and_e1", ["h |- p /\\ q"], "g |- p", "NOM", None,
+                 "premise must share the conclusion's antecedent", id="and_e1-context"),
+    pytest.param("and_e2", ["h |- p /\\ q"], "g |- q", "NOM", None,
+                 "premise must share the conclusion's antecedent", id="and_e2-context"),
+    pytest.param("lem", ["|- q", "~p |- q"], "|- q", "NOM", None,
+                 "premises must extend the antecedent by φ and ¬φ", id="lem-first-empty"),
+    pytest.param("lem", ["p |- q", "|- q"], "|- q", "NOM", None,
+                 "premises must extend the antecedent by φ and ¬φ", id="lem-second-empty"),
+    pytest.param("lem", ["h, p |- q", "g, ~p |- q"], "g |- q", "NOM", None,
+                 "premises must extend the conclusion's antecedent", id="lem-context-1"),
+    pytest.param("lem", ["g, p |- q", "h, ~p |- q"], "g |- q", "NOM", None,
+                 "premises must extend the conclusion's antecedent", id="lem-context-2"),
+    pytest.param("lem", ["g, p |- r", "g, ~p |- q"], "g |- q", "NOM", None,
+                 "premises must conclude the succedent", id="lem-succedent-1"),
+    pytest.param("lem", ["g, p |- q", "g, ~p |- r"], "g |- q", "NOM", None,
+                 "premises must conclude the succedent", id="lem-succedent-2"),
+    pytest.param("explode", ["|- ~p"], "|- q", "NOM", None,
+                 "conclusion needs at least one antecedent", id="explode-empty"),
+    pytest.param("explode", ["h |- ~p"], "g, p |- q", "NOM", None,
+                 "premise antecedent must be the conclusion's minus its last formula",
+                 id="explode-context"),
+    pytest.param("exch", ["p, q |- r"], "q, p, s |- r", "NOM_E", None,
+                 "antecedents must be equal-length sequences of length >= 2",
+                 id="exch-length"),
+    pytest.param("exch", ["p |- r"], "p |- r", "NOM_E", None,
+                 "antecedents must be equal-length sequences of length >= 2",
+                 id="exch-too-short"),
+    pytest.param("all_i", ["p |- R(x)"], "p |- R(x)", "NOM_Q", Var("x"),
+                 "succedent must be universally quantified", id="all_i-forall"),
+    # a variable named None: without the guard, str(None) would be taken for it
+    pytest.param("all_i", ["p |- R(None)"], "p |- forall None. R(None)", "NOM_Q", None,
+                 "needs the quantified variable recorded (x=...)", id="all_i-recorded"),
+    pytest.param("all_i", ["q |- R(x)"], "p |- forall x. R(x)", "NOM_Q", Var("x"),
+                 "premise must share the conclusion's antecedent", id="all_i-context"),
+    pytest.param("all_i", ["p |- T(x)"], "p |- forall x. R(x)", "NOM_Q", Var("x"),
+                 "succedent must quantify the premise's succedent over x", id="all_i-matrix"),
+    pytest.param("all_e", ["p |- R(y)"], "p |- R(y)", "NOM_Q", Var("y"),
+                 "premise succedent must be universally quantified", id="all_e-forall"),
+    pytest.param("all_e", ["q |- forall x. R(x)"], "p |- R(y)", "NOM_Q", Var("y"),
+                 "premise must share the conclusion's antecedent", id="all_e-context"),
+    pytest.param("qexch", ["R(x) |- p"], "R(x) |- p", "NOM_q", None,
+                 "needs equal antecedents of length >= 2", id="qexch-too-short"),
+    pytest.param("qexch", ["g, R(x), T(y) |- p"], "T(y), R(x) |- p", "NOM_q", None,
+                 "needs equal antecedents of length >= 2", id="qexch-length"),
+    pytest.param("qexch", ["g, R(x), T(y) |- p"], "g, T(y), R(x) |- q", "NOM_q", None,
+                 "succedent must be unchanged", id="qexch-succedent"),
+    pytest.param("qexch", ["h, R(x), T(y) |- p"], "g, T(y), R(x) |- p", "NOM_q", None,
+                 "only the last two antecedents may move", id="qexch-prefix"),
+    pytest.param("qexch", ["g, R(x), T(y) |- p"], "g, R(x), T(y) |- p", "NOM_q", None,
+                 "conclusion must swap the premise's last two antecedents", id="qexch-swap"),
+]
+
+
+@pytest.mark.parametrize("rule, premises, conclusion, mode, inst, message", NEAR_MISSES)
+def test_near_miss_is_rejected_by_its_side_condition(rule, premises, conclusion, mode,
+                                                     inst, message):
+    v = check_inference(rule, [S(p) for p in premises], S(conclusion), mode, inst)
+    assert isinstance(v, RuleViolation)
+    assert v.message == message
+
+
 def l231_tree(gamma="g"):
     # Γ, ~p, p |- q via explosion over an assumption
     return node("explode", S(f"{gamma}, ~p, p |- q"),

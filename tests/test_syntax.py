@@ -1,6 +1,7 @@
 import copy
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -395,3 +396,360 @@ class TestRender:
         for _ in range(500):
             f = random_formula(rng, depth=rng.randrange(8))
             assert parse_formula(render(f), sig) == f
+
+
+def test_nodes_know_their_height():
+    t = App("g", (App("f", (x,)), Const("c")))
+    assert (x.height, Const("c").height, t.height) == (1, 1, 3)
+    assert (p.height, Atom("R", (t,)).height, Atom("R", ()).height) == (1, 4, 1)
+    f = Forall(x, Imp(Neg(p), Atom("R", (t,))))
+    assert f.height == 6
+    # the height is the number of layers the former parser walked
+    layer, layers = [f], 0
+    while layer:
+        layer, layers = [k for g in layer for k in children(g)], layers + 1
+    assert layers == f.height
+
+
+# ---------------------------------------------------------------------------
+# the former parser, kept as the reference of the differential test below:
+# one re.match per token, one method per precedence level, and a walk of the
+# parsed tree layer by layer for the nesting limit
+
+_REF_TOKEN_RE = re.compile(r"\s+|#[^\n]*|(\|-|->|/\\|\\/|><|[~(),.])|([A-Za-z_][A-Za-z0-9_']*)")
+_REF_KEYWORDS = {"forall", "exists"}
+
+
+def _ref_tokenize(text):
+    toks, i = [], 0
+    while i < len(text):
+        m = _REF_TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        if m.group(1):
+            toks.append((m.group(1), i))
+        elif m.group(2):
+            toks.append((m.group(2), i))
+        i = m.end()
+    toks.append((None, len(text)))
+    return toks
+
+
+class _RefParser:
+    MAX_NESTING = 100
+    TOO_DEEP = f"nested deeper than {MAX_NESTING} levels"
+
+    def __init__(self, text, sig):
+        self.toks = _ref_tokenize(text)
+        self.i = 0
+        self.sig = sig
+        self.bound = []
+        self.level = 0
+
+    def peek(self):
+        return self.toks[self.i][0]
+
+    def pos(self):
+        return self.toks[self.i][1]
+
+    def take(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok[0]
+
+    def expect(self, tok):
+        if self.peek() != tok:
+            found = self.peek() if self.peek() is not None else "end of input"
+            raise ParseError(f"expected {tok!r}, found {found!r}", self.pos())
+        return self.take()
+
+    def nested(self, parse):
+        if self.level == self.MAX_NESTING:
+            raise ParseError(self.TOO_DEEP, self.pos())
+        self.level += 1
+        value = parse()
+        self.level -= 1
+        return value
+
+    def ident(self, what="identifier"):
+        tok = self.peek()
+        if tok is None or not tok[0].isalpha() and tok[0] != "_" or tok in _REF_KEYWORDS:
+            raise ParseError(f"expected {what}", self.pos())
+        return self.take()
+
+    def formula(self):
+        left = self.cmpterm()
+        if self.peek() == "->":
+            self.take()
+            return Imp(left, self.nested(self.formula))
+        return left
+
+    def cmpterm(self):
+        left = self.orterm()
+        if self.peek() == "><":
+            self.take()
+            return Compat(left, self.orterm())
+        return left
+
+    def orterm(self):
+        f = self.andterm()
+        while self.peek() == "\\/":
+            self.take()
+            f = Or(f, self.andterm())
+        return f
+
+    def andterm(self):
+        f = self.unary()
+        while self.peek() == "/\\":
+            self.take()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self):
+        if self.peek() == "~":
+            self.take()
+            return Neg(self.nested(self.unary))
+        return self.atom()
+
+    def atom(self):
+        tok, pos = self.peek(), self.pos()
+        if tok == "(":
+            self.take()
+            f = self.nested(self.formula)
+            self.expect(")")
+            return f
+        if tok in _REF_KEYWORDS:
+            self.take()
+            v = Var(self.ident("variable"))
+            self.expect(".")
+            self.bound.append(v.name)
+            body = self.nested(self.formula)
+            self.bound.pop()
+            return (Forall if tok == "forall" else Exists)(v, body)
+        name = self.ident("formula")
+        if self.peek() != "(":
+            # the former Signature._letter, which built the node on every use
+            if name in self.sig.relations:
+                raise ParseError(f"relation {name} used without arguments", pos)
+            self.sig.letters[name] = Letter(name)
+            return Letter(name)
+        args = self.term_args()
+        try:
+            prof = self.sig._relation(name, len(args))
+        except SignatureError as e:
+            raise ParseError(str(e), pos) from None
+        self._check_sorts(prof, args, name, pos)
+        return Atom(name, args)
+
+    def term_args(self):
+        self.expect("(")
+        args = [self.term()]
+        while self.peek() == ",":
+            self.take()
+            args.append(self.term())
+        self.expect(")")
+        return tuple(args)
+
+    def term(self):
+        pos = self.pos()
+        name = self.ident("term")
+        if self.peek() == "(":
+            args = self.nested(self.term_args)
+            try:
+                prof = self.sig._function(name, len(args))
+            except SignatureError as e:
+                raise ParseError(str(e), pos) from None
+            self._check_sorts(prof[0], args, name, pos)
+            return App(name, args, prof[1])
+        if name not in self.bound and name in self.sig.constants:
+            return Const(name, self.sig.constants[name])
+        return Var(name)
+
+    def _check_sorts(self, declared, args, name, pos):
+        for want, arg in zip(declared, args):
+            if not syntax._sorts_fit(want, arg.sort):
+                raise ParseError(
+                    f"{arg.sort}-sorted argument where {name} wants {want}", pos)
+
+    def sequent(self):
+        ante = []
+        if self.peek() != "|-":
+            ante.append(self.formula())
+            while self.peek() == ",":
+                self.take()
+                ante.append(self.formula())
+        self.expect("|-")
+        return Sequent(tuple(ante), self.formula())
+
+    def finish(self, value):
+        if self.peek() is not None:
+            raise ParseError(f"unexpected {self.peek()!r}", self.pos())
+        layer = [*value.antecedent, value.succedent] if isinstance(value, Sequent) else [value]
+        for _ in range(self.MAX_NESTING + 1):
+            if not layer:
+                return value
+            layer = [k for x in layer for k in children(x)]
+        raise ParseError(self.TOO_DEEP, self.pos())
+
+
+def _ref_parse(kind, text, sig):
+    p = _RefParser(text, sig)
+    return p.finish(getattr(p, kind)())
+
+
+# random token strings: well-formed ones from a small grammar, some of them
+# edited by a token, and token soup
+
+_SOUP = ["p", "q", "p'", "_r", "R", "S", "T", "U", "f", "g", "h", "c", "d", "x", "y",
+         "forall", "exists", "~", "/\\", "\\/", "->", "><", "|-", "(", ")", ",", "."]
+_ODD = ["@", "$", "1", "'", "-", "|", "<", ">", "/", "\\", "é", "#", "# note\n"]
+_SEPARATORS = [" ", " ", " ", "", "\n", "\t", " #~@|-\n"]
+
+
+def _fuzz_signature(strict):
+    sig = Signature(permissive=not strict)
+    sig.declare_constant("c")
+    sig.declare_constant("d", "t")
+    sig.declare_relation("R", ("_",))
+    sig.declare_relation("S", ("s", "_"))
+    sig.declare_function("f", ("_",), "s")
+    sig.declare_function("g", ("t", "_"))
+    return sig
+
+
+def _fuzz_term(rng, d):
+    r = rng.random()
+    if d == 0 or r < 0.5:
+        return [rng.choice(["x", "y", "c", "d", "R", "p"])]
+    # the last pair of each list breaks the declared arity
+    name, arity = rng.choices([("f", 1), ("g", 2), ("h", 1), ("f", 2)], (8, 4, 2, 1))[0]
+    out = [name, "("]
+    for k in range(arity):
+        out += ([","] if k else []) + _fuzz_term(rng, d - 1)
+    return out + [")"]
+
+
+def _fuzz_formula(rng, d):
+    r = rng.random()
+    if d == 0 or r < 0.25:
+        if rng.random() < 0.6:
+            return [rng.choice(["p", "q", "p'", "_r", "f", "x"])]
+        name, arity = rng.choices([("R", 1), ("S", 2), ("T", 1), ("U", 2), ("R", 2)],
+                                  (4, 4, 4, 2, 1))[0]
+        out = [name, "("]
+        for k in range(arity):
+            out += ([","] if k else []) + _fuzz_term(rng, 2)
+        return out + [")"]
+    sub = lambda: _fuzz_formula(rng, d - 1)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return ["~"] * rng.randint(1, 3) + sub()
+    if kind == 1:
+        return sub() + [rng.choice(["/\\", "\\/", "->", "><"])] + sub()
+    if kind == 2:
+        return ["("] + sub() + [")"]
+    if kind == 3:
+        return [rng.choice(["forall", "exists"]), rng.choice(["x", "y", "c"]), "."] + sub()
+    if kind == 4:  # a chain of one connective, >< included
+        op = rng.choice(["/\\", "\\/", "->", "><"])
+        out = sub()
+        for _ in range(rng.randint(2, 4)):
+            out += [op] + sub()
+        return out
+    return sub() + ["/\\"] + sub() + ["\\/"] + sub()
+
+
+def _fuzz_deep(rng):
+    depth = rng.randint(97, 103)
+    kind = rng.choice(["neg", "parens", "and", "imp", "forall", "term"])
+    return _nested(kind, depth).split(" |- ")[0]
+
+
+def _fuzz_text(rng, kind):
+    r = rng.random()
+    if r < 0.02:
+        text = _fuzz_deep(rng)
+        return text if kind == "formula" else text + " |- p"
+    if r < 0.12:
+        return "".join(rng.choice(_SOUP + _ODD) + rng.choice(_SEPARATORS)
+                       for _ in range(rng.randint(0, 8)))
+    if kind == "term":
+        toks = _fuzz_term(rng, 3)
+    elif kind == "formula":
+        toks = _fuzz_formula(rng, 3)
+    else:
+        toks = []
+        for k in range(rng.randint(0, 3)):
+            toks += ([","] if k else []) + _fuzz_formula(rng, 2)
+        toks += ["|-"] + _fuzz_formula(rng, 3)
+    if rng.random() < 0.5:  # an edit: delete, replace or insert one token
+        i = rng.randrange(len(toks) + 1)
+        new = rng.choice(_SOUP + _ODD)
+        edit = rng.randrange(3)
+        if edit == 0 and i < len(toks):
+            del toks[i]
+        elif edit == 1 and i < len(toks):
+            toks[i] = new
+        else:
+            toks.insert(i, new)
+    return "".join(t + rng.choice(_SEPARATORS) for t in toks)
+
+
+def _outcome(parse, text, sig):
+    try:
+        return parse(text, sig), None
+    except ParseError as e:
+        return None, (str(e), e.pos)
+
+
+def _same_value(a, b):
+    if isinstance(a, Sequent):
+        return (len(a.antecedent) == len(b.antecedent) and a.succedent is b.succedent
+                and all(f is g for f, g in zip(a.antecedent, b.antecedent)))
+    if isinstance(a, syntax.Formula):
+        return a is b
+    return type(a) is type(b) and a == b
+
+
+def test_parser_matches_the_former_parser_on_random_token_strings():
+    rng = random.Random(2024)
+    public = {"formula": parse_formula, "sequent": parse_sequent, "term": parse_term}
+    seen, texts = set(), 0
+    while texts < 20_000:
+        strict = rng.random() < 0.15
+        new_sig, ref_sig = _fuzz_signature(strict), _fuzz_signature(strict)
+        for second in range(rng.randint(1, 2)):  # the second sees what the first declared
+            if second and rng.random() < 0.3:
+                # a letter of the first text may become a relation
+                for s in (new_sig, ref_sig):
+                    s.relations.setdefault("p", ("_",))
+            texts += 1
+            kind = rng.choice(("formula", "sequent", "sequent", "term"))
+            text = _fuzz_text(rng, kind)
+            got, err = _outcome(public[kind], text, new_sig)
+            want, ref_err = _outcome(lambda t, s: _ref_parse(kind, t, s), text, ref_sig)
+            assert err == ref_err, text
+            assert err is not None or _same_value(got, want), text
+            assert list(new_sig.letters) == list(ref_sig.letters), text
+            assert all(new_sig.letters[n] is ref_sig.letters[n] for n in new_sig.letters)
+            assert (new_sig.relations, new_sig.functions) == (ref_sig.relations,
+                                                              ref_sig.functions), text
+            seen.add("ok" if err is None else " ".join(err[0].split()[:2]))
+    # the fuzz reaches acceptance and every kind of rejection
+    assert {"ok", "unexpected character", "unexpected '><'", "expected ')',",
+            "expected term", "expected variable", "nested deeper", "relation p",
+            "relation R", "undeclared relation", "s-sorted argument", "t-sorted argument",
+            "function f", "undeclared function", "f already"} <= seen, seen
+
+
+@pytest.mark.parametrize("text", [
+    " /\\ ".join(["p"] * 10_001),
+    " \\/ ".join(["p"] * 10_001),
+    " -> ".join(["p"] * 10_001),
+    "~" * 10_000 + "p",
+])
+def test_ten_thousand_link_chains_are_refused_without_recursion(text):
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_formula(text)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_sequent(f"p, {text} |- p")
