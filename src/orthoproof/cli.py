@@ -181,8 +181,11 @@ def classical(sequent, fmt):
               envvar="ORTHOPROOF_SEED", type=int)
 @_FORMAT
 def hilbert_verify(dim, trials, seed, fmt):
-    """Run the seeded subspace-model sweeps; exit 0 only if all pass."""
-    from .hilbert import verify as hilbert_verify_rows
+    """Run the seeded subspace-model sweeps; exit 0 only if all pass.
+    --dim is at most hilbert.MAX_DIM."""
+    from .hilbert import MAX_DIM, verify as hilbert_verify_rows
+    if dim > MAX_DIM:
+        _input_error(f"--dim {dim} is above the limit of {MAX_DIM} (hilbert.MAX_DIM)")
     rows = hilbert_verify_rows(dim, trials, seed)
     if fmt == "tsv":
         for r in rows:
@@ -437,3 +440,7 @@ def repl(mode):
         if not session.handle(raw):
             break
     sys.exit(0)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,9 +9,10 @@ two readings agree, that the fold criterion's lattice and range sides
 agree, and that sequential measurement delivers the advertised
 probabilities and post-states.
 
-All tolerances are module constants; the mathematics upstream is exact,
-so the thresholds here are implementation choices, recorded once and
-used everywhere.
+Every operation runs on stacks (see the kernels below).  All
+tolerances are module constants; the mathematics upstream is exact, so
+the thresholds here are implementation choices, recorded once and used
+everywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
     "projector", "ortho", "join", "meet", "leq", "same",
     "sasaki_lattice", "sasaki_closure",
     "sequential_measure", "check_fold_criterion",
-    "verify", "CheckRow",
+    "verify", "CheckRow", "MAX_DIM",
 ]
 
 ORTHO_TOL = 1e-10       # Gram residual of a stored basis
@@ -36,6 +37,8 @@ RANK_TOL = 1e-9         # absolute singular-value cutoff, normalized input
 CONTAIN_TOL = 1e-8      # subspace containment / agreement residual
 EQ_TOL = 1e-9           # projector Frobenius distance for equality
 ANNIHILATE_TOL = 1e-12  # a probability below this is zero
+MAX_DIM = 64            # largest ambient dimension ``verify`` accepts
+CHUNK_CELLS = 1 << 14   # a sweep's chunk holds at most CHUNK_CELLS // n**2 instances
 
 
 class HilbertError(ValueError):
@@ -55,8 +58,9 @@ class Subspace:
         object.__setattr__(self, "basis", b)
         k = b.shape[1]
         if k:
-            residual = np.abs(b.conj().T @ b - np.eye(k)).max()
-            if residual > ORTHO_TOL:
+            with np.errstate(invalid="ignore"):     # a NaN residual is refused below
+                residual = np.abs(b.conj().T @ b - np.eye(k)).max()
+            if not residual <= ORTHO_TOL:
                 raise HilbertError(f"columns not orthonormal (residual {residual:.2e})")
 
     @property
@@ -71,6 +75,122 @@ class Subspace:
         return f"Subspace(dim {self.dim} of C^{self.n})"
 
 
+# ---------------------------------------------------------------------------
+# stack kernels, the one implementation of every operation.  A stack of T
+# subspaces of C^n is a pair (u, m) of T unitaries (T, n, n) and a column
+# mask (T, n): subspace t is spanned by the columns of u[t] that m[t]
+# selects, and the other columns span its orthocomplement.  The public
+# functions lift their arguments to stacks of one; the sweeps draw their
+# instances one at a time and judge them a chunk at a time.
+
+
+def _unitary(u):
+    """The one invariant check of every stack a kernel produces."""
+    residual = np.abs(np.swapaxes(u, -1, -2).conj() @ u - np.eye(u.shape[-1])).max(initial=0.0)
+    if not residual <= ORTHO_TOL:
+        raise HilbertError(f"stack not unitary (residual {residual:.2e})")
+    return u
+
+
+def _span(a):
+    """Column spaces of a stack of n x c spanning sets: nonzero columns
+    normalized, rank by the fixed singular-value threshold."""
+    n, c = a.shape[-2:]
+    if c < n:
+        a = np.concatenate([a, np.zeros(a.shape[:-1] + (n - c,), complex)], axis=-1)
+    norms = np.linalg.norm(a, axis=-2, keepdims=True)
+    u, s, _ = np.linalg.svd(a / np.where(norms > 0, norms, 1.0), full_matrices=False)
+    return _unitary(u), s > RANK_TOL
+
+
+# the lattice operations as equations on stacks; _basis gives zero-padded n x n bases
+def _basis(x): return x[0] * x[1][..., None, :]
+def _proj(b): return b @ np.swapaxes(b, -1, -2).conj()
+def _ortho(x): return x[0], ~x[1]
+def _join(x, y): return _span(np.concatenate([_basis(x), _basis(y)], axis=-1))
+def _meet(x, y): return _ortho(_join(_ortho(x), _ortho(y)))
+def _sasaki_lattice(x, y): return _meet(_join(x, _ortho(y)), y)
+def _sasaki_closure(x, y): return _span(_proj(_basis(y)) @ _basis(x))
+
+
+def _leq(cols, p):
+    """Per instance: the columns lie in the range of the projector p."""
+    return np.linalg.norm((np.eye(p.shape[-1]) - p) @ cols, axis=(-2, -1)) < CONTAIN_TOL
+
+
+def _product(projs):
+    """P_L ... P_1 for each chain of a (T, L, n, n) stack of projectors."""
+    return reduce(lambda acc, p: p @ acc, np.moveaxis(projs, 1, 0), np.eye(projs.shape[-1]))
+
+
+def _fold_criterion(links, prod, b):
+    """Both sides of the fold criterion for a stack of chains (T, L, n, n)
+    whose projector products are ``prod``, against the stack b: the
+    sequential fold from the whole space lies below b, and the range of
+    the product lies in b.  A whole-space link changes neither side, so
+    the fold skips it."""
+    u, m = links
+    fu, fm = b[0].copy(), np.ones_like(b[1])        # the whole space
+    for k in range(u.shape[1]):
+        live = ~m[:, k].all(axis=-1)
+        fu[live], fm[live] = _sasaki_lattice((fu[live], fm[live]), (u[live, k], m[live, k]))
+    pb = _proj(_basis(b))
+    return _leq(_basis((fu, fm)), pb), _leq(prod, pb)
+
+
+def _measure(projs, xi):
+    """The unnormalized states (T, L, n) after each step of each chain,
+    starting from the states xi (T, n), and their squared norms, the
+    cumulative probabilities (T, L)."""
+    ws = [xi]
+    for k in range(projs.shape[1]):
+        ws.append((projs[:, k] @ ws[-1][..., None])[..., 0])
+    ws = np.stack(ws[1:], axis=1)
+    return ws, np.linalg.norm(ws, axis=-1) ** 2
+
+
+def _draw(rng, n, k=None):
+    """A random subspace's draws, in order: its dimension unless given, then
+    a standard complex Gaussian n x k block, here zero-padded to n x n."""
+    if k is None:
+        k = int(rng.integers(0, n + 1))
+    g = np.zeros((n, n), dtype=complex)
+    if k:
+        g[:, :k] = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return g
+
+
+def _padded(spaces):
+    """Zero-padded n x n bases of Subspaces of one ambient dimension."""
+    _same_ambient(*spaces)
+    pad = np.zeros((len(spaces), spaces[0].n, spaces[0].n), dtype=complex)
+    for s, p in zip(spaces, pad):
+        p[:, :s.dim] = s.basis
+    return pad
+
+
+def _lifted(*spaces):
+    """The spaces as stacks of one each."""
+    return list(zip(*_span(_padded(spaces)[:, None])))
+
+
+def _lift_chains(gs):
+    """Stacks of chains, each followed by its b (T, L + 1, n, n), lifted:
+    the links, their projectors and the b's."""
+    u, m = _span(gs)
+    links = (u[:, :-1], m[:, :-1])
+    return links, _proj(_basis(links)), (u[:, -1], m[:, -1])
+
+
+def _one(x) -> Subspace:
+    """A stack of one as a Subspace."""
+    return Subspace(x[0][0][:, x[1][0]])
+
+
+# ---------------------------------------------------------------------------
+# single subspaces
+
+
 def subspace(vectors, n=None) -> Subspace:
     """Orthonormalize a spanning set (columns); rank by fixed threshold."""
     a = np.asarray(vectors, dtype=complex)
@@ -82,13 +202,9 @@ def subspace(vectors, n=None) -> Subspace:
         if n is None:
             raise HilbertError("empty spanning set needs an explicit dimension")
         return Subspace(np.zeros((n, 0), dtype=complex))
-    norms = np.linalg.norm(a, axis=0)
-    if not np.any(norms > 0):
-        return Subspace(np.zeros((a.shape[0], 0), dtype=complex))
-    keep = a[:, norms > 0] / norms[norms > 0][None, :]
-    u, s, _ = np.linalg.svd(keep, full_matrices=False)
-    r = int(np.sum(s > RANK_TOL))
-    return Subspace(u[:, :r])
+    if not np.isfinite(a).all():
+        raise HilbertError("non-finite entry in a spanning set")
+    return _one(_span(a[None]))
 
 
 def zero(n: int) -> Subspace:
@@ -101,13 +217,7 @@ def full(n: int) -> Subspace:
 
 def random_subspace(rng, n: int, k=None) -> Subspace:
     """Column space of a standard complex Gaussian n x k matrix."""
-    if k is None:
-        k = int(rng.integers(0, n + 1))
-    if k == 0:
-        return zero(n)
-    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-    u, _, _ = np.linalg.svd(g, full_matrices=False)
-    return Subspace(u[:, :k])
+    return subspace(_draw(rng, n, k))
 
 
 _ENTRY_RE = re.compile(
@@ -145,33 +255,25 @@ def _same_ambient(*spaces):
 
 
 def projector(a: Subspace) -> np.ndarray:
-    return a.basis @ a.basis.conj().T
+    return _proj(a.basis)
 
 
 def ortho(a: Subspace) -> Subspace:
-    """Kernel basis of the projector."""
-    p = projector(a)
-    w, _, _ = np.linalg.svd(np.eye(a.n) - p)
-    return Subspace(w[:, : a.n - a.dim])
+    return _one(_ortho(*_lifted(a)))
 
 
 def join(a: Subspace, b: Subspace) -> Subspace:
-    _same_ambient(a, b)
-    return subspace(np.hstack([a.basis, b.basis]), n=a.n)
+    return _one(_join(*_lifted(a, b)))
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
-    _same_ambient(a, b)
-    return ortho(join(ortho(a), ortho(b)))
+    return _one(_meet(*_lifted(a, b)))
 
 
 def leq(a: Subspace, b: Subspace) -> bool:
     """Containment a <= b, at the agreement tolerance."""
     _same_ambient(a, b)
-    if a.dim == 0:
-        return True
-    residual = np.linalg.norm((np.eye(a.n) - projector(b)) @ a.basis)
-    return bool(residual < CONTAIN_TOL)
+    return bool(_leq(a.basis, projector(b)))
 
 
 def same(a: Subspace, b: Subspace) -> bool:
@@ -181,14 +283,12 @@ def same(a: Subspace, b: Subspace) -> bool:
 
 def sasaki_lattice(a: Subspace, b: Subspace) -> Subspace:
     """(a v b^perp) ^ b, computed with the lattice operations only."""
-    _same_ambient(a, b)
-    return meet(join(a, ortho(b)), b)
+    return _one(_sasaki_lattice(*_lifted(a, b)))
 
 
 def sasaki_closure(a: Subspace, b: Subspace) -> Subspace:
     """Column space of [b] applied to a basis of a — the projected form."""
-    _same_ambient(a, b)
-    return subspace(projector(b) @ a.basis, n=a.n)
+    return _one(_sasaki_closure(*_lifted(a, b)))
 
 
 @dataclass(frozen=True)
@@ -229,22 +329,20 @@ def sequential_measure(xi0, chain) -> MeasurementTrace:
     falls below the annihilation threshold truncates the trace.
     """
     xi0 = np.asarray(xi0, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(xi0) - 1.0) > ORTHO_TOL:
+    if not abs(np.linalg.norm(xi0) - 1.0) <= ORTHO_TOL:
         raise HilbertError("initial state must be a unit vector")
     chain = tuple(chain)
+    steps = []
     if chain:
         _same_ambient(*chain)
         if chain[0].n != xi0.shape[0]:
             raise HilbertError("state dimension does not match the chain")
-    steps = []
-    w = xi0
-    for a in chain:
-        w = projector(a) @ w
-        p = float(np.linalg.norm(w) ** 2)
-        if p < ANNIHILATE_TOL:
-            steps.append(MeasurementStep(a, 0.0, None))
-            break
-        steps.append(MeasurementStep(a, p, w / np.sqrt(p)))
+        ws, ps = _measure(np.stack([projector(a) for a in chain])[None], xi0[None])
+        for a, w, p in zip(chain, ws[0], ps[0]):
+            if p < ANNIHILATE_TOL:
+                steps.append(MeasurementStep(a, 0.0, None))
+                break
+            steps.append(MeasurementStep(a, float(p), w / np.sqrt(p)))
     return MeasurementTrace(xi0, tuple(steps))
 
 
@@ -255,14 +353,9 @@ def check_fold_criterion(chain, b: Subspace):
     below b (empty fold = the whole space).  Range side: the column
     space of the reversed projector product lies in b.
     """
-    chain = tuple(chain)
-    _same_ambient(*chain, b)
-    fold = reduce(sasaki_lattice, chain, full(b.n))
-    lattice_side = leq(fold, b)
-    m = reduce(lambda acc, a: projector(a) @ acc, chain, np.eye(b.n, dtype=complex))
-    residual = np.linalg.norm((np.eye(b.n) - projector(b)) @ m)
-    range_side = bool(residual < CONTAIN_TOL)
-    return lattice_side, range_side
+    links, projs, b1 = _lift_chains(_padded((*chain, b))[None])
+    lat, ran = _fold_criterion(links, _product(projs), b1)
+    return bool(lat[0]), bool(ran[0])
 
 
 # ---------------------------------------------------------------------------
@@ -281,69 +374,99 @@ class CheckRow:
         return self.failures == 0
 
 
+def _sweep(rng, dims, trials, draw, judge):
+    """(failures, worst) over ``trials`` instances, each drawing
+    ``int(rng.choice(dims))`` and then ``draw(rng, n)``, a tuple of arrays.
+    Chunks of at most CHUNK_CELLS // max(dims)**2 instances are stacked by
+    n and judged at once, so memory does not grow with ``trials``.
+    ``judge`` returns per-instance (counted, failed, worst) arrays; an
+    instance not counted is replaced by a fresh draw after its chunk."""
+    size, done, failures, worst = max(1, CHUNK_CELLS // int(max(dims)) ** 2), 0, 0, 0.0
+    while done < trials:
+        chunk = []
+        for _ in range(min(size, trials - done)):
+            n = int(rng.choice(dims))
+            chunk.append((n, draw(rng, n)))
+        for n in {n for n, _ in chunk}:
+            group = [d for m, d in chunk if m == n]
+            counted, failed, gap = judge(*map(np.stack, zip(*group)))
+            done += int(counted.sum())
+            failures += int((counted & failed).sum())
+            worst = max(worst, float(np.max(gap, where=counted, initial=0.0)))
+    return failures, worst
+
+
+def _chain_and_b(rng, n, links, max_chain):
+    """Drawn links padded with the whole space to max_chain, then b's draws."""
+    return np.stack([*links, *[np.eye(n)] * (max_chain - len(links)), _draw(rng, n)])
+
+
 def closure_agreement_sweep(rng, dims, trials) -> CheckRow:
     """Projected-subspace closure against the lattice form, random pairs."""
-    failures, worst = 0, 0.0
-    for _ in range(trials):
-        n = int(rng.choice(dims))
-        a, b = random_subspace(rng, n), random_subspace(rng, n)
-        gap = float(np.linalg.norm(projector(sasaki_lattice(a, b))
-                                   - projector(sasaki_closure(a, b))))
-        worst = max(worst, gap)
-        if gap >= CONTAIN_TOL:
-            failures += 1
-    return CheckRow("sasaki-closure-agreement", trials, failures, worst)
+    def draw(rng, n):
+        return (np.stack([_draw(rng, n), _draw(rng, n)]),)
+
+    def judge(gs):
+        u, m = _span(gs)
+        a, b = (u[:, 0], m[:, 0]), (u[:, 1], m[:, 1])
+        gap = np.linalg.norm(_proj(_basis(_sasaki_lattice(a, b)))
+                             - _proj(_basis(_sasaki_closure(a, b))), axis=(-2, -1))
+        return np.ones(gap.shape, bool), gap >= CONTAIN_TOL, gap
+
+    return CheckRow("sasaki-closure-agreement", trials, *_sweep(rng, dims, trials, draw, judge))
 
 
 def fold_agreement_sweep(rng, dims, trials, max_chain=3) -> CheckRow:
     """Lattice side versus range side of the fold criterion."""
-    failures, worst = 0, 0.0
-    for _ in range(trials):
-        n = int(rng.choice(dims))
-        chain = [random_subspace(rng, n)
-                 for _ in range(int(rng.integers(0, max_chain + 1)))]
-        b = random_subspace(rng, n)
-        lat, ran = check_fold_criterion(chain, b)
-        if lat != ran:
-            failures += 1
-            worst = 1.0
-    return CheckRow("fold-criterion-agreement", trials, failures, worst)
+    def draw(rng, n):
+        links = [_draw(rng, n) for _ in range(int(rng.integers(0, max_chain + 1)))]
+        return (_chain_and_b(rng, n, links, max_chain),)
+
+    def judge(gs):
+        links, projs, b = _lift_chains(gs)
+        lat, ran = _fold_criterion(links, _product(projs), b)
+        return np.ones(lat.shape, bool), lat != ran, (lat != ran) * 1.0
+
+    return CheckRow("fold-criterion-agreement", trials, *_sweep(rng, dims, trials, draw, judge))
 
 
 def measurement_sweep(rng, dims, trials, max_chain=3) -> CheckRow:
     """When the fold criterion holds, surviving traces must end inside b
-    with exactly the advertised probability."""
-    failures, worst = 0, 0.0
-    done = 0
-    while done < trials:
-        n = int(rng.choice(dims))
-        chain = [random_subspace(rng, n, k=int(rng.integers(1, n + 1)))
+    with exactly the advertised probability.  b joins the range of the
+    chain's projector product with a random subspace, so the criterion
+    holds by construction; an instance where it does not is not counted.
+    Each instance draws its initial state right after b, and one not
+    counted is replaced by a fresh draw after its chunk."""
+    def draw(rng, n):
+        links = [_draw(rng, n, int(rng.integers(1, n + 1)))
                  for _ in range(int(rng.integers(1, max_chain + 1)))]
-        m = reduce(lambda acc, a: projector(a) @ acc, chain,
-                   np.eye(n, dtype=complex))
-        b = join(subspace(m, n=n), random_subspace(rng, n))
-        if check_fold_criterion(chain, b) != (True, True):
-            continue            # construction guarantees this; stay honest
-        done += 1
+        gs = _chain_and_b(rng, n, links, max_chain)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        xi0 = g / np.linalg.norm(g)
-        trace = sequential_measure(xi0, chain)
-        direct = float(np.linalg.norm(m @ xi0) ** 2)
-        if trace.survived:
-            gap = abs(trace.final_probability - direct)
-            inside = np.linalg.norm(
-                (np.eye(n) - projector(b)) @ trace.final_state)
-            worst = max(worst, gap, float(inside))
-            if gap > 1e-12 or inside >= CONTAIN_TOL:
-                failures += 1
-        elif direct >= ANNIHILATE_TOL:
-            failures += 1
-            worst = max(worst, direct)
-    return CheckRow("measurement-consistency", trials, failures, worst)
+        return gs, g / np.linalg.norm(g)
+
+    def judge(gs, xi):
+        links, projs, r = _lift_chains(gs)
+        prod = _product(projs)
+        b = _join(_span(prod), r)
+        ws, ps = _measure(projs, xi)
+        survived = (ps >= ANNIHILATE_TOL).all(axis=1)
+        final = ws[:, -1] / np.sqrt(np.where(survived, ps[:, -1], 1.0))[:, None]
+        direct = np.linalg.norm((prod @ xi[..., None])[..., 0], axis=-1) ** 2
+        gap = np.abs(ps[:, -1] - direct)
+        inside = np.linalg.norm(final - (_proj(_basis(b)) @ final[..., None])[..., 0], axis=-1)
+        seen = direct >= ANNIHILATE_TOL
+        return (np.logical_and(*_fold_criterion(links, prod, b)),
+                np.where(survived, (gap > 1e-12) | (inside >= CONTAIN_TOL), seen),
+                np.where(survived, np.maximum(gap, inside), np.where(seen, direct, 0.0)))
+
+    return CheckRow("measurement-consistency", trials, *_sweep(rng, dims, trials, draw, judge))
 
 
 def verify(dim: int, trials: int, seed: int):
-    """Run the three sweeps at one ambient dimension; rows for the CLI."""
+    """Run the three sweeps at one ambient dimension; rows for the CLI.
+    A dimension outside 1..MAX_DIM is refused before anything is drawn."""
+    if not 1 <= dim <= MAX_DIM:
+        raise HilbertError(f"dimension {dim} is outside 1..{MAX_DIM} (hilbert.MAX_DIM)")
     rng = np.random.default_rng(seed)
     return [
         closure_agreement_sweep(rng, [dim], trials),

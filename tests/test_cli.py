@@ -220,6 +220,19 @@ def test_hilbert_verify_tsv(runner):
     assert all(r[4] == "pass" for r in rows)
 
 
+@pytest.mark.parametrize("dim", ["65", "100000"])
+def test_hilbert_verify_dimension_above_the_limit_is_an_input_error(runner, dim, monkeypatch):
+    def no_draws(*args, **kw):
+        raise AssertionError("a random generator was created")
+
+    monkeypatch.setattr("numpy.random.default_rng", no_draws)
+    res = invoke(runner, ["hilbert-verify", "--dim", dim, "--trials", "100"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        f"error: --dim {dim} is above the limit of 64 (hilbert.MAX_DIM)"]
+
+
 # --- catalog -------------------------------------------------------------------
 
 def test_catalog_lists_every_entry(runner):
@@ -546,3 +559,22 @@ def test_validate_four_letters_on_f2_past_the_sweep_budget():
     assert len(res.stderr.splitlines()) == 1
     assert "more than the sweep budget" in res.stderr
     assert "Traceback" not in res.output
+
+
+def _run_module(args, cwd):
+    return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+@pytest.mark.parametrize("module", ["orthoproof.cli", "orthoproof"])
+def test_python_dash_m_runs_the_command_line(module, tmp_path):
+    (tmp_path / "empty.nom").write_text("")
+    (tmp_path / "bad.nom").write_text(BAD_SCRIPT)
+    res = _run_module([module, "check", "empty.nom"], tmp_path)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr.splitlines() == ["error: empty.nom: no theorems"]
+    res = _run_module([module, "check", "bad.nom"], tmp_path)
+    assert res.returncode == 1 and "wrong [NOM]: rejected" in res.stdout
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "proofs", "demo.nom")
+    res = _run_module([module, "check", demo], tmp_path)
+    assert res.returncode == 0 and "accepted" in res.stdout
