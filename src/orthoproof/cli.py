@@ -270,9 +270,9 @@ def _forward_primitive(rule, args, prems):
         if not ante:
             raise _Rejected("lem premises need a final assumption to discharge")
         return Sequent(ante[:-1], succ)
-    if rule == "explode":
-        raise _Rejected("explode's succedent is unconstrained; "
-                        "state the target sequent")
+    if rule in ("explode", "wk"):
+        what = "succedent" if rule == "explode" else "added context"
+        raise _Rejected(f"{rule}'s {what} is unconstrained; state the target sequent")
     if rule in ("exch", "qexch"):
         if len(ante) < 2:
             raise _Rejected(f"{rule} needs at least two antecedent formulas")

@@ -24,7 +24,7 @@ from .syntax import (
 __all__ = [
     "MODES", "RULES", "PREMISE_COUNTS", "Derivation",
     "RuleViolation", "CheckFailure",
-    "check_inference", "check_derivation", "weaken", "hyp", "node",
+    "check_inference", "check_derivation", "hyp", "node",
 ]
 
 MODES = ("NOM", "NOM_E", "NOM_Q", "NOM_q")
@@ -33,7 +33,7 @@ PREMISE_COUNTS = {
     "assume": 0, "cut": 2, "paste": 2, "cexch": 3,
     "and_i": 2, "and_e1": 1, "and_e2": 1,
     "imp_i": 1, "imp_e": 1, "lem": 2, "explode": 1,
-    "exch": 1, "all_i": 1, "all_e": 1, "qexch": 1,
+    "wk": 1, "exch": 1, "all_i": 1, "all_e": 1, "qexch": 1,
 }
 
 RULES = tuple(PREMISE_COUNTS)
@@ -62,6 +62,11 @@ class Derivation:
     rule: str
     premises: tuple = ()
     instantiation: object = None
+
+    def __repr__(self):
+        # one line: the generated repr would unfold the shared subtrees
+        return (f"Derivation({self.rule}: {render_sequent(self.conclusion)}, "
+                f"{len(self.premises)} premises)")
 
 
 def hyp(s: Sequent) -> Derivation:
@@ -233,6 +238,16 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("premise must conclude the negation of the added antecedent")
         return None
 
+    if rule == "wk":
+        # leading weakening: fold(Δ, Γ) <= fold(Γ); trailing weakening is unsound
+        (p1,) = premises
+        k = len(ante) - len(p1.antecedent)
+        if k < 0 or not context_eq(p1.antecedent, ante[k:]):
+            return bad("premise antecedent must be a suffix of the conclusion's")
+        if not formula_eq(p1.succedent, succ):
+            return bad("succedent must be unchanged")
+        return None
+
     if rule == "exch":
         (p1,) = premises
         if not formula_eq(p1.succedent, succ):
@@ -298,9 +313,8 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
 
 
 def _hyp_match(leaf: Sequent, h: Sequent) -> bool:
-    # A leaf may also carry extra leading context: that is exactly the
-    # sequent ``weaken`` produces from the hypothesis, and weakening is
-    # admissible in every mode.
+    # A leaf may also carry extra leading context: a hypothesis under
+    # leading weakening, which every mode admits (rule "wk").
     extra = len(leaf.antecedent) - len(h.antecedent)
     return extra >= 0 and sequent_eq(Sequent(leaf.antecedent[extra:], leaf.succedent), h)
 
@@ -348,43 +362,3 @@ def _path(d: Derivation, target: Derivation) -> tuple:
         target, met = met[at], met[:at]
     return tuple(reversed(path))
 
-
-def _instantiation_vars(d: Derivation):
-    return {x.name if isinstance(x, Var) else str(x) for n in _preorder(d)
-            if n.rule == "all_i" and (x := n.instantiation) is not None}
-
-
-def weaken(d: Derivation, delta) -> Derivation:
-    """Prefix a formula sequence onto every sequent of a derivation.
-
-    The inductive weakening transform: the result has the same tree
-    shape and still checks.  Refuses a prefix whose free variables
-    collide with an all_i eigenvariable inside the tree, since that
-    would break the rule's side condition.
-    """
-    delta = tuple(delta)
-    if not delta:
-        return d
-    clash = _instantiation_vars(d) & set().union(*(f.free for f in delta))
-    if clash:
-        raise ValueError(f"prefix would capture quantified variable(s) {clash}")
-    return _weaken(d, delta, {})
-
-
-def _weaken(d, delta, memo):
-    stack = [d]
-    while stack:
-        n = stack[-1]
-        if id(n) in memo:
-            stack.pop()
-            continue
-        todo = [p for p in n.premises if id(p) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        c = Sequent(delta + n.conclusion.antecedent, n.conclusion.succedent)
-        memo[id(n)] = Derivation(c, n.rule,
-                                 tuple(memo[id(p)] for p in n.premises),
-                                 n.instantiation)
-    return memo[id(d)]

@@ -19,7 +19,7 @@ from functools import partial, wraps
 from itertools import takewhile
 from typing import Callable, Optional
 
-from .kernel import MODES, Derivation, hyp, node, weaken
+from .kernel import MODES, Derivation, hyp, node
 from .syntax import (
     And, Compat, Exists, Forall, Formula, Imp, Letter, Neg, Or, Sequent,
     context_eq, expand, formula_eq, sequent_eq, substitute,
@@ -61,6 +61,19 @@ def _shared(builder):
     return shared
 
 
+def _wk(delta, d):
+    """Leading weakening: ``d`` under the extra context ``delta``, one node."""
+    c = d.conclusion
+    return _n("wk", delta + c.antecedent, c.succedent, d) if delta else d
+
+
+def _cored(builder):
+    """A pure sub-lemma built once per build at the empty context; each
+    leading context ``g`` it is used at is one shared ``wk`` node over it."""
+    core = _shared(builder)
+    return _shared(wraps(builder)(lambda g, *args: _wk(g, core((), *args))))
+
+
 @_shared
 def _assume(prefix, chi):
     return _n("assume", tuple(prefix) + (chi,), chi)
@@ -93,12 +106,12 @@ def _p22(g, phi, psi, d1, d2):
     return _n("cut", g, psi, d2, inner)
 
 
-@_shared
+@_cored
 def _l231(g, phi, psi):
     return _n("explode", g + (Neg(phi), phi), psi, _assume(g, Neg(phi)))
 
 
-@_shared
+@_cored
 def _l232(g, phi):
     nn = Neg(Neg(phi))
     return _n("lem", g + (nn,), phi,
@@ -106,7 +119,7 @@ def _l232(g, phi):
               _n("explode", g + (nn, Neg(phi)), phi, _assume(g, nn)))
 
 
-@_shared
+@_cored
 def _l233(g, phi, psi):
     target = Imp(phi, Imp(Neg(phi), psi))
     left = _n("imp_i", g + (Neg(phi),), target,
@@ -122,7 +135,7 @@ def _l233(g, phi, psi):
               _n("imp_e", g + (phi,), Imp(Neg(phi), psi), root))
 
 
-@_shared
+@_cored
 def _l234(g, phi):
     nn = Neg(Neg(phi))
     return _n("lem", g + (phi,), nn,
@@ -226,7 +239,7 @@ def _t26_cexch(g, phi, psi, delta, chi, d1, d2, d3):
                 (None, g + (phi, psi), None), delta, chi, d1, d2, d3)
 
 
-@_shared
+@_cored
 def _t26_explode_l(g, phi, delta, psi):
     return _t26(partial(_l231, g, phi), g + (Neg(phi), phi), (), delta, psi)
 
@@ -249,6 +262,7 @@ def _t26_lem(g, phi, delta, psi, d1, d2):
 
 # -- compatibility of a conjunction with its conjuncts ----------------------
 
+@_cored
 def _l271a(g, phi, psi):
     a = And(phi, psi)
     return _t26_cut(g + (a,), phi, (Neg(phi),), a,
@@ -256,6 +270,7 @@ def _l271a(g, phi, psi):
                     _t26_explode_r(g + (a,), phi, (), a))
 
 
+@_cored
 def _l271b(g, phi, psi):
     a = And(phi, psi)
     return _t26_cut(g + (a,), psi, (Neg(psi),), a,
@@ -263,6 +278,7 @@ def _l271b(g, phi, psi):
                     _t26_explode_r(g + (a,), psi, (), a))
 
 
+@_cored
 def _l272a(g, phi, psi):
     a = And(phi, psi)
     g0 = g + (Neg(phi),)
@@ -274,6 +290,7 @@ def _l272a(g, phi, psi):
     return _n("cut", g0 + (a,), Neg(phi), first, cex)
 
 
+@_cored
 def _l272b(g, phi, psi):
     a = And(phi, psi)
     g0 = g + (Neg(psi),)
@@ -285,7 +302,7 @@ def _l272b(g, phi, psi):
     return _n("cut", g0 + (a,), Neg(psi), first, cex)
 
 
-@_shared
+@_cored
 def _l273a(g, phi, psi):
     a = And(phi, psi)
     g0 = g + (Neg(a),)
@@ -296,7 +313,7 @@ def _l273a(g, phi, psi):
     return _cm1(g0 + (phi,), a, cex)
 
 
-@_shared
+@_cored
 def _l273b(g, phi, psi):
     a = And(phi, psi)
     g0 = g + (Neg(a),)
@@ -307,6 +324,7 @@ def _l273b(g, phi, psi):
     return _cm1(g0 + (psi,), a, cex)
 
 
+@_cored
 def _l274a(g, phi, psi):
     a = And(phi, psi)
     first = _t26_cexch(g, phi, a, (Neg(a),), phi,
@@ -320,6 +338,7 @@ def _l274a(g, phi, psi):
     return _t26_lem(g, a, (phi, Neg(a)), phi, first, second)
 
 
+@_cored
 def _l274b(g, phi, psi):
     a = And(phi, psi)
     first = _t26_cexch(g, psi, a, (Neg(a),), psi,
@@ -404,11 +423,11 @@ def _t210_bwd(g, phi, psi, d):
 # -- classical axioms and the quotient-lattice constructions ----------------
 
 def _l361(phi, psi, chi, d1, d2):
-    return _n("cut", (phi,), chi, d1, weaken(d2, (phi,)))
+    return _n("cut", (phi,), chi, d1, _wk((phi,), d2))
 
 
 def _l362(phi, psi, d):
-    w = weaken(d, (Neg(psi),))
+    w = _wk((Neg(psi),), d)
     cex = _n("cexch", (Neg(psi), phi, psi), Neg(psi),
              _t26_explode_l((), psi, (phi,), psi),
              _t26_explode_l((), psi, (phi,), Neg(psi)),
@@ -477,7 +496,7 @@ def _t38bot(g, phi, psi):
 
 
 def _t38om1(phi, psi, d):
-    w = weaken(d, (Neg(phi), psi))
+    w = _wk((Neg(phi), psi), d)
     cex = _n("cexch", (Neg(phi), psi, phi), Neg(phi),
              _t26_explode_l((), phi, (psi,), phi),
              _t26_explode_l((), phi, (psi,), Neg(phi)),
@@ -494,7 +513,7 @@ def _t38om1(phi, psi, d):
 def _t38om2(phi, psi, d):
     a = Imp(Neg(phi), psi)
     return _n("lem", (a,), psi,
-              weaken(d, (a,)),
+              _wk((a,), d),
               _n("imp_e", (a, Neg(phi)), psi, _assume((), a)))
 
 
@@ -785,11 +804,13 @@ def _l413rule(g, phi, psi, d):
                      _l412s(g + (cpt,), phi, psi, 2))
 
 
+@_cored
 def _l413s1(g, phi, psi):
     a = Or(And(phi, psi), And(phi, Neg(psi)))
     return _l413rule(g + (a,), phi, psi, _assume(g, a))
 
 
+@_cored
 def _l413s2(g, phi, psi):
     a = Or(And(Neg(phi), psi), And(Neg(phi), Neg(psi)))
     return _p487(g + (a,), phi, psi, _l413rule(g + (a,), Neg(phi), psi, _assume(g, a)))

@@ -124,12 +124,13 @@ def _rule_instances():
         "imp_e": ([s(g, Imp(P, Q))], s(g + (P,), Q)),
         "lem": ([s(g + (P,), Q), s(g + (Neg(P),), Q)], s(g, Q)),
         "explode": ([s(g, Neg(P))], s(g + (P,), Q)),
+        "wk": ([s(g, P)], s((Q,) + g, P)),
     }
 
 
 def test_primitive_rules_sound_over_two_and_mo2():
     instances = _rule_instances()
-    assert len(instances) == 11
+    assert len(instances) == 12
     for rule, (premises, conclusion) in instances.items():
         letters = sorted(set().union(
             *(sequent_letters(t) for t in premises + [conclusion])))

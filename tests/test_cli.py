@@ -376,6 +376,8 @@ _FORWARD_CASES = {
     "lem": ("NOM", ["p |- q", "~p |- q"], "lem from 1 2", "|- q"),
     "explode": ("NOM", ["g |- ~p"], "explode from 1",
                 "rejected: explode's succedent is unconstrained; state the target sequent"),
+    "wk": ("NOM", ["g |- p"], "wk from 1",
+           "rejected: wk's added context is unconstrained; state the target sequent"),
     "exch": ("NOM_E", ["a, b |- c"], "exch from 1", "b, a |- c"),
     "qexch": ("NOM_q", ["a, b |- c"], "qexch from 1", "b, a |- c"),
     "all_i": ("NOM_Q", ["|- R(y)"], "all_i x=y from 1", "|- forall y. R(y)"),
@@ -393,6 +395,17 @@ def test_repl_forward_step_with_explicit_premises(runner, rule):
     if not expected.startswith("rejected:"):
         expected = f"{len(premises) + 2}: {expected}"
     assert expected in res.output
+
+
+def test_repl_forward_wk_over_a_forall_premise_is_one_rejected_line(runner):
+    # the premise's succedent is a forall, which the all_e branch would read
+    text = "hyp h: |- forall x. R(x)\n|- forall x. R(x) by hyp h\nwk from 1\n" \
+        "p |- forall x. R(x) by wk from 1\nquit\n"
+    res = repl(runner, text, mode="NOM_Q")
+    assert res.exit_code == 0 and "Traceback" not in res.output
+    assert "rejected: wk's added context is unconstrained; state the target sequent" \
+        in res.output
+    assert "2: p |- forall x. R(x)" in res.output
 
 
 def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):

@@ -149,6 +149,31 @@ class TestChecking:
         assert r.derivation is not None
         assert str(r).startswith("arrow [NOM]: accepted")
 
+    def test_leading_weakening_line(self):
+        r = run_one("""\
+            theorem weak mode=NOM
+              goal: q, p |- p
+              1: p |- p by assume
+              2: q, p |- p by wk from 1
+            qed
+        """)
+        assert r.accepted, str(r)
+        assert r.derivation.rule == "wk"
+        # the paper's non-theorem: weakening at the end of the context
+        r = run_one("""\
+            theorem trailing mode=NOM
+              goal: q, p |- q
+              1: q |- q by assume
+              2: q, p |- q by wk from 1
+            qed
+        """)
+        assert not r.accepted
+        assert "premise antecedent must be a suffix of the conclusion's" in str(r)
+
+    def test_report_repr_does_not_unfold_the_derivation(self):
+        r = run_one(GOOD)
+        assert len(repr(r)) < 1000
+
     def test_derived_line_without_premises(self):
         r = run_one("""\
             theorem boom mode=NOM
