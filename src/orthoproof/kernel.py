@@ -18,7 +18,7 @@ from itertools import takewhile
 
 from .syntax import (
     And, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
-    is_nonduplicating, render_sequent, sequent_eq, substitute, term_free_vars,
+    is_nonduplicating, render_sequent, substitute, term_free_vars,
 )
 
 __all__ = [
@@ -45,10 +45,10 @@ _MODE_RULES = {
     "NOM_Q": frozenset({"all_i", "all_e"}),
     "NOM_q": frozenset({"all_i", "all_e", "qexch"}),
 }
-_MODE_DEPENDENT = frozenset().union(*_MODE_RULES.values())
+_UNIVERSAL = frozenset(RULES).difference(*_MODE_RULES.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity eq and hash: generated ones unfold the DAG
 class Derivation:
     """A rule-application tree; the kernel's only certificate.
 
@@ -62,6 +62,10 @@ class Derivation:
     rule: str
     premises: tuple = ()
     instantiation: object = None
+    _accepted = False  # not a field: check_derivation marks a root it accepted
+
+    def __post_init__(self):  # a tuple, so that a checked tree cannot change
+        object.__setattr__(self, "premises", tuple(self.premises))
 
     def __repr__(self):
         # one line: the generated repr would unfold the shared subtrees
@@ -74,7 +78,7 @@ def hyp(s: Sequent) -> Derivation:
 
 
 def node(rule: str, conclusion: Sequent, *premises, instantiation=None) -> Derivation:
-    return Derivation(conclusion, rule, tuple(premises), instantiation)
+    return Derivation(conclusion, rule, premises, instantiation)
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
     bad = lambda msg: RuleViolation(rule, msg)
     if rule not in PREMISE_COUNTS:
         return bad("unknown rule")
-    if rule in _MODE_DEPENDENT and rule not in _MODE_RULES[mode]:
+    if rule not in _UNIVERSAL and rule not in _MODE_RULES[mode]:
         return bad(f"not available in mode {mode}")
     if len(premises) != PREMISE_COUNTS[rule]:
         return bad(f"needs {PREMISE_COUNTS[rule]} premises, got {len(premises)}")
@@ -312,32 +316,29 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
     raise AssertionError(rule)
 
 
-def _hyp_match(leaf: Sequent, h: Sequent) -> bool:
-    # A leaf may also carry extra leading context: a hypothesis under
-    # leading weakening, which every mode admits (rule "wk").
-    extra = len(leaf.antecedent) - len(h.antecedent)
-    return extra >= 0 and sequent_eq(Sequent(leaf.antecedent[extra:], leaf.succedent), h)
-
-
 def check_derivation(d: Derivation, mode, hypotheses=()):
     """Depth-first re-check of a whole tree; None, or the first
-    CheckFailure in preorder.  Leaves with rule "hyp" are accepted when
-    alpha-equal (modulo expansion) to a declared hypothesis, possibly
-    with extra leading context (a weakened hypothesis).
-
-    Tactic-built derivations share subtrees, so each distinct node is
-    checked once; a node's validity depends only on its own sequents.
+    CheckFailure in preorder, judging each distinct node once.  A "hyp"
+    leaf must follow from a declared hypothesis by "wk" as NOM judges it.
+    An accepted root is recorded (``_accepted``); checked again in NOM,
+    NOM_E or NOM_Q it judges only its hyp leaves, against these hypotheses,
+    and its mode-dependent rules.  Sound: nodes, sequents and formulas are
+    immutable; outside NOM_q a universal rule's check never reads the
+    mode; and acceptance in NOM_q implies acceptance in the other modes.
     """
-    for n in _preorder(d):
+    skip = _UNIVERSAL if d._accepted and mode in MODES and mode != "NOM_q" else ()
+    for n in (n for n in _preorder(d) if n.rule not in skip):
         if n.rule != "hyp":
             v = check_inference(n.rule, [p.conclusion for p in n.premises],
                                 n.conclusion, mode, n.instantiation)
         else:
             v = (RuleViolation("hyp", "hypotheses take no premises") if n.premises
-                 else None if any(_hyp_match(n.conclusion, h) for h in hypotheses)
+                 else None if any(check_inference("wk", (h,), n.conclusion, "NOM") is None
+                                  for h in hypotheses)
                  else RuleViolation("hyp", "sequent is not a declared hypothesis"))
         if v is not None:
             return CheckFailure(_path(d, n), v, n.conclusion)
+    object.__setattr__(d, "_accepted", True)
     return None
 
 
@@ -361,4 +362,3 @@ def _path(d: Derivation, target: Derivation) -> tuple:
         path.append(next(i for i, p in enumerate(met[at].premises) if p is target))
         target, met = met[at], met[:at]
     return tuple(reversed(path))
-

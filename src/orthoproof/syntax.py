@@ -408,6 +408,10 @@ class Sequent:
     antecedent: tuple
     succedent: Formula
 
+    def __post_init__(self):  # a tuple, so that a sequent cannot change
+        if type(self.antecedent) is not tuple:
+            object.__setattr__(self, "antecedent", tuple(self.antecedent))
+
     def __str__(self):
         return render_sequent(self)
 

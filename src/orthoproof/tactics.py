@@ -48,15 +48,17 @@ def _shared(builder):
     """Build a pure sub-lemma once per catalog build and share the node.
 
     Formulas are hash-consed, so equal arguments are the same objects; a
-    context tuple keys as the ids of its members."""
+    context tuple keys as the ids of its members, a keyword argument as its
+    value."""
     @wraps(builder)
-    def shared(*args):
+    def shared(*args, **kw):
         if _MEMO is None:
-            return builder(*args)
-        key = (builder, *[tuple(map(id, a)) if type(a) is tuple else id(a) for a in args])
+            return builder(*args, **kw)
+        key = (builder, *[tuple(map(id, a)) if type(a) is tuple else id(a) for a in args],
+               *kw.items())
         hit = _MEMO.get(key)
         if hit is None:
-            hit = _MEMO[key] = (args, builder(*args))
+            hit = _MEMO[key] = (args, builder(*args, **kw))
         return hit[1]
     return shared
 
@@ -71,7 +73,7 @@ def _cored(builder):
     """A pure sub-lemma built once per build at the empty context; each
     leading context ``g`` it is used at is one shared ``wk`` node over it."""
     core = _shared(builder)
-    return _shared(wraps(builder)(lambda g, *args: _wk(g, core((), *args))))
+    return _shared(wraps(builder)(lambda g, *args, **kw: _wk(g, core((), *args, **kw))))
 
 
 @_shared
@@ -785,6 +787,7 @@ def _l412nlnr(g, phi, psi, d):
                  _p487(g, phi, Neg(psi), _l412and(g, Neg(phi), Neg(psi), d)))
 
 
+@_cored
 def _l412s(g, phi, psi, which):
     builder, a = {
         1: (_l412and, And(phi, psi)),

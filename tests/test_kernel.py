@@ -1,17 +1,18 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from orthoproof import kernel
 from orthoproof.kernel import (
-    MODES, PREMISE_COUNTS, CheckFailure, Derivation, RuleViolation, _hyp_match,
-    check_derivation, check_inference, hyp, node,
+    MODES, PREMISE_COUNTS, CheckFailure, Derivation, RuleViolation, check_derivation, check_inference, hyp, node,
 )
 from conftest import random_formula
 from orthoproof.lattice import by_name
 from orthoproof.semantics import Valid, sequent_letters, validate_sequent
 from orthoproof.syntax import (
-    App, Const, Letter, Sequent, Signature, Var, parse_formula, parse_sequent,
+    App, Const, Letter, Sequent, Signature, Var, parse_formula, parse_sequent, sequent_eq,
 )
 from orthoproof.tactics import catalog, derive
 
@@ -456,6 +457,93 @@ class TestCheckDerivation:
         assert check_derivation(hyp(S("a |- p")), "NOM", hyps) is not None
         assert check_derivation(hyp(S("a, g |- q")), "NOM", hyps) is not None
 
+    def test_hyp_leaf_matches_modulo_expansion(self):
+        hyps = (S("p \\/ q |- p >< q"),)
+        assert check_derivation(hyp(S("g, ~(~p /\\ ~q) |- p >< q")), "NOM", hyps) is None
+
+    def test_a_declared_hypothesis_is_not_held_to_the_nom_q_formula_condition(self):
+        # a hyp leaf is judged as rule "wk" in NOM, in every mode
+        h = S("S(x, x) |- S(x, x)")
+        assert check_derivation(hyp(S("p, S(x, x) |- S(x, x)")), "NOM_q", (h,)) is None
+
+
+class TestAcceptanceRecord:
+    """A root accepted once is re-checked only where the mode matters.  Each
+    case checks the recorded root and a fresh one built by ``replace``."""
+
+    @staticmethod
+    def same(d, mode, hyps=()):
+        assert d._accepted
+        got = check_derivation(d, mode, hyps)
+        assert got == check_derivation(replace(d), mode, hyps)
+        return got
+
+    @staticmethod
+    def exch_tree():
+        return node("exch", S("q, p |- q"), node("assume", S("p, q |- q")))
+
+    def test_exch_accepted_in_nom_e_is_rejected_in_nom(self):
+        d = self.exch_tree()
+        assert check_derivation(d, "NOM_E") is None
+        fail = self.same(d, "NOM")
+        assert fail.path == () and "not available in mode NOM" in str(fail)
+
+    def test_all_e_sharing_a_variable_is_rejected_in_nom_q(self):
+        h = S("p |- forall x. R(x) /\\ T(y)")
+        d = node("wk", S("g, p |- R(f(y)) /\\ T(y)"),
+                 node("all_e", S("p |- R(f(y)) /\\ T(y)"), hyp(h),
+                      instantiation=App("f", (Var("y"),))))
+        assert check_derivation(d, "NOM_Q", (h,)) is None
+        fail = self.same(d, "NOM_q", (h,))
+        assert fail.path == (0,) and "shares a free variable" in str(fail)
+
+    def test_duplicating_atom_accepted_in_NOM_Q_is_rejected_in_NOM_q(self):
+        d = node("wk", S("p, S(x, x) |- S(x, x)"), node("assume", S("S(x, x) |- S(x, x)")))
+        assert check_derivation(d, "NOM_Q") is None
+        fail = self.same(d, "NOM_q")
+        assert fail.path == () and "duplicates" in str(fail)
+
+    def test_hyp_leaves_are_judged_against_the_hypotheses_of_each_call(self):
+        hyps = (S("g |- p"), S("g |- q"))
+        d = node("and_i", S("g |- p /\\ q"), hyp(S("g |- p")), hyp(S("g |- q")))
+        assert check_derivation(d, "NOM", hyps) is None
+        fail = self.same(d, "NOM_E", hyps[:1])
+        assert fail.path == (1,)
+        assert fail.violation.message == "sequent is not a declared hypothesis"
+
+    def test_unknown_mode_raises_after_acceptance(self):
+        d = l231_tree()
+        assert check_derivation(d, "NOM") is None
+        for root in (d, replace(d)):
+            with pytest.raises(ValueError, match="unknown mode"):
+                check_derivation(root, "BOGUS")
+
+    def test_a_failed_check_leaves_no_record(self):
+        d = self.exch_tree()
+        assert check_derivation(d, "NOM") is not None and not d._accepted
+        assert check_derivation(d, "NOM_E") is None and d._accepted
+        assert not d.premises[0]._accepted  # only the root is recorded
+
+    def test_a_tree_built_from_lists_cannot_change_after_acceptance(self):
+        a, b = node("assume", S("g, q |- q")), node("assume", S("g, q |- p"))
+        prems, ante = [a, a], [Letter("g"), Letter("q")]
+        d = Derivation(Sequent(ante, F("q /\\ q")), "and_i", prems)
+        assert check_derivation(d, "NOM") is None
+        prems[1], ante[1] = b, Letter("p")
+        assert d.premises == (a, a) and d.conclusion == S("g, q |- q /\\ q")
+        assert self.same(d, "NOM_E") is None
+
+    def test_a_recheck_judges_only_mode_dependent_nodes(self, monkeypatch):
+        judged, real = [], kernel.check_inference
+        monkeypatch.setattr(kernel, "check_inference",
+                            lambda rule, *args: judged.append(rule) or real(rule, *args))
+        d = node("wk", S("z, q, p |- q"), self.exch_tree())
+        for mode, rules in [("NOM_E", ["wk", "exch", "assume"]), ("NOM_E", ["exch"]),
+                            ("NOM_Q", ["exch"]), ("NOM_q", ["wk", "exch"])]:
+            judged.clear()
+            check_derivation(d, mode)
+            assert judged == rules, mode
+
 
 class TestWeaken:
     """The leading-weakening rule ``wk``: Δ, Γ ⊢ φ from Γ ⊢ φ."""
@@ -540,6 +628,18 @@ def test_repr_of_a_shared_dag_is_short():
     assert "p |- p /\\ p" in text
 
 
+def test_derivations_compare_by_identity():
+    # the generated eq and hash would unfold the shared DAG: comparing two
+    # P4.14 builds, about 1.9e13 unfolded nodes each, would not finish
+    assert Derivation.__eq__ is object.__eq__ and Derivation.__hash__ is object.__hash__
+    e = next(e for e in catalog() if e.id == "P4.14")
+    inst = {v: Letter(f"m{i}") for i, v in enumerate(e.variables)}
+    inst["gamma"] = (Letter("g0"),)
+    prems, _ = e.instantiate(inst)
+    d1, d2 = derive(e.id, inst, prems), derive(e.id, inst, prems)
+    assert d1 == d1 and d1 != d2 and len({d1, d2, d1}) == 2
+
+
 # --- failure paths against the former walk ----------------------------------
 
 def reference_check_derivation(d, mode, hypotheses=()):
@@ -557,7 +657,7 @@ def reference_check_derivation(d, mode, hypotheses=()):
                                 n.conclusion, mode, n.instantiation)
         else:
             v = (RuleViolation("hyp", "hypotheses take no premises") if n.premises
-                 else None if any(_hyp_match(n.conclusion, h) for h in hypotheses)
+                 else None if any(reference_hyp_match(n.conclusion, h) for h in hypotheses)
                  else RuleViolation("hyp", "sequent is not a declared hypothesis"))
         if v is not None:
             path = []
@@ -567,6 +667,12 @@ def reference_check_derivation(d, mode, hypotheses=()):
             return CheckFailure(tuple(reversed(path)), v, n.conclusion)
         stack.extend(((at, i), n.premises[i]) for i in reversed(range(len(n.premises))))
     return None
+
+
+def reference_hyp_match(leaf, h):
+    # the former kernel's match: h, possibly under extra leading context
+    extra = len(leaf.antecedent) - len(h.antecedent)
+    return extra >= 0 and sequent_eq(Sequent(leaf.antecedent[extra:], leaf.succedent), h)
 
 
 def parent_counts(d):
@@ -613,10 +719,11 @@ def corruptions(rng, n):
             Derivation(concl, n.rule, n.premises, n.instantiation)]
 
 
-def test_failure_paths_match_the_former_walk():
+def seeded_corruptions():
+    """For 12 seeded catalog entries: (entry id, hypotheses, intact derivation,
+    ids of its shared nodes, [(corrupted node, variant, corrupted derivation)])."""
     rng = random.Random(8)
     entries = [e for e in catalog() if e.matcher is None and e.premises]
-    cases = shared_failures = 0
     for e in rng.sample(entries, 12):
         inst = {v: Letter(f"m{i}") for i, v in enumerate(e.variables)}
         inst["gamma"] = tuple(Letter(f"g{i}") for i in range(rng.randrange(3)))
@@ -624,21 +731,54 @@ def test_failure_paths_match_the_former_walk():
         d = derive(e.id, inst, prems)
         counts = list(parent_counts(d).values())
         shared = [n for n, k in counts if k > 1]
-        shared_ids = {id(n) for n in shared}
         leaves = [n for n, _ in counts if n.rule == "hyp"]
         picks = rng.sample(shared, min(3, len(shared))) + leaves \
             + rng.sample([n for n, _ in counts], 2)
-        for target in picks:
-            for variant in corruptions(rng, target):
-                broken = replace_node(d, target, variant)
-                for mode in MODES:
-                    got = check_derivation(broken, mode, prems)
-                    assert got == reference_check_derivation(broken, mode, prems), \
-                        (e.id, target.rule, mode)
-                    cases += 1
-                    shared_failures += got is not None and id(target) in shared_ids \
-                        and got.conclusion == variant.conclusion
+        yield e.id, prems, d, {id(n) for n in shared}, [
+            (target, variant, replace_node(d, target, variant))
+            for target in picks for variant in corruptions(rng, target)]
+
+
+def test_failure_paths_match_the_former_walk():
+    cases = shared_failures = 0
+    for eid, prems, _, shared_ids, variants in seeded_corruptions():
+        for target, variant, broken in variants:
+            for mode in MODES:
+                got = check_derivation(broken, mode, prems)
+                assert got == reference_check_derivation(broken, mode, prems), \
+                    (eid, target.rule, mode)
+                cases += 1
+                shared_failures += got is not None and id(target) in shared_ids \
+                    and got.conclusion == variant.conclusion
     assert cases > 300 and shared_failures > 20
+
+
+def test_recorded_roots_judge_as_fresh_roots_after_every_pair_of_modes():
+    # the intact and corrupted derivations, and each intact one under an
+    # exch and a qexch node (accepted only in NOM_E, only in NOM_q), checked
+    # in each mode on a new root; then each root that accepted is checked
+    # again in every mode, with the same hypotheses and with one fewer.  The
+    # record is one bit, set by any acceptance and never cleared, so every
+    # ordered pair of modes and every longer sequence reach only these states
+    trees = rechecks = recorded_failures = 0
+    for eid, prems, d, _, variants in seeded_corruptions():
+        c = d.conclusion
+        swap = Sequent((*c.antecedent[:-2], *c.antecedent[:-3:-1]), c.succedent)
+        wrapped = [node(r, swap, d) for r in ("exch", "qexch")] if len(c.antecedent) > 1 else []
+        for tree in (d, *wrapped, *(broken for _, _, broken in variants)):
+            roots = {m: replace(tree) for m in MODES}
+            fresh = {m: check_derivation(roots[m], m, prems) for m in MODES}
+            assert all(roots[m]._accepted == (fresh[m] is None) for m in MODES)
+            for first in (m for m in MODES if fresh[m] is None):
+                for second, hyps in itertools.product(MODES, (prems, prems[1:])):
+                    want = fresh[second] if hyps is prems \
+                        else check_derivation(replace(tree), second, hyps)
+                    got = check_derivation(roots[first], second, hyps)
+                    assert got == want, (eid, tree.rule, first, second, len(hyps))
+                    rechecks += 1
+                    recorded_failures += got is not None and second != "NOM_q"
+            trees += 1
+    assert trees > 130 and rechecks > 300 and recorded_failures > 100
 
 
 def test_kernel_does_not_grow():

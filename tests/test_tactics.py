@@ -258,6 +258,14 @@ class TestBuildSharing:
     def test_repeated_sub_lemmas_are_one_object(self):
         assert every_instantiation()[1] < UNSHARED_NODE_OBJECTS
 
+    def test_l413_case_lemmas_share_one_core(self):
+        # L4.13.rule uses each of its two case lemmas at g and at g + (phi >< psi,):
+        # one build at the empty context under two wk nodes
+        d, _, _ = build_and_check(lookup("L4.13.rule"), 1)
+        uses = collections.Counter(n.premises[0] for n in _preorder(d) if n.rule == "wk")
+        for case in ("m0 /\\ m1 |- m0 >< m1", "m0 /\\ ~m1 |- m0 >< m1"):
+            assert [k for c, k in uses.items() if c.conclusion == S(case)] == [2]
+
     def test_sharing_lives_inside_one_build(self):
         g, p = (Letter("g"),), Letter("p")
         assert tactics._assume(g, p) is not tactics._assume(g, p)
