@@ -397,8 +397,9 @@ class _Session:
             goal = "(unset)" if self.goal is None else render_sequent(self.goal)
             click.echo("\n".join(self._script(goal)))
             return True
-        # kept only if the input is accepted; the interned letter nodes are shared
-        sig = copy.deepcopy(self.sig, {id(f): f for f in self.sig.letters.values()})
+        # kept only if the input is accepted; every value a Signature holds is
+        # immutable, so copying its containers is enough
+        sig = Signature(**{k: copy.copy(v) for k, v in vars(self.sig).items()})
         try:
             if line.partition(" ")[0] == "hyp":
                 m = HYP_RE.match(line)

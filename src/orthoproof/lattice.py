@@ -227,15 +227,7 @@ def mo(m: int) -> FiniteOML:
     neg[0], neg[top] = top, 0
     for i in range(m):
         neg[2 * i + 1], neg[2 * i + 2] = 2 * i + 2, 2 * i + 1
-    meet = np.zeros((n, n), dtype=int)
-    join = np.full((n, n), top, dtype=int)
-    for a in range(n):
-        meet[a, a] = join[a, a] = a
-        meet[a, top] = meet[top, a] = a
-        join[a, 0] = join[0, a] = a
-    meet[0, :] = meet[:, 0] = 0
-    join[top, :] = join[:, top] = top
-    return _checked(FiniteOML(leq, neg, f"MO{m}", tables=(meet, join)))
+    return _checked(FiniteOML(leq, neg, f"MO{m}"))
 
 
 def product(L1: FiniteOML, L2: FiniteOML, name=None) -> FiniteOML:

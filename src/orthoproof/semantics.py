@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import FiniteOML, battery, by_name, sasaki_and, sasaki_arrow
+from .lattice import FiniteOML, battery, sasaki_and, sasaki_arrow
 from .syntax import (
     And, Atom, Const, Imp, Letter, Neg, Sequent, Var,
     children, expand, letters,
@@ -195,26 +195,28 @@ def decide_two_var(s: Sequent) -> Verdict:
     """Sound and complete validity decision for sequents with <= 2 letters.
 
     A two-variable inequality holds in every orthomodular lattice iff it
-    holds in the two-element Boolean algebra and in MO2, so checking
-    those two lattices exhaustively decides validity outright.
+    holds in the two-element Boolean algebra and in MO2, so the battery
+    search, which sweeps exactly those two, decides validity outright.
     """
     names = sequent_letters(s)
     if len(names) > 2:
         raise ValueError(f"decide_two_var needs <= 2 letters, got {len(names)}: {names}")
-    for L in (by_name("2"), by_name("MO2")):
-        verdict = validate_sequent(s, L)
-        if isinstance(verdict, Countermodel):
-            return verdict
-    return Valid()
+    return countermodel_search(s)
 
 
 def countermodel_search(s: Sequent, lattices=None) -> Verdict:
-    """First countermodel across the battery, in battery order.
+    """First countermodel across ``lattices``, in their order.
 
-    A Valid result here is *not* a validity certificate beyond two
-    letters; it only says the battery found nothing.
+    By default the battery's members that are not products, ``2`` and
+    ``MO2``: a product is valid exactly when its factors are, and the
+    factors come first in battery order, so sweeping the whole battery
+    finds the same verdict and countermodel.  A Valid result here is
+    *not* a validity certificate beyond two letters; it only says the
+    battery found nothing.
     """
-    for L in (battery() if lattices is None else lattices):
+    if lattices is None:
+        lattices = [L for L in battery() if not L.factors]
+    for L in lattices:
         verdict = validate_sequent(s, L)
         if isinstance(verdict, Countermodel):
             return verdict

@@ -263,137 +263,86 @@ def _t26_lem(g, phi, delta, psi, d1, d2):
 
 
 # -- compatibility of a conjunction with its conjuncts ----------------------
+# The lemmas about a conjunction and its conjuncts come in mirror images:
+# ``side`` 1 is the form for the first conjunct phi, ``side`` 2 the same
+# construction for the second conjunct psi, with the matching projection.
+# It is passed by keyword, as the catalog registrations fix it, so that
+# ``_shared`` keys both uses of a cored lemma alike and builds it once.
 
-@_cored
-def _l271a(g, phi, psi):
-    a = And(phi, psi)
-    return _t26_cut(g + (a,), phi, (Neg(phi),), a,
-                    _n("and_e1", g + (a,), phi, _assume(g, a)),
-                    _t26_explode_r(g + (a,), phi, (), a))
+_AND_E = {1: "and_e1", 2: "and_e2"}
 
 
-@_cored
-def _l271b(g, phi, psi):
-    a = And(phi, psi)
-    return _t26_cut(g + (a,), psi, (Neg(psi),), a,
-                    _n("and_e2", g + (a,), psi, _assume(g, a)),
-                    _t26_explode_r(g + (a,), psi, (), a))
+def _conjunct(g, a, side):
+    """g, a |- the side-th conjunct of the conjunction a, by projection."""
+    return _n(_AND_E[side], g + (a,), (a.left, a.right)[side - 1], _assume(g, a))
 
 
 @_cored
-def _l272a(g, phi, psi):
-    a = And(phi, psi)
-    g0 = g + (Neg(phi),)
-    first = _n("and_e1", g0 + (a,), phi, _assume(g0, a))
-    cex = _n("cexch", g0 + (a, phi), Neg(phi),
-             _t26_explode_l(g, phi, (a,), phi),
-             _t26_explode_l(g, phi, (a,), Neg(phi)),
-             _n("paste", g0 + (a, phi), a, first, _assume(g0, a)))
-    return _n("cut", g0 + (a,), Neg(phi), first, cex)
+def _l271(g, phi, psi, side):
+    a, c = And(phi, psi), (phi, psi)[side - 1]
+    return _t26_cut(g + (a,), c, (Neg(c),), a,
+                    _conjunct(g, a, side=side),
+                    _t26_explode_r(g + (a,), c, (), a))
 
 
 @_cored
-def _l272b(g, phi, psi):
-    a = And(phi, psi)
-    g0 = g + (Neg(psi),)
-    first = _n("and_e2", g0 + (a,), psi, _assume(g0, a))
-    cex = _n("cexch", g0 + (a, psi), Neg(psi),
-             _t26_explode_l(g, psi, (a,), psi),
-             _t26_explode_l(g, psi, (a,), Neg(psi)),
-             _n("paste", g0 + (a, psi), a, first, _assume(g0, a)))
-    return _n("cut", g0 + (a,), Neg(psi), first, cex)
+def _l272(g, phi, psi, side):
+    a, c = And(phi, psi), (phi, psi)[side - 1]
+    g0 = g + (Neg(c),)
+    first = _conjunct(g0, a, side=side)
+    cex = _n("cexch", g0 + (a, c), Neg(c),
+             _t26_explode_l(g, c, (a,), c),
+             _t26_explode_l(g, c, (a,), Neg(c)),
+             _n("paste", g0 + (a, c), a, first, _assume(g0, a)))
+    return _n("cut", g0 + (a,), Neg(c), first, cex)
 
 
 @_cored
-def _l273a(g, phi, psi):
-    a = And(phi, psi)
+def _l273(g, phi, psi, side):
+    a, c = And(phi, psi), (phi, psi)[side - 1]
     g0 = g + (Neg(a),)
-    cex = _n("cexch", g0 + (phi, a), Neg(a),
-             _t26_explode_l(g, a, (phi,), a),
-             _t26_explode_l(g, a, (phi,), Neg(a)),
-             _n("and_e1", g0 + (phi, a), phi, _assume(g0 + (phi,), a)))
-    return _cm1(g0 + (phi,), a, cex)
+    cex = _n("cexch", g0 + (c, a), Neg(a),
+             _t26_explode_l(g, a, (c,), a),
+             _t26_explode_l(g, a, (c,), Neg(a)),
+             _conjunct(g0 + (c,), a, side=side))
+    return _cm1(g0 + (c,), a, cex)
 
 
 @_cored
-def _l273b(g, phi, psi):
-    a = And(phi, psi)
-    g0 = g + (Neg(a),)
-    cex = _n("cexch", g0 + (psi, a), Neg(a),
-             _t26_explode_l(g, a, (psi,), a),
-             _t26_explode_l(g, a, (psi,), Neg(a)),
-             _n("and_e2", g0 + (psi, a), psi, _assume(g0 + (psi,), a)))
-    return _cm1(g0 + (psi,), a, cex)
+def _l274(g, phi, psi, side):
+    a, c = And(phi, psi), (phi, psi)[side - 1]
+    first = _t26_cexch(g, c, a, (Neg(a),), c,
+                       _conjunct(g + (c,), a, side=side),
+                       _t26_explode_r(g + (c,), a, (), c),
+                       _n("paste", g + (a, c), a,
+                          _conjunct(g, a, side=side), _assume(g, a)))
+    second = _n("paste", g + (Neg(a), c, Neg(a)), c,
+                _l273(g, phi, psi, side=side), _assume(g + (Neg(a),), c))
+    return _t26_lem(g, a, (c, Neg(a)), c, first, second)
 
 
-@_cored
-def _l274a(g, phi, psi):
-    a = And(phi, psi)
-    first = _t26_cexch(g, phi, a, (Neg(a),), phi,
-                       _n("and_e1", g + (phi, a), phi, _assume(g + (phi,), a)),
-                       _t26_explode_r(g + (phi,), a, (), phi),
-                       _n("paste", g + (a, phi), a,
-                          _n("and_e1", g + (a,), phi, _assume(g, a)),
-                          _assume(g, a)))
-    second = _n("paste", g + (Neg(a), phi, Neg(a)), phi,
-                _l273a(g, phi, psi), _assume(g + (Neg(a),), phi))
-    return _t26_lem(g, a, (phi, Neg(a)), phi, first, second)
+def _p281(g, phi, psi, delta, chi, d, side):
+    return _t26_cexch(g, (phi, psi)[side - 1], Neg(And(phi, psi)), delta, chi,
+                      _l274(g, phi, psi, side=side), d, _l273(g, phi, psi, side=side))
 
 
-@_cored
-def _l274b(g, phi, psi):
-    a = And(phi, psi)
-    first = _t26_cexch(g, psi, a, (Neg(a),), psi,
-                       _n("and_e2", g + (psi, a), psi, _assume(g + (psi,), a)),
-                       _t26_explode_r(g + (psi,), a, (), psi),
-                       _n("paste", g + (a, psi), a,
-                          _n("and_e2", g + (a,), psi, _assume(g, a)),
-                          _assume(g, a)))
-    second = _n("paste", g + (Neg(a), psi, Neg(a)), psi,
-                _l273b(g, phi, psi), _assume(g + (Neg(a),), psi))
-    return _t26_lem(g, a, (psi, Neg(a)), psi, first, second)
+def _p282(g, phi, psi, delta, chi, d, side):
+    return _t26_cexch(g, Neg(And(phi, psi)), (phi, psi)[side - 1], delta, chi,
+                      _l273(g, phi, psi, side=side), d, _l274(g, phi, psi, side=side))
 
 
-def _p281(g, phi, psi, delta, chi, d):
-    return _t26_cexch(g, phi, Neg(And(phi, psi)), delta, chi,
-                      _l274a(g, phi, psi), d, _l273a(g, phi, psi))
-
-
-def _p282(g, phi, psi, delta, chi, d):
-    return _t26_cexch(g, Neg(And(phi, psi)), phi, delta, chi,
-                      _l273a(g, phi, psi), d, _l274a(g, phi, psi))
-
-
-def _p283(g, phi, psi, delta, chi, d):
-    return _t26_cexch(g, psi, Neg(And(phi, psi)), delta, chi,
-                      _l274b(g, phi, psi), d, _l273b(g, phi, psi))
-
-
-def _p284(g, phi, psi, delta, chi, d):
-    return _t26_cexch(g, Neg(And(phi, psi)), psi, delta, chi,
-                      _l273b(g, phi, psi), d, _l274b(g, phi, psi))
-
-
-def _p291(g, phi, psi, d):
-    a = And(phi, psi)
-    return _reductio1(g, a, phi,
-                      _n("and_e1", g + (a,), phi, _assume(g, a)),
-                      _t26_cut(g, Neg(phi), (a,), Neg(phi), d, _l272a(g, phi, psi)))
+def _p291(g, phi, psi, d, side):
+    a, c = And(phi, psi), (phi, psi)[side - 1]
+    return _reductio1(g, a, c, _conjunct(g, a, side=side),
+                      _t26_cut(g, Neg(c), (a,), Neg(c), d, _l272(g, phi, psi, side=side)))
 
 
 def _p292(g, phi, psi, d):
-    return _p291(g, Neg(phi), psi, _dni(g, phi, d))
-
-
-def _p293(g, phi, psi, d):
-    a = And(phi, psi)
-    return _reductio1(g, a, psi,
-                      _n("and_e2", g + (a,), psi, _assume(g, a)),
-                      _t26_cut(g, Neg(psi), (a,), Neg(psi), d, _l272b(g, phi, psi)))
+    return _p291(g, Neg(phi), psi, _dni(g, phi, d), side=1)
 
 
 def _p294(g, phi, psi, d):
-    return _p293(g, phi, Neg(psi), _dni(g, psi, d))
+    return _p291(g, phi, Neg(psi), _dni(g, psi, d), side=2)
 
 
 def _t210_fwd(g, phi, psi, d):
@@ -403,19 +352,18 @@ def _t210_fwd(g, phi, psi, d):
                     _assume(g, phi),
                     _n("imp_e", g + (phi,), psi, d)))
     right = _p291(g + (Neg(phi),), phi, Neg(And(phi, psi)),
-                  _assume(g, Neg(phi)))
+                  _assume(g, Neg(phi)), side=1)
     return _n("lem", g, core, left, right)
 
 
 def _t210_bwd(g, phi, psi, d):
     nps = Neg(And(phi, psi))
     core = Neg(And(phi, nps))
+    inner = _p281(g + (phi,), phi, nps, (), core, _assume(g + (phi, nps), core), side=2)
     step1 = _t26_cut(g, core, (phi, nps), core, d,
-                     _p281(g, phi, nps, (nps,), core,
-                           _p283(g + (phi,), phi, nps, (), core,
-                                 _assume(g + (phi, nps), core))))
+                     _p281(g, phi, nps, (nps,), core, inner, side=1))
     andi = _n("and_i", g + (phi, nps), And(phi, nps),
-              _p282(g, phi, psi, (), phi, _assume(g + (nps,), phi)),
+              _p282(g, phi, psi, (), phi, _assume(g + (nps,), phi), side=1),
               _assume(g + (phi,), nps))
     red = _reductio2(g + (phi,), And(phi, psi), And(phi, nps), andi, step1)
     return _n("imp_i", g, Imp(phi, psi),
@@ -464,16 +412,9 @@ def _ax3(phi, psi):
               _n("imp_i", (phi,), Imp(psi, And(phi, psi)), andi))
 
 
-def _ax4(phi, psi):
+def _ax4(phi, psi, side):
     a = And(phi, psi)
-    return _n("imp_i", (), Imp(a, phi),
-              _n("and_e1", (a,), phi, _assume((), a)))
-
-
-def _ax5(phi, psi):
-    a = And(phi, psi)
-    return _n("imp_i", (), Imp(a, psi),
-              _n("and_e2", (a,), psi, _assume((), a)))
+    return _n("imp_i", (), Imp(a, (phi, psi)[side - 1]), _conjunct((), a, side=side))
 
 
 def _ax6(phi, psi):
@@ -492,9 +433,7 @@ def _ax7(phi):
 
 def _t38bot(g, phi, psi):
     x = And(phi, Neg(phi))
-    return _p22(g + (x,), phi, psi,
-                _n("and_e1", g + (x,), phi, _assume(g, x)),
-                _n("and_e2", g + (x,), Neg(phi), _assume(g, x)))
+    return _p22(g + (x,), phi, psi, _conjunct(g, x, side=1), _conjunct(g, x, side=2))
 
 
 def _t38om1(phi, psi, d):
@@ -546,18 +485,18 @@ def _l43(g, phi, psi, chi, d1, d2, d3):
 def _t44(g, phi, psi, d1, d2):
     nps = Neg(And(phi, psi))
     leaf = _t26_explode_r(g + (phi, nps), psi, (), Neg(phi))
+    back = _p282(g + (phi,), phi, psi, (Neg(psi),), Neg(phi), leaf, side=2)
     step1 = _l43(g + (nps,), phi, psi, phi,
                  _assume(g, nps),
                  _t26_explode_r(g + (nps,), phi, (), Neg(phi)),
                  _p281(g, phi, psi, (Neg(psi),), Neg(phi),
-                       _t26_cut(g + (phi,), psi, (nps, Neg(psi)), Neg(phi), d2,
-                                _p284(g + (phi,), phi, psi, (Neg(psi),), Neg(phi), leaf))))
+                       _t26_cut(g + (phi,), psi, (nps, Neg(psi)), Neg(phi), d2, back),
+                       side=1))
     x = Neg(And(Neg(phi), Neg(And(Neg(phi), psi))))
     a = And(phi, psi)
-    left = _p292(g + (a,), phi, Neg(And(Neg(phi), psi)),
-                 _n("and_e1", g + (a,), phi, _assume(g, a)))
+    left = _p292(g + (a,), phi, Neg(And(Neg(phi), psi)), _conjunct(g, a, side=1))
     gcut = _t26_cut(g, psi, (nps,), psi, d1,
-                    _p284(g, phi, psi, (), psi, _assume(g + (nps,), psi)))
+                    _p282(g, phi, psi, (), psi, _assume(g + (nps,), psi), side=2))
     right = _p294(g + (nps,), Neg(phi), And(Neg(phi), psi),
                   _n("and_i", g + (nps,), And(Neg(phi), psi), step1, gcut))
     lemn = _n("lem", g, x, left, right)
@@ -616,32 +555,28 @@ def _p47intro(g, phi, psi, d1, d2):
     return _n("and_i", g, Compat(phi, psi), left, right)
 
 
-def _p47exch1(g, phi, psi, delta, chi, d1, d2):
-    p1 = _n("imp_e", g + (phi, psi), phi,
-            _n("imp_e", g + (phi,), Imp(psi, phi),
-               _n("and_e1", g, Imp(phi, Imp(psi, phi)), d1)))
-    p3 = _n("imp_e", g + (psi, phi), psi,
-            _n("imp_e", g + (psi,), Imp(phi, psi),
-               _n("and_e2", g, Imp(psi, Imp(phi, psi)), d1)))
-    return _t26_cexch(g, phi, psi, delta, chi, p1, d2, p3)
+def _p47half(g, phi, psi, d, side):
+    """g, x, y |- x from ``d`` concluding phi >< psi, x its side-th argument."""
+    x, y = (phi, psi) if side == 1 else (psi, phi)
+    return _n("imp_e", g + (x, y), x,
+              _n("imp_e", g + (x,), Imp(y, x),
+                 _n(_AND_E[side], g, Imp(x, Imp(y, x)), d)))
 
 
-def _p47exch2(g, phi, psi, delta, chi, d1, d2):
-    p1 = _n("imp_e", g + (psi, phi), psi,
-            _n("imp_e", g + (psi,), Imp(phi, psi),
-               _n("and_e2", g, Imp(psi, Imp(phi, psi)), d1)))
-    p3 = _n("imp_e", g + (phi, psi), phi,
-            _n("imp_e", g + (phi,), Imp(psi, phi),
-               _n("and_e1", g, Imp(phi, Imp(psi, phi)), d1)))
-    return _t26_cexch(g, psi, phi, delta, chi, p1, d2, p3)
+def _p47exch(g, phi, psi, delta, chi, d1, d2, side):
+    """P4.7.exch1, or exch2 at side 2: the side-th argument of phi >< psi
+    leads in the premise d2, and the two swap places."""
+    x, y = (phi, psi) if side == 1 else (psi, phi)
+    return _t26_cexch(g, x, y, delta, chi, _p47half(g, phi, psi, d1, side=side),
+                      d2, _p47half(g, phi, psi, d1, side=3 - side))
 
 
 def _p481(g, phi, psi, d):
-    return _p47exch2(g, phi, psi, (), phi, d, _assume(g + (psi,), phi))
+    return _p47exch(g, phi, psi, (), phi, d, _assume(g + (psi,), phi), side=2)
 
 
 def _p482(g, phi, psi, d):
-    return _p47exch1(g, phi, psi, (), psi, d, _assume(g + (phi,), psi))
+    return _p47exch(g, phi, psi, (), psi, d, _assume(g + (phi,), psi), side=1)
 
 
 def _p483(g, phi, psi, d):
@@ -691,21 +626,10 @@ def _p488(g, phi, psi):
     return _p483(g, arrow, phi, _p485(g, arrow, phi, intro))
 
 
-def _p489(g, phi, psi):
-    a = And(phi, psi)
-    return _p47intro(g, phi, a,
-                     _n("and_e1", g + (phi, a), phi, _assume(g + (phi,), a)),
-                     _n("paste", g + (a, phi), a,
-                        _n("and_e1", g + (a,), phi, _assume(g, a)),
-                        _assume(g, a)))
-
-
-def _p4810(g, phi, psi):
-    a = And(phi, psi)
-    return _p47intro(g, psi, a,
-                     _n("and_e2", g + (psi, a), psi, _assume(g + (psi,), a)),
-                     _n("paste", g + (a, psi), a,
-                        _n("and_e2", g + (a,), psi, _assume(g, a)),
+def _p489(g, phi, psi, side):
+    a, c = And(phi, psi), (phi, psi)[side - 1]
+    return _p47intro(g, c, a, _conjunct(g + (c,), a, side=side),
+                     _n("paste", g + (a, c), a, _conjunct(g, a, side=side),
                         _assume(g, a)))
 
 
@@ -761,8 +685,8 @@ def _p411full(g, phi, psi, d):
 
 def _l412and(g, phi, psi, d):
     a = And(phi, psi)
-    e1 = _n("and_e1", g + (a,), phi, _assume(g, a))
-    e2 = _n("and_e2", g + (a,), psi, _assume(g, a))
+    e1 = _conjunct(g, a, side=1)
+    e2 = _conjunct(g, a, side=2)
     r1 = _n("paste", g + (phi, psi), phi,
             _t26_cut(g, a, (phi,), psi, d,
                      _n("paste", g + (a, phi), psi, e1, e2)),
@@ -1119,37 +1043,37 @@ _reg("T2.6.lem", [_sh("G", _PHI, "D", _PSI), _sh("G", Neg(_PHI), "D", _PSI)],
      _sh("G", "D", _PSI), _t26_lem, "generalized excluded middle")
 
 _reg("L2.7.1a", [], _sh("G", And(_PHI, _PSI), Neg(_PHI), And(_PHI, _PSI)),
-     _l271a, "a conjunction survives the negated first conjunct")
+     partial(_l271, side=1), "a conjunction survives the negated first conjunct")
 _reg("L2.7.1b", [], _sh("G", And(_PHI, _PSI), Neg(_PSI), And(_PHI, _PSI)),
-     _l271b, "a conjunction survives the negated second conjunct")
+     partial(_l271, side=2), "a conjunction survives the negated second conjunct")
 _reg("L2.7.2a", [], _sh("G", Neg(_PHI), And(_PHI, _PSI), Neg(_PHI)),
-     _l272a, "a negated conjunct survives the conjunction")
+     partial(_l272, side=1), "a negated conjunct survives the conjunction")
 _reg("L2.7.2b", [], _sh("G", Neg(_PSI), And(_PHI, _PSI), Neg(_PSI)),
-     _l272b, "a negated conjunct survives the conjunction, second form")
+     partial(_l272, side=2), "a negated conjunct survives the conjunction, second form")
 _reg("L2.7.3a", [], _sh("G", _NPS, _PHI, _NPS),
-     _l273a, "a negated conjunction survives the first conjunct")
+     partial(_l273, side=1), "a negated conjunction survives the first conjunct")
 _reg("L2.7.3b", [], _sh("G", _NPS, _PSI, _NPS),
-     _l273b, "a negated conjunction survives the second conjunct")
+     partial(_l273, side=2), "a negated conjunction survives the second conjunct")
 _reg("L2.7.4a", [], _sh("G", _PHI, _NPS, _PHI),
-     _l274a, "a conjunct survives the negated conjunction")
+     partial(_l274, side=1), "a conjunct survives the negated conjunction")
 _reg("L2.7.4b", [], _sh("G", _PSI, _NPS, _PSI),
-     _l274b, "a conjunct survives the negated conjunction, second form")
+     partial(_l274, side=2), "a conjunct survives the negated conjunction, second form")
 
 _reg("P2.8.1", [_sh("G", _PHI, _NPS, "D", _CHI)], _sh("G", _NPS, _PHI, "D", _CHI),
-     _p281, "exchange with a negated conjunction")
+     partial(_p281, side=1), "exchange with a negated conjunction")
 _reg("P2.8.2", [_sh("G", _NPS, _PHI, "D", _CHI)], _sh("G", _PHI, _NPS, "D", _CHI),
-     _p282, "exchange with a negated conjunction, reversed")
+     partial(_p282, side=1), "exchange with a negated conjunction, reversed")
 _reg("P2.8.3", [_sh("G", _PSI, _NPS, "D", _CHI)], _sh("G", _NPS, _PSI, "D", _CHI),
-     _p283, "exchange with a negated conjunction, second conjunct")
+     partial(_p281, side=2), "exchange with a negated conjunction, second conjunct")
 _reg("P2.8.4", [_sh("G", _NPS, _PSI, "D", _CHI)], _sh("G", _PSI, _NPS, "D", _CHI),
-     _p284, "exchange with a negated conjunction, second conjunct reversed")
+     partial(_p282, side=2), "exchange with a negated conjunction, second conjunct reversed")
 
 _reg("P2.9.1", [_sh("G", Neg(_PHI))], _sh("G", _NPS),
-     _p291, "negation is antitone in the first conjunct")
+     partial(_p291, side=1), "negation is antitone in the first conjunct")
 _reg("P2.9.2", [_sh("G", _PHI)], _sh("G", Neg(And(Neg(_PHI), _PSI))),
      _p292, "a formula refutes conjunctions with its negation")
 _reg("P2.9.3", [_sh("G", Neg(_PSI))], _sh("G", _NPS),
-     _p293, "negation is antitone in the second conjunct")
+     partial(_p291, side=2), "negation is antitone in the second conjunct")
 _reg("P2.9.4", [_sh("G", _PSI)], _sh("G", Neg(And(_PHI, Neg(_PSI)))),
      _p294, "a formula refutes conjunctions with its negation, second form")
 
@@ -1173,9 +1097,9 @@ _reg("T3.2.AX2", [],
 _reg("T3.2.AX3", [], _sh(Imp(_PHI, Imp(_PSI, And(_PHI, _PSI)))),
      _ax3, "conjunction introduction axiom", modes=_E)
 _reg("T3.2.AX4", [], _sh(Imp(And(_PHI, _PSI), _PHI)),
-     _ax4, "first projection axiom")
+     partial(_ax4, side=1), "first projection axiom")
 _reg("T3.2.AX5", [], _sh(Imp(And(_PHI, _PSI), _PSI)),
-     _ax5, "second projection axiom")
+     partial(_ax4, side=2), "second projection axiom")
 _reg("T3.2.AX6", [],
      _sh(Imp(Imp(_PHI, _PSI), Imp(Imp(_PHI, Neg(_PSI)), Neg(_PHI)))),
      _ax6, "negation introduction axiom", modes=_E)
@@ -1218,9 +1142,10 @@ _CPT = Compat(_PHI, _PSI)
 _reg("P4.7.intro", [_sh("G", _PHI, _PSI, _PHI), _sh("G", _PSI, _PHI, _PSI)],
      _sh("G", _CPT), _p47intro, "compatibility introduction")
 _reg("P4.7.exch1", [_sh("G", _CPT), _sh("G", _PHI, _PSI, "D", _CHI)],
-     _sh("G", _PSI, _PHI, "D", _CHI), _p47exch1, "exchange of compatible assumptions")
+     _sh("G", _PSI, _PHI, "D", _CHI), partial(_p47exch, side=1),
+     "exchange of compatible assumptions")
 _reg("P4.7.exch2", [_sh("G", _CPT), _sh("G", _PSI, _PHI, "D", _CHI)],
-     _sh("G", _PHI, _PSI, "D", _CHI), _p47exch2,
+     _sh("G", _PHI, _PSI, "D", _CHI), partial(_p47exch, side=2),
      "exchange of compatible assumptions, reversed")
 
 _reg("P4.8.1", [_sh("G", _CPT)], _sh("G", _PHI, _PSI, _PHI),
@@ -1240,9 +1165,10 @@ _reg("P4.8.7", [_sh("G", Compat(Neg(_PHI), _PSI))], _sh("G", _CPT),
 _reg("P4.8.8", [], _sh("G", Compat(_PHI, Imp(_PHI, _PSI))),
      _p488, "a formula is compatible with arrows out of it")
 _reg("P4.8.9", [], _sh("G", Compat(_PHI, And(_PHI, _PSI))),
-     _p489, "a formula is compatible with conjunctions containing it")
+     partial(_p489, side=1), "a formula is compatible with conjunctions containing it")
 _reg("P4.8.10", [], _sh("G", Compat(_PSI, And(_PHI, _PSI))),
-     _p4810, "a formula is compatible with conjunctions containing it, second form")
+     partial(_p489, side=2),
+     "a formula is compatible with conjunctions containing it, second form")
 
 _reg("P4.9", [_sh("G", _CPT), _sh("G", _PHI, _PSI)],
      _sh("G", Neg(_PSI), Neg(_PHI)), _p49, "contraposition under compatibility")

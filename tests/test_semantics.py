@@ -229,6 +229,14 @@ class TestProductShortcut:
         assert validate_sequent(parse_sequent("p, q |- q"), boolean(3)) == Valid()
         assert grids == ["2", "2", "2"]     # p, q and the succedent q, on one sweep of 2
 
+    def test_a_valid_search_sweeps_two_and_mo2_once(self, monkeypatch):
+        grids = []
+        walk = semantics._ev_grid
+        monkeypatch.setattr(semantics, "_ev_grid",
+                            lambda f, L, *rest: grids.append(L.name) or walk(f, L, *rest))
+        assert countermodel_search(parse_sequent("p, q, r |- r")) == Valid()
+        assert grids == ["2"] * 4 + ["MO2"] * 4     # p, q, r and the succedent r, per sweep
+
 
 class TestSweepBudget:
     def test_four_letters_on_f2_valid_through_the_factors(self):
