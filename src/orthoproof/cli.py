@@ -64,6 +64,16 @@ def _evaluate(fn, *args):
         _input_error(err)
 
 
+def _verdict(v, fmt, valid_tsv, valid_plain):
+    """Print a semantics verdict and exit: 0 when valid, 1 with the countermodel."""
+    from .semantics import Valid
+    if isinstance(v, Valid):
+        click.echo(valid_tsv if fmt == "tsv" else valid_plain)
+        sys.exit(0)
+    click.echo(f"countermodel\t{v}" if fmt == "tsv" else str(v))
+    sys.exit(1)
+
+
 @click.group()
 def main():
     """Sequent proof checking and finite-model validation tools.
@@ -108,7 +118,7 @@ def check(paths, fmt):
 def validate(sequent, name, lattice_file, fmt):
     """Check one sequent against one finite lattice, all assignments."""
     from .lattice import LatticeFileError, by_name, parse_lattice
-    from .semantics import Valid, validate_sequent
+    from .semantics import validate_sequent
     s = _parse_cli_sequent(sequent)
     try:
         if lattice_file:
@@ -118,12 +128,7 @@ def validate(sequent, name, lattice_file, fmt):
             L = by_name(name)
     except (LatticeFileError, KeyError) as err:
         _input_error(err.args[0])
-    v = _evaluate(validate_sequent, s, L)
-    if isinstance(v, Valid):
-        click.echo(f"valid\t{L.name}" if fmt == "tsv" else f"VALID on {L.name}")
-        sys.exit(0)
-    click.echo(f"countermodel\t{v}" if fmt == "tsv" else str(v))
-    sys.exit(1)
+    _verdict(_evaluate(validate_sequent, s, L), fmt, f"valid\t{L.name}", f"VALID on {L.name}")
 
 
 @main.command()
@@ -131,14 +136,9 @@ def validate(sequent, name, lattice_file, fmt):
 @_FORMAT
 def decide2(sequent, fmt):
     """Decide a two-letter sequent (complete for two letters)."""
-    from .semantics import Valid, decide_two_var
-    s = _parse_cli_sequent(sequent)
-    v = _evaluate(decide_two_var, s)
-    if isinstance(v, Valid):
-        click.echo("valid" if fmt == "tsv" else "VALID (complete for 2 letters)")
-        sys.exit(0)
-    click.echo(f"countermodel\t{v}" if fmt == "tsv" else str(v))
-    sys.exit(1)
+    from .semantics import decide_two_var
+    v = _evaluate(decide_two_var, _parse_cli_sequent(sequent))
+    _verdict(v, fmt, "valid", "VALID (complete for 2 letters)")
 
 
 @main.command()
@@ -146,14 +146,9 @@ def decide2(sequent, fmt):
 @_FORMAT
 def countermodel(sequent, fmt):
     """Search the lattice battery for a falsifying assignment."""
-    from .semantics import Valid, countermodel_search
-    s = _parse_cli_sequent(sequent)
-    v = _evaluate(countermodel_search, s)
-    if isinstance(v, Valid):
-        click.echo("none" if fmt == "tsv" else "no countermodel found in battery")
-        sys.exit(0)
-    click.echo(f"countermodel\t{v}" if fmt == "tsv" else str(v))
-    sys.exit(1)
+    from .semantics import countermodel_search
+    v = _evaluate(countermodel_search, _parse_cli_sequent(sequent))
+    _verdict(v, fmt, "none", "no countermodel found in battery")
 
 
 @main.command()
@@ -162,14 +157,11 @@ def countermodel(sequent, fmt):
 def classical(sequent, fmt):
     """Check two-valued validity of a sequent."""
     from .lattice import by_name
-    from .semantics import classical_valid, validate_sequent
+    from .semantics import Valid, classical_valid, validate_sequent
     s = _parse_cli_sequent(sequent)
-    if _evaluate(classical_valid, s):
-        click.echo("valid" if fmt == "tsv" else "VALID (two-valued)")
-        sys.exit(0)
-    v = validate_sequent(s, by_name("2"))
-    click.echo(f"countermodel\t{v}" if fmt == "tsv" else str(v))
-    sys.exit(1)
+    # the truth table decides; 2 is swept only to report a countermodel
+    v = Valid() if _evaluate(classical_valid, s) else validate_sequent(s, by_name("2"))
+    _verdict(v, fmt, "valid", "VALID (two-valued)")
 
 
 @main.command("hilbert-verify")

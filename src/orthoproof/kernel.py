@@ -119,8 +119,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         for s in (*premises, conclusion):
             for f in (*s.antecedent, s.succedent):
                 if not is_nonduplicating(f):
-                    return bad("formula duplicates a variable inside an atom "
-                               f"(NOM_q): {f!r}")
+                    return bad(f"formula duplicates a variable inside an atom (NOM_q): {f!r}")
 
     ante, succ = conclusion.antecedent, conclusion.succedent
 
@@ -285,17 +284,16 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
 
     if rule == "all_e":
         (p1,) = premises
-        source = expand(p1.succedent)
+        source = p1.succedent  # a Forall iff its expansion is; substituted as written
         if not isinstance(source, Forall):
             return bad("premise succedent must be universally quantified")
         if instantiation is None:
             return bad("needs the substituted term recorded (t=...)")
-        t = instantiation
         if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
-        if mode == "NOM_q" and term_free_vars(t) & source.body.free:
+        if mode == "NOM_q" and term_free_vars(instantiation) & source.body.free:
             return bad("substituted term shares a free variable with the matrix (NOM_q)")
-        if not formula_eq(succ, substitute(source.body, source.var, t)):
+        if not formula_eq(succ, substitute(source.body, source.var, instantiation)):
             return bad("succedent must be the matrix with the term substituted")
         return None
 
@@ -326,7 +324,9 @@ def check_derivation(d: Derivation, mode, hypotheses=()):
     immutable; outside NOM_q a universal rule's check never reads the
     mode; and acceptance in NOM_q implies acceptance in the other modes.
     """
-    skip = _UNIVERSAL if d._accepted and mode in MODES and mode != "NOM_q" else ()
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    skip = _UNIVERSAL if d._accepted and mode != "NOM_q" else ()
     for n in (n for n in _preorder(d) if n.rule not in skip):
         if n.rule != "hyp":
             v = check_inference(n.rule, [p.conclusion for p in n.premises],

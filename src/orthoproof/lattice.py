@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "FiniteOML", "OMLElement", "OMLFailure",
+    "FiniteOML", "OMLFailure",
     "verify_oml", "sasaki_and", "sasaki_arrow",
     "boolean", "mo", "product", "free_oml2", "o6",
     "generated_subalgebra", "parse_lattice", "battery", "by_name",
@@ -52,15 +52,17 @@ class FiniteOML:
     All factory functions in this module verify what they build, except
     ``o6`` which exists to be rejected.  ``factors`` names the lattices
     whose product this one is (set by ``product``); an inequality holds
-    here iff it holds in each of them.
+    here iff it holds in each of them.  ``generators`` is a generating
+    pair where one is known (set by ``free_oml2``).
     """
 
-    def __init__(self, leq, neg, name="", generators=None, tables=None, factors=()):
+    generators = None
+
+    def __init__(self, leq, neg, name="", tables=None, factors=()):
         self.leq = np.array(leq, dtype=bool)
         self.neg = np.array(neg, dtype=int)
         self.n = self.leq.shape[0]
         self.name = name
-        self.generators = tuple(generators) if generators is not None else None
         self.factors = tuple(factors)
         bots = np.where(self.leq.all(axis=1))[0]
         tops = np.where(self.leq.all(axis=0))[0]
@@ -77,31 +79,8 @@ class FiniteOML:
     def le(self, a, b) -> bool:
         return bool(self.leq[a, b])
 
-    def element(self, i) -> "OMLElement":
-        return OMLElement(self, int(i))
-
     def __repr__(self):
         return f"FiniteOML({self.name or 'unnamed'}, n={self.n})"
-
-
-@dataclass(frozen=True)
-class OMLElement:
-    """An element tied to its lattice, with operator sugar for tests/REPL."""
-
-    lattice: FiniteOML
-    index: int
-
-    def __and__(self, other):
-        return OMLElement(self.lattice, int(self.lattice.meet[self.index, other.index]))
-
-    def __or__(self, other):
-        return OMLElement(self.lattice, int(self.lattice.join[self.index, other.index]))
-
-    def __invert__(self):
-        return OMLElement(self.lattice, int(self.lattice.neg[self.index]))
-
-    def __le__(self, other):
-        return self.lattice.le(self.index, other.index)
 
 
 def _bound_table(below):
@@ -185,14 +164,15 @@ def _checked(L: FiniteOML) -> FiniteOML:
     return L
 
 
-def sasaki_and(L: FiniteOML, a: int, b: int) -> int:
-    """a & b = (a | ~b) & b, the Sasaki projection of a onto b."""
-    return int(L.meet[L.join[a, L.neg[b]], b])
+def sasaki_and(L: FiniteOML, a, b):
+    """a & b = (a | ~b) & b, the Sasaki projection of a onto b; like
+    ``sasaki_arrow``, elementwise over elements or arrays of elements."""
+    return L.meet[L.join[a, L.neg[b]], b]
 
 
-def sasaki_arrow(L: FiniteOML, a: int, b: int) -> int:
+def sasaki_arrow(L: FiniteOML, a, b):
     """a -> b = ~a | (a & b), the Sasaki arrow (adjoint to the projection)."""
-    return int(L.join[L.neg[a], L.meet[a, b]])
+    return L.join[L.neg[a], L.meet[a, b]]
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +273,8 @@ def free_oml2():
     holds here.  The pair is also attached as ``lattice.generators``.
     """
     L = product(boolean(4), mo(2), name="F2")
-    L2 = FiniteOML(L.leq, L.neg, "F2", generators=_F2_GENERATORS,
-                   tables=(L.meet, L.join), factors=L.factors)
-    return L2, _F2_GENERATORS
+    L.generators = _F2_GENERATORS
+    return L, _F2_GENERATORS
 
 
 # ---------------------------------------------------------------------------

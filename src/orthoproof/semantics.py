@@ -11,8 +11,8 @@ semantics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -87,23 +87,13 @@ def sequent_letters(s: Sequent) -> list:
 
 def eval_formula(f, I: Interpretation) -> int:
     """Value of a propositional formula; -> is the Sasaki arrow and the
-    derived connectives go through their expansions."""
-    return _ev(expand(f), I.lattice, I.letters)
-
-
-def _ev(f, L, env):
-    if isinstance(f, Letter):
-        try:
-            return env[f.name]
-        except KeyError:
-            raise KeyError(f"letter {f.name} has no value in this interpretation") from None
-    if isinstance(f, Neg):
-        return int(L.neg[_ev(f.sub, L, env)])
-    if isinstance(f, And):
-        return int(L.meet[_ev(f.left, L, env), _ev(f.right, L, env)])
-    if isinstance(f, Imp):
-        return sasaki_arrow(L, _ev(f.left, L, env), _ev(f.right, L, env))
-    raise ValueError(f"{type(f).__name__} is not propositional; use eval_predicate")
+    derived connectives go through their expansions.  One assignment is
+    evaluated as a sweep is, with the letter values as the columns."""
+    e = expand(f)
+    try:
+        return int(_ev_grid(e, I.lattice, I.letters, dict.fromkeys(_shared([e]))))
+    except KeyError as err:
+        raise KeyError(f"letter {err.args[0]} has no value in this interpretation") from None
 
 
 def sequent_true(s: Sequent, I: Interpretation) -> bool:
@@ -143,8 +133,7 @@ def _ev_grid(f, L, cols, memo):
     elif isinstance(f, And):
         v = L.meet[_ev_grid(f.left, L, cols, memo), _ev_grid(f.right, L, cols, memo)]
     elif isinstance(f, Imp):
-        a = _ev_grid(f.left, L, cols, memo)
-        v = L.join[L.neg[a], L.meet[a, _ev_grid(f.right, L, cols, memo)]]
+        v = sasaki_arrow(L, _ev_grid(f.left, L, cols, memo), _ev_grid(f.right, L, cols, memo))
     else:
         raise ValueError(f"{type(f).__name__} is not propositional")
     if id(f) in memo:
@@ -180,8 +169,7 @@ def validate_sequent(s: Sequent, L: FiniteOML) -> Verdict:
         memo = dict.fromkeys(shared)
         fold = np.full(len(here), L.top, dtype=int)
         for f in exprs[:-1]:
-            v = _ev_grid(f, L, cols, memo)
-            fold = L.meet[L.join[fold, L.neg[v]], v]
+            fold = sasaki_and(L, fold, _ev_grid(f, L, cols, memo))
         succ = _ev_grid(exprs[-1], L, cols, memo)
         bad = ~L.leq[fold, succ]
         if bad.any():
@@ -227,32 +215,32 @@ def countermodel_search(s: Sequent, lattices=None) -> Verdict:
 # classical oracle (independent of the lattice machinery on purpose)
 
 
-def _bool_ev(f, env):
-    if isinstance(f, Letter):
-        return env[f.name]
-    if isinstance(f, Neg):
-        return not _bool_ev(f.sub, env)
-    if isinstance(f, And):
-        return _bool_ev(f.left, env) and _bool_ev(f.right, env)
-    if isinstance(f, Imp):
-        return (not _bool_ev(f.left, env)) or _bool_ev(f.right, env)
-    raise ValueError(f"{type(f).__name__} is not propositional")
-
-
 def classical_valid(s: Sequent) -> bool:
     """Truth-table validity of (phi1 /\\ ... /\\ phin) -> psi (psi when n=0)."""
-    f = s.succedent
-    if s.antecedent:
-        conj = s.antecedent[0]
-        for g in s.antecedent[1:]:
-            conj = And(conj, g)
-        f = Imp(conj, f)
-    f = expand(f)
     names = sequent_letters(s)
-    return all(
-        _bool_ev(f, dict(zip(names, bits)))
-        for bits in itertools.product((False, True), repeat=len(names))
-    )
+    rows = 1 << len(names)
+    # every row at once: bit r of a value is its truth in row r, so letter j
+    # is true in the rows with bit j set, and each distinct node is met once
+    full, memo = (1 << rows) - 1, {}
+    cols = {name: int(("1" * (1 << j) + "0" * (1 << j)) * (rows >> (j + 1)), 2)
+            for j, name in enumerate(names)}
+
+    def value(f):
+        if id(f) not in memo:
+            if isinstance(f, Letter):
+                memo[id(f)] = cols[f.name]
+            elif isinstance(f, Neg):
+                memo[id(f)] = full ^ value(f.sub)
+            elif isinstance(f, And):
+                memo[id(f)] = value(f.left) & value(f.right)
+            elif isinstance(f, Imp):
+                memo[id(f)] = (full ^ value(f.left)) | value(f.right)
+            else:
+                raise ValueError(f"{type(f).__name__} is not propositional")
+        return memo[id(f)]
+
+    return value(expand(Imp(reduce(And, s.antecedent), s.succedent) if s.antecedent
+                        else s.succedent)) == full
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +301,7 @@ def _evq(f, M, env):
     if isinstance(f, And):
         return int(L.meet[_evq(f.left, M, env), _evq(f.right, M, env)])
     if isinstance(f, Imp):
-        return sasaki_arrow(L, _evq(f.left, M, env), _evq(f.right, M, env))
+        return int(sasaki_arrow(L, _evq(f.left, M, env), _evq(f.right, M, env)))
     # Forall: finite meet over the domain of the bound variable's sort
     try:
         dom = M.domains[f.var.sort]
@@ -356,7 +344,7 @@ def perturbed_arrow_witness(L: FiniteOML, a0: int, b0: int, wrong: int):
     not) or some c <= w has c ≰ t (breaking arrow elimination).  Returns
     (rule_name, {"r": c, "p": a0, "q": b0}) or None when wrong == t.
     """
-    t = sasaki_arrow(L, a0, b0)
+    t = int(sasaki_arrow(L, a0, b0))
     if wrong == t:
         return None
     for c in range(L.n):

@@ -137,7 +137,7 @@ class Formula(metaclass=_Interned):
 
     def __eq__(self, other):
         return self is other or (
-            isinstance(other, Formula) and alpha_key(self) == alpha_key(other))
+            isinstance(other, Formula) and _key_eq(alpha_key(self), alpha_key(other), set()))
 
     def __hash__(self):
         return hash(alpha_key(self))
@@ -234,13 +234,13 @@ def alpha_key(f: Formula):
 def _fkey(f, env, depth):
     if env and not (f.free & env.keys()):
         env = None
-    if env is None:
-        # no captured references: the key is position-independent and cached on
-        # the node, so a shared sub-formula (expand reuses the operands of ><)
-        # is keyed once
-        k = getattr(f, "_akey", None)
-        if k is not None:
-            return k
+    # expand reuses the operands of ><, so a sub-formula is keyed once: with no
+    # captured references its key is position-independent and cached on the
+    # node, else memoised in the binder environment (env[None]), whose depth
+    # is fixed
+    k = getattr(f, "_akey", None) if env is None else env[None].get(id(f))
+    if k is not None:
+        return k
     if isinstance(f, Letter):
         k = ("L", f.name)
     elif isinstance(f, Atom):
@@ -251,11 +251,28 @@ def _fkey(f, env, depth):
         k = (_BTAG[type(f)], _fkey(f.left, env, depth), _fkey(f.right, env, depth))
     else:
         inner = dict(env) if env else {}
-        inner[f.var.name] = depth
+        inner[f.var.name], inner[None] = depth, {}
         k = (_QTAG[type(f)], f.var.sort, _fkey(f.body, inner, depth + 1))
     if env is None:
         object.__setattr__(f, "_akey", k)
+    else:
+        env[None][id(f)] = k
     return k
+
+
+def _key_eq(a, b, met):
+    # key equality meeting each pair of sub-keys once: an expanded formula's key
+    # shares its sub-keys as the formula shares its nodes, and two alpha-variants
+    # share none, so tuple == would compare them as trees
+    if a is b or (id(a), id(b)) in met:
+        return True
+    if type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
+        return a == b
+    met.add((id(a), id(b)))
+    for x, y in zip(a, b):
+        if not _key_eq(x, y, met):
+            return False
+    return True
 
 
 def free_variables(f: Formula) -> frozenset:

@@ -184,6 +184,31 @@ def test_classical_validity(runner):
     assert res.output.startswith("2:")
 
 
+
+_CM = "MO2: p=1 q=3 fold=1 succ=3"
+
+
+@pytest.mark.parametrize("command, sequent, fmt, code, out", [
+    ("validate", "q, p |- q", "plain", 1, _CM),
+    ("validate", "q, p |- q", "tsv", 1, f"countermodel\t{_CM}"),
+    ("validate", "p |- p", "plain", 0, "VALID on MO2"),
+    ("validate", "p |- p", "tsv", 0, "valid\tMO2"),
+    ("decide2", "q, p |- q", "tsv", 1, f"countermodel\t{_CM}"),
+    ("decide2", "p |- p", "plain", 0, "VALID (complete for 2 letters)"),
+    ("decide2", "p |- p", "tsv", 0, "valid"),
+    ("countermodel", "q, p |- q", "tsv", 1, f"countermodel\t{_CM}"),
+    ("countermodel", "p |- p", "tsv", 0, "none"),
+    ("classical", "p |- q", "plain", 1, "2: p=1 q=0 fold=1 succ=0"),
+    ("classical", "p |- q", "tsv", 1, "countermodel\t2: p=1 q=0 fold=1 succ=0"),
+    ("classical", "q, p |- q", "plain", 0, "VALID (two-valued)"),
+    ("classical", "q, p |- q", "tsv", 0, "valid"),
+])
+def test_verdict_commands_print_one_line_and_exit_by_the_verdict(runner, command, sequent,
+                                                                  fmt, code, out):
+    res = invoke(runner, [command, sequent, "--format", fmt])
+    assert (res.exit_code, res.output) == (code, out + "\n")
+
+
 # --- hilbert-verify -----------------------------------------------------------
 
 def test_hilbert_verify_passes(runner):

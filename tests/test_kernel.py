@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -226,6 +227,25 @@ class TestQuantifierRules:
                             S("p |- R(f(c))", sg), "NOM_Q",
                             App("f", (Const("c"),)))
         assert v is None
+
+    def test_all_e_on_a_deep_compat_chain(self):
+        # >< nested 14 deep: the matrix is substituted as written, so neither the
+        # instance nor a near-miss (one occurrence left unsubstituted) walks the
+        # expansion, which uses each operand of >< twice, as a tree
+        def chain(t, last):
+            text = last
+            for _ in range(14):
+                text = f"R({t}) >< ({text})"
+            return text
+
+        sg = sig()
+        premise = S(f"|- forall x. ({chain('x', 'R(x)')})", sg)
+        for last, accepted in (("R(c)", True), ("R(x)", False)):
+            start = time.perf_counter()
+            v = check_inference("all_e", [premise], S(f"|- {chain('c', last)}", sg),
+                                "NOM_Q", Const("c"))
+            assert (v is None) == accepted
+            assert time.perf_counter() - start < 1
 
     def test_all_e_records_term(self):
         bad("all_e", ["p |- forall x. R(x)"], "p |- R(y)", mode="NOM_Q")
@@ -517,6 +537,15 @@ class TestAcceptanceRecord:
         for root in (d, replace(d)):
             with pytest.raises(ValueError, match="unknown mode"):
                 check_derivation(root, "BOGUS")
+
+    def test_unknown_mode_raises_before_the_walk(self):
+        # a lone hyp leaf calls no check_inference, so the mode is checked first
+        leaf, h = hyp(S("p |- p")), (S("p |- p"),)
+        with pytest.raises(ValueError, match="unknown mode"):
+            check_derivation(leaf, "BOGUS", h)
+        assert check_derivation(leaf, "NOM", h) is None and leaf._accepted
+        with pytest.raises(ValueError, match="unknown mode"):
+            check_derivation(leaf, "BOGUS", h)
 
     def test_a_failed_check_leaves_no_record(self):
         d = self.exch_tree()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orthoproof.lattice import (
-    MAX_ELEMENTS, FiniteOML, LatticeFileError, OMLElement, OMLFailure, battery, boolean,
+    MAX_ELEMENTS, FiniteOML, LatticeFileError, OMLFailure, battery, boolean,
     by_name, free_oml2, generated_subalgebra, mo, o6, parse_lattice, product,
     sasaki_and, sasaki_arrow, verify_oml,
 )
@@ -106,6 +106,19 @@ def test_sasaki_examples():
         assert sasaki_and(M, a, M.top) == a
 
 
+@pytest.mark.parametrize("name", ["2", "MO2", "2xMO2", "F2"])
+def test_sasaki_operations_are_elementwise(name):
+    # one call over arrays of elements gives what one call per pair gives
+    L = by_name(name)
+    a, b = np.divmod(np.arange(L.n * L.n), L.n)
+    for op in (sasaki_and, sasaki_arrow):
+        each = [op(L, int(i), int(j)) for i, j in zip(a, b)]
+        assert (op(L, a, b) == each).all()
+    assert all(sasaki_and(L, int(i), int(j)) == L.meet[L.join[i, L.neg[j]], j]
+               and sasaki_arrow(L, int(i), int(j)) == L.join[L.neg[i], L.meet[i, j]]
+               for i, j in zip(a, b))
+
+
 def _arrow_column(L, b):
     # sasaki_arrow(a, b) for every a at once
     return L.join[L.neg, L.meet[:, b]]
@@ -160,16 +173,6 @@ class TestGeneratedSubalgebra:
             for g2 in range(F2.n if g1 < pair[0] else pair[1] + 1):
                 full = len(generated_subalgebra(F2, (g1, g2))) == 96
                 assert full == ((g1, g2) == pair), (g1, g2)
-
-
-def test_element_sugar():
-    M = mo(2)
-    a, b = M.element(1), M.element(3)
-    assert (a & b).index == 0
-    assert (a | b).index == 5
-    assert (~a).index == 2
-    assert a <= M.element(5)
-    assert not (a <= b)
 
 
 class TestLatticeFile:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,30 @@ class TestEvalFormula:
     def test_rejects_quantifier(self):
         with pytest.raises(ValueError):
             eval_formula(parse_formula("forall x. R(x)"), Interpretation(TWO, {}))
+
+
+def _chain_text(depth, first, rest):
+    # first >< (rest >< (first >< ... )), nested depth deep; expansion uses each
+    # operand of >< twice, so a walk of it as a tree grows about 3x a level
+    text = rest
+    for i in range(depth):
+        text = f"{first if i % 2 else rest} >< ({text})"
+    return text
+
+
+class TestEvalFormulaOnSharedNodes:
+    def test_deep_compat_chain_is_evaluated_once_per_node(self):
+        compat = lambda a, b: int(M2.meet[sasaki_arrow(M2, a, sasaki_arrow(M2, b, a)),
+                                         sasaki_arrow(M2, b, sasaki_arrow(M2, a, b))])
+        f = parse_formula(_chain_text(16, "p", "q"))
+        start = time.perf_counter()
+        for p in range(M2.n):
+            for q in range(M2.n):
+                want = q
+                for i in range(16):
+                    want = compat(p if i % 2 else q, want)
+                assert eval_formula(f, Interpretation(M2, {"p": p, "q": q})) == want
+        assert time.perf_counter() - start < 1
 
 
 class TestSequentTrue:
@@ -281,6 +306,15 @@ class TestClassical:
     def test_empty_antecedent(self):
         assert classical_valid(parse_sequent("|- p \\/ ~p"))
         assert not classical_valid(parse_sequent("|- p"))
+
+    def test_deep_compat_chain_is_linear(self):
+        # >< nested 16 deep; each distinct node is evaluated once for all rows
+        for text in (f"|- {_chain_text(16, 'p', 'q')}", f"|- r /\\ ({_chain_text(16, 'p', 'q')})"):
+            s = parse_sequent(text)
+            start = time.perf_counter()
+            valid = classical_valid(s)
+            assert time.perf_counter() - start < 1
+            assert valid == (validate_sequent(s, TWO) == Valid()) == ("r" not in text)
 
     @given(st.lists(propositional_strategy, min_size=1, max_size=3))
     @settings(max_examples=150)

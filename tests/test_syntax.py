@@ -2,6 +2,7 @@ import copy
 import gc
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -214,8 +215,7 @@ class TestAlphaEquality:
         assert s1 == s2
 
 
-def _compat_chain(depth):
-    f = p
+def _compat_chain(depth, f=p):
     for i in range(depth):
         f = Compat(f, q if i % 2 else r)
     return f
@@ -246,6 +246,42 @@ class TestAlphaKeyOnSharedNodes:
         alpha_key(e)
         assert set(calls) == nodes
         assert len(calls) <= 2 * len(nodes) + 1
+
+    def test_below_a_binder_each_distinct_node_is_keyed_once(self, monkeypatch):
+        # the same count as above, for an open chain under a binder: its nodes
+        # carry no cached key, so the walk's own memo must meet each one once
+        e = expand(Forall(x, _compat_chain(12, Atom("R", (x,)))))
+        nodes, stack = set(), [e]
+        while stack:
+            f = stack.pop()
+            if id(f) not in nodes:
+                nodes.add(id(f))
+                stack.extend(children(f) if not isinstance(f, Atom) else ())  # no terms
+        calls, key = [], syntax._fkey
+
+        def counting(f, env, depth):
+            calls.append(id(f))
+            return key(f, env, depth)
+
+        monkeypatch.setattr(syntax, "_fkey", counting)
+        alpha_key(e)
+        assert set(calls) == nodes
+        assert len(calls) <= 2 * len(nodes) + 1
+
+    def test_alpha_variants_of_a_deep_universal_compare_in_linear_time(self):
+        # R(v) >< (R(v) >< ... R(v)) nested 14 deep under forall v: keyed as a
+        # tree, or compared as two trees of tuples, this takes minutes
+        def chain(v, last):
+            f = last
+            for _ in range(14):
+                f = Compat(Atom("R", (v,)), f)
+            return expand(Forall(v, f))
+
+        start = time.perf_counter()
+        fx, fy = chain(x, Atom("R", (x,))), chain(y, Atom("R", (y,)))
+        assert alpha_key(fx) is not alpha_key(fy) and fx == fy
+        assert fx != chain(y, Atom("R", (x,)))
+        assert time.perf_counter() - start < 1
 
     def test_keys_below_a_binder_still_use_bound_positions(self):
         f = Forall(x, Compat(Atom("R", (x,)), Compat(p, Atom("R", (x,)))))
