@@ -237,7 +237,10 @@ def _forward_primitive(rule, args, prems):
         raise _Rejected(f"{rule} takes " + (f"one {wanted[0]}= argument" if wanted
                                             else "no instantiation arguments"))
     (p1, *rest) = prems
-    ante, succ, e = p1.antecedent, p1.succedent, expand(p1.succedent)
+    ante, succ = p1.antecedent, p1.succedent
+    # /\, -> and forall keep their connective under expansion, so a premise
+    # written with one is read, and its conclusion printed, as written
+    e = succ if isinstance(succ, (And, Imp, Forall)) else expand(succ)
     if rule == "cut":
         return Sequent(ante, rest[0].succedent)
     if rule == "paste":

@@ -2,11 +2,11 @@
 
 A sequent phi1, ..., phin |- psi is true under an interpretation when
 the left-associated Sasaki fold of the antecedent values lies below the
-succedent value (the empty fold is top).  On top of the single-model
-evaluator this module offers exhaustive validation, a battery-based
-countermodel search, the sound-and-complete two-variable decision
-procedure, a classical truth-table oracle, and finite-domain quantifier
-semantics.
+succedent value (the empty fold is top).  One evaluator gives values under
+one assignment, over a whole grid of assignments at once, and in a finite
+Q-valued predicate structure.  On top of it this module offers exhaustive
+validation, a battery-based countermodel search and the sound-and-complete
+two-variable decision procedure; a classical truth-table oracle stands apart.
 """
 
 from __future__ import annotations
@@ -47,6 +47,24 @@ class Interpretation:
         object.__setattr__(self, "letters", dict(self.letters))
 
 
+@dataclass(frozen=True)
+class QStructure:
+    """A finite Q-valued structure: domains per sort, lattice-valued relations.
+
+    ``domains`` maps sort name to a tuple of domain elements;
+    ``relations`` maps a relation name to {argument tuple: lattice element};
+    ``functions`` maps a function name to {argument tuple: domain element};
+    ``constants`` maps a constant name to a domain element.  Letters may
+    appear too, as 0-ary relations keyed by the empty tuple.
+    """
+
+    lattice: FiniteOML
+    domains: dict
+    relations: dict
+    functions: dict = field(default_factory=dict)
+    constants: dict = field(default_factory=dict)
+
+
 class Verdict:
     pass
 
@@ -75,36 +93,21 @@ class Countermodel(Verdict):
 
 def sequent_letters(s: Sequent) -> list:
     """Sorted names of the propositional letters appearing in a sequent."""
-    out = letters(s.succedent)
-    for f in s.antecedent:
-        out |= letters(f)
-    return sorted(out)
+    return sorted(set().union(*map(letters, (*s.antecedent, s.succedent))))
 
 
 # ---------------------------------------------------------------------------
-# single-interpretation evaluation
+# evaluation: one assignment, a sweep of the assignment grid, a predicate structure
 
 
-def eval_formula(f, I: Interpretation) -> int:
-    """Value of a propositional formula; -> is the Sasaki arrow and the
-    derived connectives go through their expansions.  One assignment is
-    evaluated as a sweep is, with the letter values as the columns."""
-    e = expand(f)
+def _lookup(table, key, kind, name=None):
+    """``table[key]``, or a KeyError naming the missing letter, variable,
+    constant or sort (``key``), or relation or function (``name`` at ``key``)."""
     try:
-        return int(_ev_grid(e, I.lattice, I.letters, dict.fromkeys(_shared([e]))))
-    except KeyError as err:
-        raise KeyError(f"letter {err.args[0]} has no value in this interpretation") from None
-
-
-def sequent_true(s: Sequent, I: Interpretation) -> bool:
-    fold = I.lattice.top
-    for f in s.antecedent:
-        fold = sasaki_and(I.lattice, fold, eval_formula(f, I))
-    return I.lattice.le(fold, eval_formula(s.succedent, I))
-
-
-# ---------------------------------------------------------------------------
-# exhaustive sweeps (vectorized over the whole assignment grid)
+        return table[key]
+    except KeyError:
+        at = "" if name is None else f" at {key}"
+        raise KeyError(f"{kind} {key if name is None else name} has no value{at}") from None
 
 
 def _shared(roots):
@@ -120,25 +123,89 @@ def _shared(roots):
     return shared
 
 
-def _ev_grid(f, L, cols, memo):
+def _ev_grid(f, L, cols, memo, M=None, env=None):
+    """Value in L of an expanded formula: an element, or an array of elements
+    when ``cols`` gives each letter a column of assignments.  A predicate
+    structure ``M`` interprets atoms and forall, with ``env`` holding the
+    variables' values."""
     # memo keeps the values of shared nodes only (expand reuses the operands of
-    # ><), so the walk is linear and other nodes' values are freed after use
-    v = memo.get(id(f))
+    # ><), so the walk is linear and other nodes' values are freed after use; a
+    # node that reads a variable is kept in the memo of the innermost binder
+    # (env[None]), which lives for one value of that binder's variable
+    here = env[None] if env and f.free & env.keys() else memo
+    v = here.get(id(f))
     if v is not None:
         return v
     if isinstance(f, Letter):
-        v = cols[f.name]
+        v = _lookup(cols, f.name, "letter")
     elif isinstance(f, Neg):
-        v = L.neg[_ev_grid(f.sub, L, cols, memo)]
+        v = L.neg[_ev_grid(f.sub, L, cols, memo, M, env)]
     elif isinstance(f, And):
-        v = L.meet[_ev_grid(f.left, L, cols, memo), _ev_grid(f.right, L, cols, memo)]
+        v = L.meet[_ev_grid(f.left, L, cols, memo, M, env),
+                   _ev_grid(f.right, L, cols, memo, M, env)]
     elif isinstance(f, Imp):
-        v = sasaki_arrow(L, _ev_grid(f.left, L, cols, memo), _ev_grid(f.right, L, cols, memo))
-    else:
+        v = sasaki_arrow(L, _ev_grid(f.left, L, cols, memo, M, env),
+                         _ev_grid(f.right, L, cols, memo, M, env))
+    elif M is None:
         raise ValueError(f"{type(f).__name__} is not propositional")
-    if id(f) in memo:
-        memo[id(f)] = v
+    elif isinstance(f, Atom):
+        args = tuple(_ev_term(t, M, env) for t in f.args)
+        v = _lookup(M.relations.get(f.name, {}), args, "relation", f.name)
+    else:  # forall: the meet over the domain of the bound variable's sort
+        v = L.top
+        for u in _lookup(M.domains, f.var.sort, "sort"):
+            inner = {**env, f.var.name: u, None: dict.fromkeys(memo)}
+            v = L.meet[v, _ev_grid(f.body, L, cols, memo, M, inner)]
+    if id(f) in here:
+        here[id(f)] = v
     return v
+
+
+def _ev_term(t, M, env):
+    if isinstance(t, Var):
+        return _lookup(env, t.name, "variable")
+    if isinstance(t, Const):
+        return _lookup(M.constants, t.name, "constant")
+    args = tuple(_ev_term(a, M, env) for a in t.args)
+    return _lookup(M.functions.get(t.name, {}), args, "function", t.name)
+
+
+def _fold(s: Sequent, L, cols=None, M=None, env=None):
+    """The left-associated Sasaki fold of the antecedent values of ``s``
+    (top when empty) and the succedent value, with one memo for the sequent."""
+    exprs = [expand(f) for f in (*s.antecedent, s.succedent)]
+    memo = dict.fromkeys(_shared(exprs))
+    if M is not None:  # letters are 0-ary relations, keyed by the empty tuple
+        cols = {name: table[()] for name, table in M.relations.items() if () in table}
+        env = {**(env or {}), None: memo}
+    fold = L.top
+    for f in exprs[:-1]:
+        fold = sasaki_and(L, fold, _ev_grid(f, L, cols, memo, M, env))
+    return fold, _ev_grid(exprs[-1], L, cols, memo, M, env)
+
+
+def eval_formula(f, I: Interpretation) -> int:
+    """Value of a propositional formula; -> is the Sasaki arrow and the
+    derived connectives go through their expansions."""
+    return int(_fold(Sequent((), f), I.lattice, I.letters)[1])
+
+
+def sequent_true(s: Sequent, I: Interpretation) -> bool:
+    return I.lattice.le(*_fold(s, I.lattice, I.letters))
+
+
+def eval_predicate(f, M: QStructure, env=None) -> int:
+    """Finite-domain value of a predicate formula (forall = meet over the
+    domain; exists through its negation-of-forall expansion)."""
+    return int(_fold(Sequent((), f), M.lattice, M=M, env=env)[1])
+
+
+def predicate_sequent_true(s: Sequent, M: QStructure, env=None) -> bool:
+    return M.lattice.le(*_fold(s, M.lattice, M=M, env=env))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive sweeps (vectorized over the whole assignment grid)
 
 
 def validate_sequent(s: Sequent, L: FiniteOML) -> Verdict:
@@ -160,21 +227,16 @@ def validate_sequent(s: Sequent, L: FiniteOML) -> Verdict:
     if cells > MAX_CELLS:
         raise ValueError(f"{L.n}^{k} = {cells:,} assignments on {L.name}, "
                          f"more than the sweep budget of {MAX_CELLS:,}")
-    exprs = [expand(f) for f in (*s.antecedent, s.succedent)]
-    shared = _shared(exprs)
     for start in range(0, cells, _SLICE):
         # row-major: the first letter varies slowest, so slices keep the order
         here = np.arange(start, min(start + _SLICE, cells))
         cols = {name: here // L.n ** (k - 1 - j) % L.n for j, name in enumerate(names)}
-        memo = dict.fromkeys(shared)
-        fold = np.full(len(here), L.top, dtype=int)
-        for f in exprs[:-1]:
-            fold = sasaki_and(L, fold, _ev_grid(f, L, cols, memo))
-        succ = _ev_grid(exprs[-1], L, cols, memo)
+        fold, succ = _fold(s, L, cols)
         bad = ~L.leq[fold, succ]
         if bad.any():
             i = int(np.argmax(bad))
             assignment = tuple((name, int(col[i])) for name, col in cols.items())
+            fold = np.broadcast_to(fold, bad.shape)  # top, with no antecedent
             return Countermodel(L.name, assignment, int(fold[i]), int(succ[i]))
     return Valid()
 
@@ -241,92 +303,6 @@ def classical_valid(s: Sequent) -> bool:
 
     return value(expand(Imp(reduce(And, s.antecedent), s.succedent) if s.antecedent
                         else s.succedent)) == full
-
-
-# ---------------------------------------------------------------------------
-# finite-domain quantifier semantics
-
-
-@dataclass(frozen=True)
-class QStructure:
-    """A finite Q-valued structure: domains per sort, lattice-valued relations.
-
-    ``domains`` maps sort name to a tuple of domain elements;
-    ``relations`` maps a relation name to {argument tuple: lattice element};
-    ``functions`` maps a function name to {argument tuple: domain element};
-    ``constants`` maps a constant name to a domain element.  Letters may
-    appear too, as 0-ary relations keyed by the empty tuple.
-    """
-
-    lattice: FiniteOML
-    domains: dict
-    relations: dict
-    functions: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
-
-
-def _ev_term(t, M, env):
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise KeyError(f"variable {t.name} is not bound or in the environment") from None
-    if isinstance(t, Const):
-        try:
-            return M.constants[t.name]
-        except KeyError:
-            raise KeyError(f"constant {t.name} is not interpreted") from None
-    args = tuple(_ev_term(a, M, env) for a in t.args)
-    try:
-        return M.functions[t.name][args]
-    except KeyError:
-        raise KeyError(f"function {t.name} has no value at {args}") from None
-
-
-def _evq(f, M, env):
-    L = M.lattice
-    if isinstance(f, Letter):
-        try:
-            return M.relations[f.name][()]
-        except KeyError:
-            raise KeyError(f"letter {f.name} is not interpreted") from None
-    if isinstance(f, Atom):
-        args = tuple(_ev_term(t, M, env) for t in f.args)
-        try:
-            return M.relations[f.name][args]
-        except KeyError:
-            raise KeyError(f"relation {f.name} has no value at {args}") from None
-    if isinstance(f, Neg):
-        return int(L.neg[_evq(f.sub, M, env)])
-    if isinstance(f, And):
-        return int(L.meet[_evq(f.left, M, env), _evq(f.right, M, env)])
-    if isinstance(f, Imp):
-        return int(sasaki_arrow(L, _evq(f.left, M, env), _evq(f.right, M, env)))
-    # Forall: finite meet over the domain of the bound variable's sort
-    try:
-        dom = M.domains[f.var.sort]
-    except KeyError:
-        raise KeyError(f"sort {f.var.sort} has no domain") from None
-    val = L.top
-    for u in dom:
-        inner = dict(env)
-        inner[f.var.name] = u
-        val = int(L.meet[val, _evq(f.body, M, inner)])
-    return val
-
-
-def eval_predicate(f, M: QStructure, env=None) -> int:
-    """Finite-domain value of a predicate formula (forall = meet over the
-    domain; exists through its negation-of-forall expansion)."""
-    return _evq(expand(f), M, dict(env) if env else {})
-
-
-def predicate_sequent_true(s: Sequent, M: QStructure, env=None) -> bool:
-    env = dict(env) if env else {}
-    fold = M.lattice.top
-    for f in s.antecedent:
-        fold = sasaki_and(M.lattice, fold, eval_predicate(f, M, env))
-    return M.lattice.le(fold, eval_predicate(s.succedent, M, env))
 
 
 # ---------------------------------------------------------------------------

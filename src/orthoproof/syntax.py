@@ -140,7 +140,11 @@ class Formula(metaclass=_Interned):
             isinstance(other, Formula) and _key_eq(alpha_key(self), alpha_key(other), set()))
 
     def __hash__(self):
-        return hash(alpha_key(self))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(_key_top(alpha_key(self), 3))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +264,14 @@ def _fkey(f, env, depth):
     return k
 
 
+def _key_top(k, levels):
+    # the top levels of a key, which alpha-variants share; a tuple's hash would
+    # walk an expansion's key, whose sub-keys are shared, as a tree
+    if type(k) is not tuple:
+        return k
+    return len(k) if levels == 0 else tuple(_key_top(x, levels - 1) for x in k)
+
+
 def _key_eq(a, b, met):
     # key equality meeting each pair of sub-keys once: an expanded formula's key
     # shares its sub-keys as the formula shares its nodes, and two alpha-variants
@@ -292,16 +304,16 @@ def children(x) -> tuple:
 
 
 def letters(f: Formula) -> frozenset:
-    """Names of the propositional letters occurring in ``f``."""
-    if isinstance(f, Letter):
-        return frozenset((f.name,))
-    if isinstance(f, Atom):
-        return frozenset()
-    if isinstance(f, Neg):
-        return letters(f.sub)
-    if isinstance(f, _Binary):
-        return letters(f.left) | letters(f.right)
-    return letters(f.body)
+    """Names of the propositional letters occurring in ``f``; computed once
+    per node and cached on it, so an expansion is not walked as a tree."""
+    ls = getattr(f, "_letters", None)
+    if ls is None:
+        if isinstance(f, Letter):
+            ls = frozenset((f.name,))
+        else:
+            ls = frozenset().union(*map(letters, () if isinstance(f, Atom) else children(f)))
+        object.__setattr__(f, "_letters", ls)
+    return ls
 
 
 def expand(f: Formula) -> Formula:

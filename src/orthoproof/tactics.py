@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .kernel import MODES, Derivation, hyp, node
 from .syntax import (
     And, Compat, Exists, Forall, Formula, Imp, Letter, Neg, Or, Sequent,
-    context_eq, expand, formula_eq, sequent_eq, substitute,
+    children, context_eq, expand, formula_eq, sequent_eq, substitute,
 )
 
 
@@ -866,37 +866,29 @@ def _fill_shape(shape, inst):
     return Sequent(tuple(ante), _fill_formula(succ, inst))
 
 
-def _bind_formula(pattern, subject, inst):
-    p, s = expand(pattern), expand(subject)
-
-    def walk(p, s):
-        if isinstance(p, Letter):
-            if p.name in _METAVARS:
-                bound = inst.get(p.name)
-                if bound is None:
-                    inst[p.name] = s
-                elif bound != s:
-                    raise TacticError(
-                        f"metavariable {p.name} bound inconsistently")
-                return
-            if p != s:
-                raise TacticError(f"expected letter {p.name}")
-            return
-        if isinstance(p, Neg):
-            if not isinstance(s, Neg):
-                raise TacticError("negation did not match")
-            walk(p.sub, s.sub)
-            return
-        if isinstance(p, (And, Imp)):
-            if type(s) is not type(p):
-                raise TacticError("connective did not match")
-            walk(p.left, s.left)
-            walk(p.right, s.right)
-            return
-        if p != s:
-            raise TacticError("subformula did not match")
-
-    walk(p, s)
+def _bind_formula(p, s, inst):
+    """Bind the metavariables of pattern ``p`` to the sub-formulas of ``s``
+    they stand for.  The two are walked as written while their connectives
+    agree, and through their expansions only where they differ, so a binding
+    below agreeing connectives is a node of ``s`` as written."""
+    if isinstance(p, Letter) and p.name in _METAVARS:
+        bound = inst.get(p.name)
+        if bound is None:
+            inst[p.name] = s
+        elif not formula_eq(bound, s):
+            raise TacticError(f"metavariable {p.name} bound inconsistently")
+        return
+    if type(p) is not type(s):
+        p, s = expand(p), expand(s)
+    if isinstance(p, (Neg, And, Imp, Or, Compat)):
+        if type(s) is not type(p):
+            raise TacticError("negation did not match" if isinstance(p, Neg)
+                              else "connective did not match")
+        for a, b in zip(children(p), children(s)):
+            _bind_formula(a, b, inst)
+    elif not formula_eq(p, s):
+        raise TacticError(f"expected letter {p.name}" if isinstance(p, Letter)
+                          else "subformula did not match")
 
 
 def _bind_shape(shape, sequent, inst):

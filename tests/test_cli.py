@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from orthoproof.cli import main
 from orthoproof.kernel import PREMISE_COUNTS
+from orthoproof.syntax import parse_sequent, render_sequent
 
 GOOD_SCRIPT = """\
 theorem arrow mode=NOM
@@ -431,6 +432,39 @@ def test_repl_forward_wk_over_a_forall_premise_is_one_rejected_line(runner):
     assert "rejected: wk's added context is unconstrained; state the target sequent" \
         in res.output
     assert "2: p |- forall x. R(x)" in res.output
+
+
+def _chain(depth, atom):
+    text = atom
+    for _ in range(depth):
+        text = f"{atom} >< ({text})"
+    return text
+
+
+def _printed(text):
+    return render_sequent(parse_sequent(text))
+
+
+def test_repl_forward_lines_print_the_formulas_as_written(runner, tmp_path):
+    # >< nested 12 and 8 deep: printed through their expansions, the catalog,
+    # all_e, imp_e and and_e lines ran to megabytes
+    chain = _chain(12, "p")
+    out = tmp_path / "dni.nom"
+    res = repl(runner, f"assume {chain}\nderived P2.4.dni\nexport {out}\nquit\n")
+    dni = _printed(f"{chain} |- ~~({chain})")
+    assert f"2: {dni}\n" in res.output
+    assert f"exported to {out}: accepted" in res.output
+    assert len(out.read_text()) < 1024
+    body, instance = f"forall x. ({_chain(8, 'R(x)')})", _printed("|- " + _chain(8, "R(c)"))
+    text = f"hyp h: |- {body}\n|- {body} by hyp h\nall_e t=c\nquit\n"
+    res2 = repl(runner, text, mode="NOM_Q")
+    assert f"2: {instance}\n" in res2.output
+    imp, conj = f"({chain}) -> q", f"q /\\ ({chain})"
+    res3 = repl(runner, f"assume {imp}\nimp_e\nassume {conj}\nand_e2\nquit\n")
+    detached, conjunct = _printed(f"{imp}, {chain} |- q"), _printed(f"{conj} |- {chain}")
+    assert f"2: {detached}\n" in res3.output and f"4: {conjunct}\n" in res3.output
+    for line in (res.output + res2.output + res3.output).splitlines():
+        assert len(line) < 1024
 
 
 def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -17,7 +18,7 @@ from orthoproof.semantics import (
     sequent_true, validate_sequent,
 )
 from orthoproof.syntax import (
-    And, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or, Sequent, Signature,
+    And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or, Sequent, Signature,
     Var, parse_formula, parse_sequent, substitute,
 )
 
@@ -49,7 +50,7 @@ class TestEvalFormula:
                     sasaki_arrow(M2, 3, sasaki_arrow(M2, 1, 3))])
 
     def test_unmapped_letter(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="letter p has no value"):
             eval_formula(parse_formula("p"), Interpretation(TWO, {}))
 
     def test_rejects_quantifier(self):
@@ -387,6 +388,47 @@ class TestPredicate:
         M = QStructure(M2, {"_": (0, 1)}, {"R": {(0,): 1, (1,): 1}})
         s = parse_sequent("forall x. R(x) |- R(y)")
         assert predicate_sequent_true(s, M, {"y": 0})
+
+    def test_letters_as_nullary_relations_agree_with_interpretations(self):
+        # one evaluator: a structure whose letters are 0-ary relations is an
+        # assignment, so both routes give the same values and the same folds
+        rng = random.Random(16)
+        for s in _random_sequents(16, 60):
+            values = {name: rng.randrange(M2.n) for name in sequent_letters(s)}
+            I = Interpretation(M2, values)
+            M = QStructure(M2, {"_": (0,)}, {name: {(): v} for name, v in values.items()})
+            for f in (*s.antecedent, s.succedent):
+                assert eval_predicate(f, M) == eval_formula(f, I), str(f)
+            assert predicate_sequent_true(s, M) == sequent_true(s, I), str(s)
+
+    def test_deep_chain_under_a_binder_is_evaluated_once_per_node(self):
+        # forall x. (R(x) >< (R(x) >< ...)) nested 16 deep: walked as a tree it
+        # grows about 3x a level; the value is the meet over the domain of the
+        # propositional chain at R's values
+        f = Forall(x, parse_formula(_chain_text(16, "R(x)", "R(x)")))
+        chain = parse_formula(_chain_text(16, "p", "p"))
+        rels = {1: 3, 3: 5, 2: 2}
+        for r0, r1 in rels.items():
+            M = QStructure(M2, {"_": (0, 1)}, {"R": {(0,): r0, (1,): r1}})
+            want = M2.meet[eval_formula(chain, Interpretation(M2, {"p": r0})),
+                           eval_formula(chain, Interpretation(M2, {"p": r1}))]
+            start = time.perf_counter()
+            assert eval_predicate(f, M) == want
+            assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("f, missing", [
+        (Letter("p"), "letter p has no value"),
+        (Atom("S", (y,)), "relation S has no value at (0,)"),
+        (R(Const("c")), "constant c has no value"),
+        (R(Const("d")), "relation R has no value at (1,)"),
+        (R(App("g", (y,))), "function g has no value at (0,)"),
+        (R(Var("z")), "variable z has no value"),
+        (Forall(Var("w", "s"), R(Var("w", "s"))), "sort s has no value"),
+    ])
+    def test_a_missing_symbol_is_named(self, f, missing):
+        M = QStructure(M2, {"_": (0,)}, {"R": {(0,): 1}}, constants={"d": 1})
+        with pytest.raises(KeyError, match=re.escape(missing)):
+            eval_predicate(f, M, {"y": 0})
 
 
 class TestPerturbedArrow:

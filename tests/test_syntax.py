@@ -15,7 +15,7 @@ from orthoproof.semantics import validate_sequent
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
     ParseError, Sequent, Signature, SignatureError, Var,
-    _Parser, alpha_key, children, expand, formula_eq, free_variables, is_nonduplicating,
+    _Parser, alpha_key, children, expand, formula_eq, free_variables, is_nonduplicating, letters,
     parse_formula, parse_sequent, parse_term, render, render_sequent,
     substitute,
 )
@@ -281,6 +281,17 @@ class TestAlphaKeyOnSharedNodes:
         fx, fy = chain(x, Atom("R", (x,))), chain(y, Atom("R", (y,)))
         assert alpha_key(fx) is not alpha_key(fy) and fx == fy
         assert fx != chain(y, Atom("R", (x,)))
+        assert time.perf_counter() - start < 1
+
+    def test_letters_and_hash_of_a_deep_expansion_take_linear_time(self):
+        # >< nested 24 deep: walked as trees, letters and hash grow about 3x a
+        # level (14 deep took seconds)
+        start = time.perf_counter()
+        assert letters(expand(_compat_chain(24))) == {"p", "q", "r"}
+        fx = expand(Forall(x, _compat_chain(24, Atom("R", (x,)))))
+        fy = expand(Forall(y, _compat_chain(24, Atom("R", (y,)))))
+        assert fx is not fy and hash(fx) == hash(fy) and fx == fy
+        assert len({fx, fy, expand(_compat_chain(24))}) == 2
         assert time.perf_counter() - start < 1
 
     def test_keys_below_a_binder_still_use_bound_positions(self):

@@ -446,6 +446,17 @@ class TestInferConclusion:
                     outcomes["inferred"] += 1
         assert outcomes == {"inferred": 261, "stated": 21}
 
+    def test_metavariables_bind_to_the_subject_as_written(self):
+        # >< nested 12 deep: bound through its expansion, phi printed megabytes
+        chain = S("|- " + "p >< (" * 12 + "p" + ")" * 12).succedent
+        got = infer_conclusion("P2.4.dni", (Sequent((chain,), chain),))
+        assert got.succedent.sub.sub is chain
+        # where the connectives differ, both sides are walked through expansions
+        inst = lookup("C4.6.intro1").match((S("g |- q"),), S("g |- ~(~q /\\ ~p)"))
+        assert (inst["phi"], inst["psi"]) == (Letter("q"), Letter("p"))
+        with pytest.raises(TacticError, match="connective did not match"):
+            lookup("C4.6.intro1").match((S("g |- q"),), S("g |- ~(~q -> ~p)"))
+
 
 class TestSoundness:
     """Premise-preserving valuations must satisfy built conclusions."""
