@@ -25,8 +25,8 @@ from .script import (
     parse_step, split_by, strip_comment,
 )
 from .syntax import (  # parse_term is unused here; the benchmark's tracer wraps it
-    And, Forall, Imp, ParseError, Sequent, Signature, SignatureError, expand,
-    parse_sequent, parse_term, render_sequent, render_term, sequent_eq, substitute,
+    And, Forall, Imp, ParseError, Sequent, Signature, SignatureError, parse_sequent,
+    parse_term, render_sequent, render_term, sequent_eq, substitute, unfold,
 )
 from .tactics import TacticError, infer_conclusion
 from .tactics import catalog as catalog_entries
@@ -238,9 +238,7 @@ def _forward_primitive(rule, args, prems):
                                             else "no instantiation arguments"))
     (p1, *rest) = prems
     ante, succ = p1.antecedent, p1.succedent
-    # /\, -> and forall keep their connective under expansion, so a premise
-    # written with one is read, and its conclusion printed, as written
-    e = succ if isinstance(succ, (And, Imp, Forall)) else expand(succ)
+    e = unfold(succ)  # its top connective, over operands as written
     if rule == "cut":
         return Sequent(ante, rest[0].succedent)
     if rule == "paste":

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-import re
 
 import numpy as np
 
 __all__ = [
     "Subspace", "MeasurementTrace", "MeasurementStep", "HilbertError",
-    "subspace", "zero", "full", "random_subspace", "parse_subspace",
+    "subspace", "zero", "full", "random_subspace",
     "projector", "ortho", "join", "meet", "leq", "same",
     "sasaki_lattice", "sasaki_closure",
     "sequential_measure", "check_fold_criterion",
@@ -218,34 +217,6 @@ def full(n: int) -> Subspace:
 def random_subspace(rng, n: int, k=None) -> Subspace:
     """Column space of a standard complex Gaussian n x k matrix."""
     return subspace(_draw(rng, n, k))
-
-
-_ENTRY_RE = re.compile(
-    r"^(?P<re>[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"(?:(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
-
-
-def parse_subspace(text: str) -> Subspace:
-    """Text matrix: one row per line, rows = ambient dimension,
-    whitespace-separated columns = spanning vectors, entries ``re[+im i]``."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        entries = []
-        for tok in line.split():
-            m = _ENTRY_RE.match(tok)
-            if not m:
-                raise HilbertError(f"bad matrix entry '{tok}'")
-            entries.append(complex(float(m.group("re")),
-                                   float(m.group("im") or 0.0)))
-        rows.append(entries)
-    if not rows:
-        raise HilbertError("empty subspace description")
-    if len({len(r) for r in rows}) != 1:
-        raise HilbertError("ragged matrix")
-    return subspace(np.array(rows, dtype=complex))
 
 
 def _same_ambient(*spaces):

@@ -26,8 +26,7 @@ __all__ = [
     "Interpretation", "QStructure", "Verdict", "Valid", "Countermodel",
     "eval_formula", "sequent_true", "validate_sequent", "decide_two_var",
     "countermodel_search", "classical_valid", "eval_predicate",
-    "predicate_sequent_true", "sequent_letters", "perturbed_arrow_witness",
-    "MAX_CELLS",
+    "predicate_sequent_true", "sequent_letters", "MAX_CELLS",
 ]
 
 # the most assignments one validate_sequent sweep may visit, about 2 s of work
@@ -254,19 +253,17 @@ def decide_two_var(s: Sequent) -> Verdict:
     return countermodel_search(s)
 
 
-def countermodel_search(s: Sequent, lattices=None) -> Verdict:
-    """First countermodel across ``lattices``, in their order.
-
-    By default the battery's members that are not products, ``2`` and
-    ``MO2``: a product is valid exactly when its factors are, and the
-    factors come first in battery order, so sweeping the whole battery
-    finds the same verdict and countermodel.  A Valid result here is
-    *not* a validity certificate beyond two letters; it only says the
-    battery found nothing.
+def countermodel_search(s: Sequent) -> Verdict:
+    """First countermodel on the battery's members that are not products,
+    ``2`` and ``MO2``, in that order: a product is valid exactly when its
+    factors are, and the factors come first in battery order, so sweeping
+    the whole battery finds the same verdict and countermodel.  A Valid
+    result here is *not* a validity certificate beyond two letters; it
+    only says the battery found nothing.
     """
-    if lattices is None:
-        lattices = [L for L in battery() if not L.factors]
-    for L in lattices:
+    for L in battery():
+        if L.factors:
+            continue
         verdict = validate_sequent(s, L)
         if isinstance(verdict, Countermodel):
             return verdict
@@ -303,30 +300,3 @@ def classical_valid(s: Sequent) -> bool:
 
     return value(expand(Imp(reduce(And, s.antecedent), s.succedent) if s.antecedent
                         else s.succedent)) == full
-
-
-# ---------------------------------------------------------------------------
-# arrow mutation witnesses
-
-
-def perturbed_arrow_witness(L: FiniteOML, a0: int, b0: int, wrong: int):
-    """A rule instance whose soundness breaks when the evaluation clause
-    for -> is changed to return ``wrong`` at the single pair (a0, b0).
-
-    Because the Sasaki arrow is the exact adjoint of the Sasaki
-    projection, any wrong value w at (a0, b0) disagrees with the true
-    arrow t on some principal ideal: either some c <= t has c ≰ w
-    (breaking arrow introduction: r, p |- q holds but r |- p -> q does
-    not) or some c <= w has c ≰ t (breaking arrow elimination).  Returns
-    (rule_name, {"r": c, "p": a0, "q": b0}) or None when wrong == t.
-    """
-    t = int(sasaki_arrow(L, a0, b0))
-    if wrong == t:
-        return None
-    for c in range(L.n):
-        if L.leq[c, t] and not L.leq[c, wrong]:
-            return ("imp_i", {"r": int(c), "p": int(a0), "q": int(b0)})
-    for c in range(L.n):
-        if L.leq[c, wrong] and not L.leq[c, t]:
-            return ("imp_e", {"r": int(c), "p": int(a0), "q": int(b0)})
-    raise AssertionError("unreachable: distinct elements differ on some ideal")

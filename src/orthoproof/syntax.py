@@ -2,10 +2,10 @@ r"""Formulas, terms, and sequents for orthomodular natural deduction.
 
 Core connectives are ~ (orthocomplement), /\ (meet), -> (Sasaki arrow)
 and the quantifier forall; \/ , >< (compatibility) and exists are kept
-as derived nodes until `expand` rewrites them away.  All syntax values
-are immutable, and formulas compare equal up to renaming of bound
-variables.  Formula nodes are hash-consed: building a node with the
-class and fields of a live one returns that node.
+as derived nodes, defined once by `unfold` and rewritten away by
+`expand`.  All syntax values are immutable, and formulas compare equal
+up to renaming of bound variables.  Formula nodes are hash-consed:
+building a node with the class and fields of a live one returns that node.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
     "Forall", "Exists",
     "Sequent", "Signature", "ParseError", "SignatureError",
     "parse_formula", "parse_sequent", "parse_term",
-    "expand", "formula_eq", "context_eq", "sequent_eq", "children",
+    "unfold", "expand", "formula_eq", "context_eq", "sequent_eq", "children",
     "substitute", "free_variables", "is_nonduplicating",
     "render", "render_term", "render_sequent", "letters", "alpha_key",
 ]
@@ -331,20 +331,28 @@ def expand(f: Formula) -> Formula:
     return e
 
 
+def unfold(f: Formula) -> Formula:
+    """One step of expansion, the one definition of \\/, >< and exists: such a
+    node becomes core connectives over its operands as written; others stay."""
+    if isinstance(f, Or):
+        return Neg(And(Neg(f.left), Neg(f.right)))
+    if isinstance(f, Compat):
+        a, b = f.left, f.right
+        return And(Imp(a, Imp(b, a)), Imp(b, Imp(a, b)))
+    if isinstance(f, Exists):
+        return Neg(Forall(f.var, Neg(f.body)))
+    return f
+
+
 def _expand(f):
+    u = unfold(f)
+    if u is not f:
+        return expand(u)
     if isinstance(f, (Letter, Atom)):
         return f
     if isinstance(f, Neg):
         s = expand(f.sub)
         return f if s is f.sub else Neg(s)
-    if isinstance(f, Or):
-        a, b = expand(f.left), expand(f.right)
-        return Neg(And(Neg(a), Neg(b)))
-    if isinstance(f, Compat):
-        a, b = expand(f.left), expand(f.right)
-        return And(Imp(a, Imp(b, a)), Imp(b, Imp(a, b)))
-    if isinstance(f, Exists):
-        return Neg(Forall(f.var, Neg(expand(f.body))))
     if isinstance(f, _Binary):
         a, b = expand(f.left), expand(f.right)
         return f if (a is f.left and b is f.right) else type(f)(a, b)
@@ -466,9 +474,6 @@ class Signature:
     constants: dict = field(default_factory=dict)
     permissive: bool = True
     letters: dict = field(default_factory=dict)
-
-    def declare_sort(self, name):
-        self.sorts.add(name)
 
     def declare_relation(self, name, arg_sorts):
         arg_sorts = tuple(arg_sorts)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .kernel import MODES, Derivation, hyp, node
 from .syntax import (
     And, Compat, Exists, Forall, Formula, Imp, Letter, Neg, Or, Sequent,
-    children, context_eq, expand, formula_eq, sequent_eq, substitute,
+    children, context_eq, formula_eq, sequent_eq, substitute, unfold,
 )
 
 
@@ -868,9 +868,9 @@ def _fill_shape(shape, inst):
 
 def _bind_formula(p, s, inst):
     """Bind the metavariables of pattern ``p`` to the sub-formulas of ``s``
-    they stand for.  The two are walked as written while their connectives
-    agree, and through their expansions only where they differ, so a binding
-    below agreeing connectives is a node of ``s`` as written."""
+    they stand for.  The two are walked as written, and where their
+    connectives differ each is unfolded one level, so every binding is a
+    node of ``s`` as written."""
     if isinstance(p, Letter) and p.name in _METAVARS:
         bound = inst.get(p.name)
         if bound is None:
@@ -879,7 +879,7 @@ def _bind_formula(p, s, inst):
             raise TacticError(f"metavariable {p.name} bound inconsistently")
         return
     if type(p) is not type(s):
-        p, s = expand(p), expand(s)
+        p, s = unfold(p), unfold(s)
     if isinstance(p, (Neg, And, Imp, Or, Compat)):
         if type(s) is not type(p):
             raise TacticError("negation did not match" if isinstance(p, Neg)
@@ -1220,25 +1220,18 @@ def _require(args, key, eid):
 
 
 def _as_compat(f):
-    f0 = f
-    if isinstance(f0, Compat):
-        return f0.left, f0.right
-    e = expand(f)
-    if isinstance(e, And) and isinstance(e.left, Imp) \
-            and isinstance(e.left.right, Imp) \
-            and e.left.left == e.left.right.right:
-        return e.left.left, e.left.right.left
-    return None
+    inst = {}
+    try:
+        _bind_formula(_CPT, f, inst)
+    except TacticError:
+        return None
+    return inst["phi"], inst["psi"]
 
 
 def _as_exists(f):
-    if isinstance(f, Exists):
-        return f.var, f.body
-    e = expand(f)
-    if isinstance(e, Neg) and isinstance(e.sub, Forall) \
-            and isinstance(e.sub.body, Neg):
-        return e.sub.var, e.sub.body.sub
-    return None
+    e = unfold(f)  # ~forall x. ~phi, its body read through unfold as well
+    body = unfold(e.sub.body) if isinstance(e, Neg) and isinstance(e.sub, Forall) else None
+    return (e.sub.var, body.sub) if isinstance(body, Neg) else None
 
 
 def _match_l56(prem_seqs, concl, args):

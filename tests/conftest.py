@@ -1,13 +1,15 @@
 """Shared generators for the test suite.
 
 Two flavours: hypothesis strategies for property tests, and a plain
-seeded-rng generator for the big deterministic sweeps.
+seeded-rng generator for the big deterministic sweeps.  Also the arrow
+mutation witness that acceptance check 7 perturbs the arrow clause with.
 """
 
 import random
 
 from hypothesis import strategies as st
 
+from orthoproof.lattice import sasaki_arrow
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
     Signature, Var,
@@ -101,3 +103,26 @@ propositional_strategy = st.recursive(
     ),
     max_leaves=10,
 )
+
+
+def perturbed_arrow_witness(L, a0, b0, wrong):
+    """A rule instance whose soundness breaks when the evaluation clause
+    for -> is changed to return ``wrong`` at the single pair (a0, b0).
+
+    Because the Sasaki arrow is the exact adjoint of the Sasaki
+    projection, any wrong value w at (a0, b0) disagrees with the true
+    arrow t on some principal ideal: either some c <= t has c ≰ w
+    (breaking arrow introduction: r, p |- q holds but r |- p -> q does
+    not) or some c <= w has c ≰ t (breaking arrow elimination).  Returns
+    (rule_name, {"r": c, "p": a0, "q": b0}) or None when wrong == t.
+    """
+    t = int(sasaki_arrow(L, a0, b0))
+    if wrong == t:
+        return None
+    for c in range(L.n):
+        if L.leq[c, t] and not L.leq[c, wrong]:
+            return ("imp_i", {"r": int(c), "p": int(a0), "q": int(b0)})
+    for c in range(L.n):
+        if L.leq[c, wrong] and not L.leq[c, t]:
+            return ("imp_e", {"r": int(c), "p": int(a0), "q": int(b0)})
+    raise AssertionError("unreachable: distinct elements differ on some ideal")

@@ -16,18 +16,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import corpus_signature, random_formula
+from conftest import corpus_signature, perturbed_arrow_witness, random_formula
 from orthoproof.hilbert import (
     closure_agreement_sweep, fold_agreement_sweep, measurement_sweep,
 )
 from orthoproof.kernel import Derivation, check_derivation, hyp
-from orthoproof.lattice import FiniteOML, by_name, sasaki_and, sasaki_arrow
+from orthoproof.lattice import (
+    FiniteOML, by_name, free_oml2, generated_subalgebra, sasaki_and, sasaki_arrow,
+)
 from orthoproof.script import check_file
 from orthoproof.semantics import (
     Countermodel, Interpretation, QStructure, Valid, classical_valid,
-    countermodel_search, decide_two_var, eval_formula,
-    perturbed_arrow_witness, predicate_sequent_true, sequent_letters,
-    sequent_true, validate_sequent,
+    countermodel_search, decide_two_var, eval_formula, predicate_sequent_true,
+    sequent_letters, sequent_true, validate_sequent,
 )
 from orthoproof.syntax import (
     And, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or, Sequent,
@@ -361,3 +362,55 @@ def test_ten_thousand_fuzzed_roundtrips_and_nonduplication():
         g = parse_formula(text, corpus_signature())
         assert alpha_key(g) == alpha_key(f), text
         assert is_nonduplicating(f) == _nonduplicating_oracle(f), text
+
+
+# --- 11. the rules admit exactly one reading of each connective ---------------
+
+def _term_tables(L):
+    """F2's elements as two-letter term operations on L: ``T[e][x, y]`` is
+    the image of element e under the homomorphism F2 -> L that sends the
+    generators to (x, y), found by closure from the generators."""
+    F2, (g1, g2) = free_oml2()
+    x, y = np.indices((L.n, L.n))
+    T = {F2.bottom: np.full_like(x, L.bottom), F2.top: np.full_like(x, L.top), g1: x, g2: y}
+    while len(T) < F2.n:
+        for a, b in list(itertools.product(T, repeat=2)):
+            T.setdefault(int(F2.meet[a, b]), L.meet[T[a], T[b]])
+            T.setdefault(int(F2.join[a, b]), L.join[T[a], T[b]])
+            T.setdefault(int(F2.neg[a]), L.neg[T[a]])
+    T = np.array([T[e] for e in range(F2.n)])
+    # the closure is a homomorphism: F2 is free on its generators
+    assert (T[F2.meet] == L.meet[T[:, None], T[None, :]]).all()
+    assert (T[F2.join] == L.join[T[:, None], T[None, :]]).all()
+    assert (T[F2.neg] == L.neg[T]).all()
+    return T
+
+
+def _qualifying(rule_sound):
+    """The elements of F2 whose term operation t makes ``rule_sound(L, r, a,
+    b, t(a, b))`` hold for every r, a, b on both 2 and MO2; F2 = 2^4 x MO2,
+    so a term is fixed by its values on the two."""
+    ok = True
+    for L in (by_name("2"), by_name("MO2")):
+        T = _term_tables(L)
+        r, a, b = np.indices((L.n,) * 3)
+        ok &= rule_sound(L, r, a, b, T[:, a, b]).reshape(len(T), -1).all(axis=1)
+    return np.flatnonzero(ok).tolist()
+
+
+def test_the_rules_admit_exactly_one_reading_of_each_connective():
+    F2, (g1, g2) = free_oml2()
+    # imp_i and imp_e: fold(Γ, φ) <= ψ iff fold(Γ) <= t(φ, ψ)
+    arrow = _qualifying(lambda L, r, a, b, t: L.leq[sasaki_and(L, r, a), b] == L.leq[r, t])
+    assert arrow == [80] == [sasaki_arrow(F2, g1, g2)]
+    # and_i and and_e: fold(Γ) <= φ and fold(Γ) <= ψ iff fold(Γ) <= t(φ, ψ)
+    meet = _qualifying(lambda L, r, a, b, t: (L.leq[r, a] & L.leq[r, b]) == L.leq[r, t])
+    assert meet == [6] == [F2.meet[g1, g2]]
+    # explode: Γ ⊢ t(φ) gives Γ, φ ⊢ ψ; lem: Γ, φ ⊢ ψ and Γ, t(φ) ⊢ ψ give Γ ⊢ ψ
+    one_letter = generated_subalgebra(F2, [g1])
+    assert len(one_letter) == 4
+    complement = [e for e in _qualifying(
+        lambda L, r, a, b, t: (~L.leq[r, t] | L.leq[sasaki_and(L, r, a), b])
+        & (~(L.leq[sasaki_and(L, r, a), b] & L.leq[sasaki_and(L, r, t), b]) | L.leq[r, b]))
+        if e in one_letter]
+    assert complement == [74] == [F2.neg[g1]]

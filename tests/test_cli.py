@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -465,6 +466,28 @@ def test_repl_forward_lines_print_the_formulas_as_written(runner, tmp_path):
     assert f"2: {detached}\n" in res3.output and f"4: {conjunct}\n" in res3.output
     for line in (res.output + res2.output + res3.output).splitlines():
         assert len(line) < 1024
+
+
+def test_repl_and_e_on_a_compatibility_prints_its_operands_as_written(runner):
+    # read through its expansion, and_e1 on a 10-deep chain printed 285,691 characters
+    chain = _chain(10, "p")
+    res = repl(runner, f"assume {chain}\nand_e1\nquit\n")
+    conjunct = _printed(f"{chain} |- p -> ({_chain(9, 'p')}) -> p")
+    assert f"2: {conjunct}\n" in res.output
+    assert len(res.output) <= 10240
+
+
+def test_existential_introduction_reads_a_deep_goal_as_written(runner, tmp_path):
+    # read through its expansion, this 12-deep goal took over a minute to match
+    instance, body = _chain(12, "R(c)"), _chain(12, "R(x)")
+    p = tmp_path / "ei.nom"
+    p.write_text(f"theorem ei mode=NOM_q\nhyp h: |- {instance}\n"
+                 f"goal: |- ~forall x. ~({body})\n1: |- {instance} by hyp h\n"
+                 f"2: |- ~forall x. ~({body}) by derived P5.7.EI t=c from 1\nqed\n")
+    start = time.perf_counter()
+    res = invoke(runner, ["check", str(p)])
+    assert res.exit_code == 0 and "ei [NOM_q]: accepted" in res.output
+    assert time.perf_counter() - start < 5
 
 
 def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):

@@ -9,7 +9,7 @@ from orthoproof import hilbert
 from orthoproof.hilbert import (
     ANNIHILATE_TOL, CONTAIN_TOL, MAX_DIM, RANK_TOL, HilbertError, Subspace,
     check_fold_criterion, closure_agreement_sweep, fold_agreement_sweep, full,
-    join, leq, measurement_sweep, meet, ortho, parse_subspace, projector,
+    join, leq, measurement_sweep, meet, ortho, projector,
     random_subspace, same, sasaki_closure, sasaki_lattice, sequential_measure,
     subspace, verify, zero,
 )
@@ -248,32 +248,6 @@ def test_verify_reports_three_green_rows():
     assert all(r.passed for r in rows)
 
 
-# --- text format -------------------------------------------------------------
-
-def test_parse_identity_matrix():
-    assert same(parse_subspace("1 0\n0 1"), full(2))
-
-
-def test_parse_complex_entries():
-    s = parse_subspace("0.5+0.5i\n0.5-0.5i")
-    assert s.dim == 1
-    assert same(s, subspace(np.array([0.5 + 0.5j, 0.5 - 0.5j])))
-
-
-def test_parse_negative_and_exponent_entries():
-    s = parse_subspace("-1 0\n0 1e0")
-    assert same(s, full(2))
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(HilbertError, match="entry"):
-        parse_subspace("1 frog\n0 1")
-    with pytest.raises(HilbertError, match="ragged"):
-        parse_subspace("1 0\n0")
-    with pytest.raises(HilbertError, match="empty"):
-        parse_subspace("   \n  ")
-
-
 # --- non-finite input ----------------------------------------------------------
 
 def test_non_finite_basis_rejected():
@@ -286,12 +260,12 @@ def test_non_finite_basis_rejected():
         sequential_measure([np.nan, 0], [E1])
 
 
-def test_parse_rejects_non_finite_entries_without_warnings():
+def test_subspace_rejects_non_finite_entries_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for text in ("1e999 0\n0 1", "1 0\n0 -1e999", "1+1e999i\n0"):
+        for rows in ([[np.inf, 0], [0, 1]], [[1, 0], [0, -np.inf]], [[complex(1, np.inf)], [0]]):
             with pytest.raises(HilbertError, match="non-finite"):
-                parse_subspace(text)
+                subspace(np.array(rows, dtype=complex))
 
 
 def test_rank_is_decided_on_normalized_columns():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import propositional_strategy
+from conftest import perturbed_arrow_witness, propositional_strategy
 from orthoproof import lattice, semantics
 from orthoproof.lattice import (
     FiniteOML, battery, boolean, by_name, free_oml2, mo, sasaki_and, sasaki_arrow,
@@ -14,8 +14,7 @@ from orthoproof.lattice import (
 from orthoproof.semantics import (
     Countermodel, Interpretation, QStructure, Valid, classical_valid,
     countermodel_search, decide_two_var, eval_formula, eval_predicate,
-    perturbed_arrow_witness, predicate_sequent_true, sequent_letters,
-    sequent_true, validate_sequent,
+    predicate_sequent_true, sequent_letters, sequent_true, validate_sequent,
 )
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or, Sequent, Signature,
@@ -225,7 +224,9 @@ class TestProductShortcut:
     def test_countermodel_search_matches_sweeping_the_battery(self):
         swept = [_swept(L) for L in battery()]
         for s in self.SEQUENTS:
-            assert countermodel_search(s) == countermodel_search(s, swept), str(s)
+            verdicts = (validate_sequent(s, L) for L in swept)
+            first = next((v for v in verdicts if isinstance(v, Countermodel)), Valid())
+            assert countermodel_search(s) == first, str(s)
 
     def test_valid_on_every_factor_skips_the_product_sweep(self, monkeypatch):
         grids = []

@@ -17,7 +17,7 @@ from orthoproof.syntax import (
     ParseError, Sequent, Signature, SignatureError, Var,
     _Parser, alpha_key, children, expand, formula_eq, free_variables, is_nonduplicating, letters,
     parse_formula, parse_sequent, parse_term, render, render_sequent,
-    substitute,
+    substitute, unfold,
 )
 
 p, q, r = Letter("p"), Letter("q"), Letter("r")
@@ -158,6 +158,18 @@ class TestExpand:
         e = expand(f)
         assert expand(e) == e
         assert free_variables(e) == free_variables(f)
+
+    def test_unfold_rewrites_one_level_over_the_operands_as_written(self):
+        a, b = Or(p, q), Exists(x, Atom("R", (x,)))
+        assert unfold(Compat(a, b)) is And(Imp(a, Imp(b, a)), Imp(b, Imp(a, b)))
+        assert unfold(Or(a, b)) is Neg(And(Neg(a), Neg(b)))
+        assert unfold(Exists(x, a)) is Neg(Forall(x, Neg(a)))
+        for f in (p, Neg(a), And(a, b), Imp(a, b), Forall(x, a)):
+            assert unfold(f) is f
+
+    @given(formula_strategy)
+    def test_expand_is_unfold_applied_throughout(self, f):
+        assert expand(unfold(f)) is expand(f)
 
 
 class TestSubstitution:
