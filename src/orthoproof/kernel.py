@@ -14,7 +14,6 @@ schemas of its expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
 
 from .syntax import (
     And, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
@@ -62,7 +61,7 @@ class Derivation:
     rule: str
     premises: tuple = ()
     instantiation: object = None
-    _accepted = False  # not a field: check_derivation marks a root it accepted
+    _accepted = False  # not a field: True once accepted as a root, then a re-check record
 
     def __post_init__(self):  # a tuple, so that a checked tree cannot change
         object.__setattr__(self, "premises", tuple(self.premises))
@@ -318,16 +317,19 @@ def check_derivation(d: Derivation, mode, hypotheses=()):
     """Depth-first re-check of a whole tree; None, or the first
     CheckFailure in preorder, judging each distinct node once.  A "hyp"
     leaf must follow from a declared hypothesis by "wk" as NOM judges it.
-    An accepted root is recorded (``_accepted``); checked again in NOM,
-    NOM_E or NOM_Q it judges only its hyp leaves, against these hypotheses,
-    and its mode-dependent rules.  Sound: nodes, sequents and formulas are
-    immutable; outside NOM_q a universal rule's check never reads the
-    mode; and acceptance in NOM_q implies acceptance in the other modes.
+    An accepted root is marked; its first re-check records (``_accepted``)
+    its hyp leaves and mode rules, and each re-check judges only those unless
+    in NOM_q a formula duplicates.  Sound: trees are immutable, a universal
+    rule reads the mode only for NOM_q's nonduplication, premises are nodes.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    skip = _UNIVERSAL if d._accepted and mode != "NOM_q" else ()
-    for n in (n for n in _preorder(d) if n.rule not in skip):
+    if (rec := d._accepted) is True:  # (recorded nodes in preorder, nonduplicating)
+        met = list(_preorder(d))
+        rec = ([n for n in met if n.rule not in _UNIVERSAL], all(is_nonduplicating(f)
+               for n in met for f in (*n.conclusion.antecedent, n.conclusion.succedent)))
+        object.__setattr__(d, "_accepted", rec)
+    for n in rec[0] if rec and (rec[1] or mode != "NOM_q") else _preorder(d):
         if n.rule != "hyp":
             v = check_inference(n.rule, [p.conclusion for p in n.premises],
                                 n.conclusion, mode, n.instantiation)
@@ -338,7 +340,7 @@ def check_derivation(d: Derivation, mode, hypotheses=()):
                  else RuleViolation("hyp", "sequent is not a declared hypothesis"))
         if v is not None:
             return CheckFailure(_path(d, n), v, n.conclusion)
-    object.__setattr__(d, "_accepted", True)
+    object.__setattr__(d, "_accepted", rec or True)
     return None
 
 
@@ -354,11 +356,9 @@ def _preorder(d: Derivation):
 
 
 def _path(d: Derivation, target: Derivation) -> tuple:
-    # premise indices to target's first occurrence: the walk reaches a node from
-    # the last node met before it that has it as a premise, at its first index
-    met, path = list(takewhile(lambda n: n is not target, _preorder(d))), []
-    while target is not d:
-        at = max(j for j, n in enumerate(met) if any(p is target for p in n.premises))
-        path.append(next(i for i, p in enumerate(met[at].premises) if p is target))
-        target, met = met[at], met[:at]
-    return tuple(reversed(path))
+    # premise indices to target's first occurrence: via the last parent met, at its first index
+    paths = {id(d): ()}
+    for n in _preorder(d):
+        if n is target:
+            return paths[id(n)]
+        paths.update((id(p), paths[id(n)] + (n.premises.index(p),)) for p in n.premises)

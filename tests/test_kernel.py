@@ -568,10 +568,38 @@ class TestAcceptanceRecord:
                             lambda rule, *args: judged.append(rule) or real(rule, *args))
         d = node("wk", S("z, q, p |- q"), self.exch_tree())
         for mode, rules in [("NOM_E", ["wk", "exch", "assume"]), ("NOM_E", ["exch"]),
-                            ("NOM_Q", ["exch"]), ("NOM_q", ["wk", "exch"])]:
+                            ("NOM_Q", ["exch"]), ("NOM_q", ["exch"])]:
             judged.clear()
             check_derivation(d, mode)
             assert judged == rules, mode
+
+    def test_a_duplicating_tree_rechecked_in_nom_q_is_judged_in_full(self, monkeypatch):
+        # S(x, x) occurs only below the root, which and_e1 drops: the record
+        # holds no node, yet NOM_q rejects the and_e1 node as a fresh root does
+        dup = S("|- S(x, x) -> S(x, x)")
+        conj = node("and_i", S("|- (q -> q) /\\ (S(x, x) -> S(x, x))"),
+                    node("imp_i", S("|- q -> q"), node("assume", S("q |- q"))),
+                    node("imp_i", dup, node("assume", S("S(x, x) |- S(x, x)"))))
+        d = node("wk", S("g |- q -> q"), node("and_e1", S("|- q -> q"), conj))
+        judged, real = [], kernel.check_inference
+        monkeypatch.setattr(kernel, "check_inference",
+                            lambda rule, *args: judged.append(rule) or real(rule, *args))
+        assert check_derivation(d, "NOM_Q") is None
+        assert check_derivation(d, "NOM_Q") is None and d._accepted[0] == []
+        judged.clear()
+        fail = self.same(d, "NOM_q")
+        assert judged == ["wk", "and_e1"] * 2
+        assert fail.path == (0,) and "duplicates" in str(fail)
+
+    def test_a_first_check_outside_nom_q_reads_no_nonduplication(self, monkeypatch):
+        calls, real = [], kernel.is_nonduplicating
+        monkeypatch.setattr(kernel, "is_nonduplicating", lambda f: calls.append(f) or real(f))
+        d = node("wk", S("z, q, p |- q"), self.exch_tree())
+        for mode in ("NOM", "NOM_E", "NOM_Q"):
+            check_derivation(replace(d), mode)
+        assert calls == []
+        assert check_derivation(d, "NOM_E") is None and calls == []
+        assert check_derivation(d, "NOM") is not None and calls  # the record reads it once
 
 
 class TestWeaken:
@@ -785,29 +813,33 @@ def test_failure_paths_match_the_former_walk():
 def test_recorded_roots_judge_as_fresh_roots_after_every_pair_of_modes():
     # the intact and corrupted derivations, and each intact one under an
     # exch and a qexch node (accepted only in NOM_E, only in NOM_q), checked
-    # in each mode on a new root; then each root that accepted is checked
-    # again in every mode, with the same hypotheses and with one fewer.  The
-    # record is one bit, set by any acceptance and never cleared, so every
-    # ordered pair of modes and every longer sequence reach only these states
+    # in each mode on a new root, with the hypotheses and with one fewer.  A
+    # root is unmarked, marked by its first acceptance, or recorded by the
+    # check after that, whatever its verdict; the record depends on the tree
+    # alone and is never cleared.  So each sequence of an accepting mode and
+    # two more modes, each with either hypotheses, reaches every state on
+    # every root, and a longer sequence only repeats the recorded state
     trees = rechecks = recorded_failures = 0
     for eid, prems, d, _, variants in seeded_corruptions():
         c = d.conclusion
         swap = Sequent((*c.antecedent[:-2], *c.antecedent[:-3:-1]), c.succedent)
         wrapped = [node(r, swap, d) for r in ("exch", "qexch")] if len(c.antecedent) > 1 else []
         for tree in (d, *wrapped, *(broken for _, _, broken in variants)):
-            roots = {m: replace(tree) for m in MODES}
-            fresh = {m: check_derivation(roots[m], m, prems) for m in MODES}
-            assert all(roots[m]._accepted == (fresh[m] is None) for m in MODES)
-            for first in (m for m in MODES if fresh[m] is None):
-                for second, hyps in itertools.product(MODES, (prems, prems[1:])):
-                    want = fresh[second] if hyps is prems \
-                        else check_derivation(replace(tree), second, hyps)
-                    got = check_derivation(roots[first], second, hyps)
-                    assert got == want, (eid, tree.rule, first, second, len(hyps))
-                    rechecks += 1
-                    recorded_failures += got is not None and second != "NOM_q"
+            calls = list(itertools.product(MODES, (prems, prems[1:])))
+            fresh = {(m, len(h)): check_derivation(replace(tree), m, h) for m, h in calls}
+            for first in (m for m in MODES if fresh[m, len(prems)] is None):
+                for second in calls:
+                    root = replace(tree)
+                    assert check_derivation(root, first, prems) is None and root._accepted
+                    for mode, hyps in (second, *calls):  # the second check, then each third
+                        got = check_derivation(root, mode, hyps)
+                        assert got == fresh[mode, len(hyps)], \
+                            (eid, tree.rule, first, second[0], mode, len(hyps))
+                        assert isinstance(root._accepted, tuple)
+                        rechecks += 1
+                        recorded_failures += got is not None and mode != "NOM_q"
             trees += 1
-    assert trees > 130 and rechecks > 300 and recorded_failures > 100
+    assert trees > 130 and rechecks > 4000 and recorded_failures > 1500
 
 
 def test_kernel_does_not_grow():

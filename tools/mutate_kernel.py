@@ -5,10 +5,13 @@ disabled in turn (its test becomes ``False``) in a copy of the package made
 in a temporary directory; ``src/`` is never written.  The kernel, script and
 equality tests then run against that copy.  A guard whose mutant passes
 every test survives: no test submits an inference that only it rejects.
+Two mutants of the acceptance record of ``check_derivation`` (its re-checks
+judge only the recorded nodes) are applied the same way, each an exact
+substitution in the source; the probe stops if either text is missing.
 
     python tools/mutate_kernel.py [TEST_FILE ...]
 
-Prints one line per guard and the survivors last; exits 1 if any survive.
+Prints one line per mutant and the survivors last; exits 1 if any survive.
 """
 
 import ast
@@ -21,6 +24,14 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNEL = os.path.join("src", "orthoproof", "kernel.py")
 TESTS = ("tests/test_kernel.py", "tests/test_script.py", "tests/test_equality.py")
+# (what the mutant breaks, the text in kernel.py, the text that replaces it)
+RECORD_MUTANTS = (
+    ("NOM_q uses the record although a formula duplicates",
+     'rec and (rec[1] or mode != "NOM_q")', "rec"),
+    ("hyp leaves are left out of the record",
+     "[n for n in met if n.rule not in _UNIVERSAL]",
+     '[n for n in met if n.rule not in _UNIVERSAL and n.rule != "hyp"]'),
+)
 
 
 def guards(source: bytes):
@@ -46,6 +57,16 @@ def disabled(source: bytes, guard) -> bytes:
     return source[:start] + b"False" + source[end:]
 
 
+def mutants(source: bytes):
+    """(label, mutated source) for each guard, then for each record mutant."""
+    for g in guards(source):
+        yield f"kernel.py:{g.lineno}: if {ast.unparse(g.test)}", disabled(source, g)
+    for what, text, mutant in RECORD_MUTANTS:
+        if source.count(text.encode()) != 1:
+            sys.exit(f"record mutant text not found once in {KERNEL}: {text}")
+        yield f"record: {what}", source.replace(text.encode(), mutant.encode())
+
+
 def run_tests(copy, tests):
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
@@ -55,6 +76,7 @@ def run_tests(copy, tests):
 def main(tests):
     with open(os.path.join(ROOT, KERNEL), "rb") as fh:
         source = fh.read()
+    found, survivors = list(mutants(source)), []
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "repo")
         for part in ("src", "tests", "proofs"):
@@ -63,16 +85,16 @@ def main(tests):
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
         if run_tests(copy, tests) != 0:
             sys.exit("the tests fail on the unmutated kernel; nothing to measure")
-        found, survivors = guards(source), []
-        for g in found:
+        for label, mutated in found:
             with open(os.path.join(copy, KERNEL), "wb") as fh:
-                fh.write(disabled(source, g))
+                fh.write(mutated)
             killed = run_tests(copy, tests) != 0
-            label = f"kernel.py:{g.lineno}: if {ast.unparse(g.test)}"
             print(("killed   " if killed else "SURVIVED ") + label, flush=True)
             if not killed:
                 survivors.append(label)
-    print(f"\n{len(found)} guards, {len(survivors)} surviving")
+    records = sum(label.startswith("record: ") for label in survivors)
+    print(f"\n{len(found) - len(RECORD_MUTANTS)} guards, {len(survivors) - records} surviving")
+    print(f"{len(RECORD_MUTANTS)} record mutants, {records} surviving")
     for label in survivors:
         print("  " + label)
     return 1 if survivors else 0
