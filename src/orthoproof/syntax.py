@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 DEFAULT_SORT = "_"
 
@@ -24,7 +24,7 @@ __all__ = [
     "Sequent", "Signature", "ParseError", "SignatureError",
     "parse_formula", "parse_sequent", "parse_term",
     "unfold", "expand", "formula_eq", "context_eq", "sequent_eq", "children",
-    "substitute", "free_variables", "is_nonduplicating",
+    "substitute", "is_nonduplicating",
     "render", "render_term", "render_sequent", "letters", "alpha_key",
 ]
 
@@ -100,14 +100,19 @@ def render_term(t) -> str:
     return t.name + "(" + ",".join(render_term(a) for a in t.args) + ")"
 
 
-def _term_key(t, env, depth):
-    if isinstance(t, Var):
-        if env and t.name in env:
-            return ("b", depth - env[t.name], t.sort)
-        return ("v", t.name, t.sort)
-    if isinstance(t, Const):
-        return ("c", t.name, t.sort)
-    return ("f", t.name, t.sort) + tuple(_term_key(a, env, depth) for a in t.args)
+@dataclass(frozen=True)
+class _Bound(Const):
+    """A bound occurrence in a canonical node (see `alpha_key`): its name is its
+    index, the number of binders between it and its own.  Every walk of terms
+    takes it for a constant, and no parsed or built term equals one."""
+
+
+def _canon_term(t, env, depth):
+    if isinstance(t, Var) and env and t.name in env:
+        return _Bound(depth - env[t.name] - 1, t.sort)
+    if isinstance(t, App):
+        return App(t.name, tuple(_canon_term(a, env, depth) for a in t.args), t.sort)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +136,19 @@ class _Interned(type):
 
 
 class Formula(metaclass=_Interned):
-    """Base class.  Equality and hashing are alpha-equivalence; identity
-    implies equality, but alpha-variants (and copies made without the
-    constructor, such as ``deepcopy``) are equal distinct objects."""
+    """Base class.  Equality and hashing are alpha-equivalence: two formulas
+    are equal when they share one canonical node (see `alpha_key`), so
+    alpha-variants are equal distinct objects.  Copies and unpickled nodes are
+    built by the constructor, so a copy is the node itself."""
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Formula) and _key_eq(alpha_key(self), alpha_key(other), set()))
+        return self is other or (isinstance(other, Formula) and alpha_key(self) is alpha_key(other))
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(_key_top(alpha_key(self), 3))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return object.__hash__(alpha_key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,70 +230,45 @@ class Exists(_Quant):
     body: Formula
 
 
-_QTAG = {Forall: "Q*", Exists: "Q?"}
-_BTAG = {And: "&", Imp: ">", Or: "|", Compat: "#"}
+def alpha_key(f: Formula) -> Formula:
+    """The canonical node of ``f``: the same formula built by the interning
+    constructors, with each binder's variable renamed to one that is not free
+    in its body (``""`` unless that is free) and each bound occurrence
+    replaced by a `_Bound` term.  Alpha-variants, and only they, share it."""
+    return _canon(f, None, 0)
 
 
-def alpha_key(f: Formula):
-    """Canonical key: equal keys iff formulas differ only in bound names."""
-    return _fkey(f, None, 0)
-
-
-def _fkey(f, env, depth):
+def _canon(f, env, depth):
     if env and not (f.free & env.keys()):
         env = None
-    # expand reuses the operands of ><, so a sub-formula is keyed once: with no
-    # captured references its key is position-independent and cached on the
-    # node, else memoised in the binder environment (env[None]), whose depth
-    # is fixed
-    k = getattr(f, "_akey", None) if env is None else env[None].get(id(f))
-    if k is not None:
-        return k
+    # expand reuses the operands of ><, so a sub-formula is canonicalized once:
+    # with no captured references its canonical node is position-independent
+    # (bound occurrences count binders up from themselves) and cached on the
+    # node, else memoised in the binder environment (env[None]), whose depth is
+    # fixed
+    c = getattr(f, "_canon", None) if env is None else env[None].get(id(f))
+    if c is not None:
+        return c
     if isinstance(f, Letter):
-        k = ("L", f.name)
+        c = f
     elif isinstance(f, Atom):
-        k = ("A", f.name) + tuple(_term_key(t, env, depth) for t in f.args)
+        c = Atom(f.name, tuple(_canon_term(t, env, depth) for t in f.args))
     elif isinstance(f, Neg):
-        k = ("~", _fkey(f.sub, env, depth))
+        c = Neg(_canon(f.sub, env, depth))
     elif isinstance(f, _Binary):
-        k = (_BTAG[type(f)], _fkey(f.left, env, depth), _fkey(f.right, env, depth))
+        c = type(f)(_canon(f.left, env, depth), _canon(f.right, env, depth))
     else:
         inner = dict(env) if env else {}
         inner[f.var.name], inner[None] = depth, {}
-        k = (_QTAG[type(f)], f.var.sort, _fkey(f.body, inner, depth + 1))
+        body = _canon(f.body, inner, depth + 1)
+        c = type(f)(Var(_variant("", body.free), f.var.sort), body)
+    # its binders capture no free variable, so c is its own canonical node
+    object.__setattr__(c, "_canon", c)
     if env is None:
-        object.__setattr__(f, "_akey", k)
+        object.__setattr__(f, "_canon", c)
     else:
-        env[None][id(f)] = k
-    return k
-
-
-def _key_top(k, levels):
-    # the top levels of a key, which alpha-variants share; a tuple's hash would
-    # walk an expansion's key, whose sub-keys are shared, as a tree
-    if type(k) is not tuple:
-        return k
-    return len(k) if levels == 0 else tuple(_key_top(x, levels - 1) for x in k)
-
-
-def _key_eq(a, b, met):
-    # key equality meeting each pair of sub-keys once: an expanded formula's key
-    # shares its sub-keys as the formula shares its nodes, and two alpha-variants
-    # share none, so tuple == would compare them as trees
-    if a is b or (id(a), id(b)) in met:
-        return True
-    if type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
-        return a == b
-    met.add((id(a), id(b)))
-    for x, y in zip(a, b):
-        if not _key_eq(x, y, met):
-            return False
-    return True
-
-
-def free_variables(f: Formula) -> frozenset:
-    """Names of the variables occurring free in ``f``."""
-    return f.free
+        env[None][id(f)] = c
+    return c
 
 
 def children(x) -> tuple:

@@ -13,7 +13,8 @@ from conftest import random_formula
 from orthoproof.lattice import by_name
 from orthoproof.semantics import Valid, sequent_letters, validate_sequent
 from orthoproof.syntax import (
-    App, Const, Letter, Sequent, Signature, Var, parse_formula, parse_sequent, sequent_eq,
+    App, Atom, Const, Forall, Letter, Sequent, Signature, Var, parse_formula, parse_sequent,
+    sequent_eq,
 )
 from orthoproof.tactics import catalog, derive
 
@@ -52,6 +53,37 @@ class TestAssume:
 
     def test_modulo_expansion(self):
         ok("assume", [], "p >< q |- (p -> (q -> p)) /\\ (q -> (p -> q))")
+
+    # built through the API, since the parser gives every symbol the one sort;
+    # each pair differs in one field that only the syntax core's equality reads
+    def test_sorts_and_arities_take_part_in_equality(self):
+        c, d, xs, xt = Const("c"), Const("d"), Var("x", "s"), Var("x", "t")
+        fc = lambda sort: Atom("R", (App("f", (c,), sort),))
+        for a, b in [(Forall(xs, Letter("p")), Forall(xt, Letter("p"))),
+                     (Atom("R", (c,)), Atom("R", (c, d))),
+                     (Forall(xs, Atom("R", (xs,))), Forall(xs, Atom("R", (xt,)))),
+                     (fc("s"), fc("t"))]:
+            assert check_inference("assume", [], Sequent((a,), a), "NOM_q") is None
+            assert check_inference("assume", [], Sequent((a,), b), "NOM_q") is not None
+
+    def test_a_closed_body_keeps_its_bound_positions_at_any_depth(self):
+        # a closed sub-formula's canonical node is cached on it at whatever
+        # depth it is first met, here forall y. W(y) at depth 1 through h; with
+        # binder levels in place of indices, deep(y) would then equal deep(z)
+        x, y, z = Var("x"), Var("y"), Var("z")
+        h = Forall(x, Forall(y, Atom("W", (y,))))
+        assert h == Forall(z, Forall(x, Atom("W", (x,))))
+        deep = lambda v: Forall(x, Forall(z, Forall(y, Atom("W", (v,)))))
+        assert check_inference("assume", [], Sequent((deep(y),), deep(z)), "NOM_q") is not None
+        assert check_inference("assume", [], Sequent((deep(y),), deep(x)), "NOM_q") is not None
+
+    def test_an_open_body_is_not_cached_as_if_closed(self):
+        # V(x) below forall x is a bound position; met alone, it is a free variable
+        x, y = Var("x"), Var("y")
+        fx, fy = Forall(x, Atom("V", (x,))), Forall(y, Atom("V", (y,)))
+        assert fx == fy
+        pair = Sequent((fx.body,), fy.body)
+        assert check_inference("assume", [], pair, "NOM_q") is not None
 
 
 class TestCutPaste:

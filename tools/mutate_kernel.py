@@ -1,4 +1,5 @@
-"""Mutation probe for the side conditions of the proof kernel.
+"""Mutation probe for the trusted core: the proof kernel and the syntax core
+whose equality, substitution and nonduplication it calls.
 
 Each ``if ...: return bad(...)`` guard in ``kernel.check_inference`` is
 disabled in turn (its test becomes ``False``) in a copy of the package made
@@ -6,8 +7,11 @@ in a temporary directory; ``src/`` is never written.  The kernel, script and
 equality tests then run against that copy.  A guard whose mutant passes
 every test survives: no test submits an inference that only it rejects.
 Two mutants of the acceptance record of ``check_derivation`` (its re-checks
-judge only the recorded nodes) are applied the same way, each an exact
-substitution in the source; the probe stops if either text is missing.
+judge only the recorded nodes), and named mutants of ``syntax.py``, are
+applied the same way, each an exact substitution in the source; the syntax
+mutants also run the syntax tests.  The probe stops if a mutant's text is
+not found exactly once.  Equivalent mutants, which change no verdict, are
+listed with the reason and not run.
 
     python tools/mutate_kernel.py [TEST_FILE ...]
 
@@ -23,7 +27,9 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KERNEL = os.path.join("src", "orthoproof", "kernel.py")
+SYNTAX = os.path.join("src", "orthoproof", "syntax.py")
 TESTS = ("tests/test_kernel.py", "tests/test_script.py", "tests/test_equality.py")
+SYNTAX_TESTS = ("tests/test_syntax.py",)
 # (what the mutant breaks, the text in kernel.py, the text that replaces it)
 RECORD_MUTANTS = (
     ("NOM_q uses the record although a formula duplicates",
@@ -31,6 +37,43 @@ RECORD_MUTANTS = (
     ("hyp leaves are left out of the record",
      "[n for n in met if n.rule not in _UNIVERSAL]",
      '[n for n in met if n.rule not in _UNIVERSAL and n.rule != "hyp"]'),
+)
+# the same, in syntax.py
+SYNTAX_MUTANTS = (
+    ("binder sort dropped",
+     'Var(_variant("", body.free), f.var.sort)', 'Var(_variant("", body.free))'),
+    ("occurrence sort dropped",
+     "_Bound(depth - env[t.name] - 1, t.sort)", "_Bound(depth - env[t.name] - 1)"),
+    ("App sort dropped",
+     "App(t.name, tuple(_canon_term(a, env, depth) for a in t.args), t.sort)",
+     "App(t.name, tuple(_canon_term(a, env, depth) for a in t.args))"),
+    ("atom arguments truncated",
+     "tuple(_canon_term(t, env, depth) for t in f.args)",
+     "tuple(_canon_term(t, env, depth) for t in f.args[:1])"),
+    ("binder levels in place of indices",
+     "_Bound(depth - env[t.name] - 1, t.sort)", "_Bound(env[t.name], t.sort)"),
+    ("binder not entered in the environment",
+     "inner[f.var.name], inner[None] = depth, {}", "inner[None] = {}"),
+    ("open nodes cached on the node",
+     '    if env is None:\n        object.__setattr__(f, "_canon", c)',
+     '    if True:\n        object.__setattr__(f, "_canon", c)'),
+    ("__eq__ as bare identity",
+     "isinstance(other, Formula) and alpha_key(self) is alpha_key(other)", "False"),
+    ("class dropped from the interning key",
+     "key = (cls, *[id(x) if isinstance(x, Formula) else x for x in fields])",
+     "key = tuple(id(x) if isinstance(x, Formula) else x for x in fields)"),
+    ("_subst without renaming", "if v.name in tfree:", "if False:"),
+    ("is_nonduplicating always true", "nd = len(names) == len(set(names))", "nd = True"),
+    ("`><` unfolded with its conjuncts swapped",
+     "return And(Imp(a, Imp(b, a)), Imp(b, Imp(a, b)))",
+     "return And(Imp(b, Imp(a, b)), Imp(a, Imp(b, a)))"),
+)
+# syntax mutants that change no verdict, with the reason: checked, not run
+EQUIVALENT = (
+    ("binder environment kept where no captured name occurs",
+     "    if env and not (f.free & env.keys()):\n        env = None\n", "",
+     "a sub-formula with no captured name gets the same canonical node from the "
+     "environment's memo as from its own cache; the reset only saves work"),
 )
 
 
@@ -57,14 +100,22 @@ def disabled(source: bytes, guard) -> bytes:
     return source[:start] + b"False" + source[end:]
 
 
-def mutants(source: bytes):
-    """(label, mutated source) for each guard, then for each record mutant."""
-    for g in guards(source):
-        yield f"kernel.py:{g.lineno}: if {ast.unparse(g.test)}", disabled(source, g)
+def substituted(path, source: bytes, text, mutant) -> bytes:
+    if source.count(text.encode()) != 1:
+        sys.exit(f"mutant text not found once in {path}: {text}")
+    return source.replace(text.encode(), mutant.encode())
+
+
+def mutants(sources, tests, syntax_tests):
+    """(label, file, mutated source, test files) for each guard, record
+    mutant and syntax mutant."""
+    kernel, syntax = sources[KERNEL], sources[SYNTAX]
+    for g in guards(kernel):
+        yield f"kernel.py:{g.lineno}: if {ast.unparse(g.test)}", KERNEL, disabled(kernel, g), tests
     for what, text, mutant in RECORD_MUTANTS:
-        if source.count(text.encode()) != 1:
-            sys.exit(f"record mutant text not found once in {KERNEL}: {text}")
-        yield f"record: {what}", source.replace(text.encode(), mutant.encode())
+        yield f"record: {what}", KERNEL, substituted(KERNEL, kernel, text, mutant), tests
+    for what, text, mutant in SYNTAX_MUTANTS:
+        yield f"syntax: {what}", SYNTAX, substituted(SYNTAX, syntax, text, mutant), syntax_tests
 
 
 def run_tests(copy, tests):
@@ -74,27 +125,39 @@ def run_tests(copy, tests):
 
 
 def main(tests):
-    with open(os.path.join(ROOT, KERNEL), "rb") as fh:
-        source = fh.read()
-    found, survivors = list(mutants(source)), []
+    sources = {}
+    for path in (KERNEL, SYNTAX):
+        with open(os.path.join(ROOT, path), "rb") as fh:
+            sources[path] = fh.read()
+    syntax_tests = (*tests, *(t for t in SYNTAX_TESTS if t not in tests))
+    found, survivors = list(mutants(sources, tests, syntax_tests)), []
+    for _, text, mutant, _ in EQUIVALENT:
+        substituted(SYNTAX, sources[SYNTAX], text, mutant)
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "repo")
         for part in ("src", "tests", "proofs"):
             shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
-        if run_tests(copy, tests) != 0:
-            sys.exit("the tests fail on the unmutated kernel; nothing to measure")
-        for label, mutated in found:
-            with open(os.path.join(copy, KERNEL), "wb") as fh:
+        if run_tests(copy, syntax_tests) != 0:
+            sys.exit("the tests fail on the unmutated core; nothing to measure")
+        for label, path, mutated, files in found:
+            with open(os.path.join(copy, path), "wb") as fh:
                 fh.write(mutated)
-            killed = run_tests(copy, tests) != 0
+            killed = run_tests(copy, files) != 0
+            with open(os.path.join(copy, path), "wb") as fh:
+                fh.write(sources[path])
             print(("killed   " if killed else "SURVIVED ") + label, flush=True)
             if not killed:
                 survivors.append(label)
-    records = sum(label.startswith("record: ") for label in survivors)
-    print(f"\n{len(found) - len(RECORD_MUTANTS)} guards, {len(survivors) - records} surviving")
+    for what, _, _, why in EQUIVALENT:
+        print(f"equivalent (not run) syntax: {what}: {why}")
+    count = lambda prefix: sum(label.startswith(prefix) for label in survivors)
+    records, syntax = count("record: "), count("syntax: ")
+    print(f"\n{len(found) - len(RECORD_MUTANTS) - len(SYNTAX_MUTANTS)} guards, "
+          f"{len(survivors) - records - syntax} surviving")
     print(f"{len(RECORD_MUTANTS)} record mutants, {records} surviving")
+    print(f"{len(SYNTAX_MUTANTS)} syntax mutants, {syntax} surviving")
     for label in survivors:
         print("  " + label)
     return 1 if survivors else 0
