@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     And, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
-    is_nonduplicating, render_sequent, substitute, term_free_vars,
+    is_nonduplicating, render_sequent, substitute,
 )
 
 __all__ = [
@@ -290,7 +290,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("needs the substituted term recorded (t=...)")
         if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
-        if mode == "NOM_q" and term_free_vars(instantiation) & source.body.free:
+        if mode == "NOM_q" and instantiation.free & source.body.free:
             return bad("substituted term shares a free variable with the matrix (NOM_q)")
         if not formula_eq(succ, substitute(source.body, source.var, instantiation)):
             return bad("succedent must be the matrix with the term substituted")

@@ -93,6 +93,8 @@ _STEP_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
 # the greedy prefix splits at the last 'by', also in runs like "... by by RULE"
 _BY_RE = re.compile(r"(.*)\s\bby\b(?=\s)(.*)")
 _ARG_RE = re.compile(r"([tx])=(\S+)$")
+# the one instantiation argument a primitive rule takes; the others take none
+_WANTED = {"all_i": ["x"], "all_e": ["t"]}
 
 
 def strip_comment(raw: str) -> str:
@@ -145,6 +147,10 @@ def parse_justification(text, sig, lineno=0):
             raise ScriptError("x= must name a variable", lineno)
         args.append((key, term))
         tokens = tokens[1:]
+    wanted = _WANTED.get(rule, [])
+    if catalog_id is None and [k for k, _ in args] != wanted:
+        raise ScriptError(f"{rule} takes " + (f"one {wanted[0]}= argument" if wanted
+                                              else "no instantiation arguments"), lineno)
     refs = ()
     if tokens:
         if tokens[0] != "from":
@@ -270,8 +276,7 @@ def check_line(ln: ScriptLine, derivations: dict, hypotheses: dict, mode: str):
         if not sequent_eq(d.conclusion, ln.sequent):
             return "catalog entry proves a different sequent"
         return d
-    inst = dict(ln.args)
-    instantiation = inst.get("t") if ln.rule == "all_e" else inst.get("x")
+    instantiation = ln.args[0][1] if ln.args else None  # see _WANTED
     violation = check_inference(ln.rule, [p.conclusion for p in premises],
                                 ln.sequent, mode, instantiation)
     if violation is not None:
@@ -301,7 +306,9 @@ def check_script(script: ProofScript) -> ScriptReport:
     if all(ls.ok for ls in report.lines):
         if sequent_eq(last.sequent, script.goal):
             final = derivations[last.number]
-            fail = check_derivation(final, script.mode, tuple(hyps.values()))
+            # check_line judged a derived line's whole tree by this same call
+            fail = None if last.rule == "derived" else check_derivation(
+                final, script.mode, tuple(hyps.values()))
             if fail is None:
                 report.accepted = True
                 report.derivation = final

@@ -18,8 +18,7 @@ import numpy as np
 
 from .lattice import FiniteOML, battery, sasaki_and, sasaki_arrow
 from .syntax import (
-    And, Atom, Const, Imp, Letter, Neg, Sequent, Var,
-    children, expand, letters,
+    And, Atom, Const, Imp, Letter, Neg, Sequent, Var, children, expand,
 )
 
 __all__ = [
@@ -92,7 +91,7 @@ class Countermodel(Verdict):
 
 def sequent_letters(s: Sequent) -> list:
     """Sorted names of the propositional letters appearing in a sequent."""
-    return sorted(set().union(*map(letters, (*s.antecedent, s.succedent))))
+    return sorted(set().union(*(f.letters for f in (*s.antecedent, s.succedent))))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ __all__ = [
     "parse_formula", "parse_sequent", "parse_term",
     "unfold", "expand", "formula_eq", "context_eq", "sequent_eq", "children",
     "substitute", "is_nonduplicating",
-    "render", "render_term", "render_sequent", "letters", "alpha_key",
+    "render", "render_term", "render_sequent", "alpha_key",
 ]
 
 
@@ -40,14 +40,15 @@ class ParseError(Exception):
 
 
 class SignatureError(Exception):
-    """Raised on undeclared or inconsistently used symbols."""
+    """Raised on inconsistently used symbols."""
 
 
 # ---------------------------------------------------------------------------
 # terms
 #
-# every term and formula node knows its height: the nodes on the longest path
-# down its tree, terms included, computed once from its children's heights
+# every node knows its facts from birth, computed once from its children's:
+# ``free`` and ``height`` (the nodes on its longest path down, terms included),
+# and on a formula ``letters`` and ``nonduplicating`` (see `is_nonduplicating`)
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class Var:
     name: str
     sort: str = DEFAULT_SORT
     height = 1
+    free = property(lambda self: frozenset((self.name,)))
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,7 @@ class Const:
     name: str
     sort: str = DEFAULT_SORT
     height = 1
+    free = frozenset()
 
 
 @dataclass(frozen=True)
@@ -71,18 +74,8 @@ class App:
     sort: str = DEFAULT_SORT
 
     def __post_init__(self):
-        object.__setattr__(self, "height", 1 + max((t.height for t in self.args), default=0))
-
-
-def term_free_vars(t) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Const):
-        return frozenset()
-    out = frozenset()
-    for a in t.args:
-        out |= term_free_vars(a)
-    return out
+        vars(self).update(free=frozenset().union(*[t.free for t in self.args]),
+                          height=1 + max((t.height for t in self.args), default=0))
 
 
 def substitute_term(t, name: str, r):
@@ -155,22 +148,29 @@ class Formula(metaclass=_Interned):
 class Letter(Formula):
     name: str
     height = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "free", frozenset())
+    free = frozenset()
+    letters = property(lambda self: frozenset((self.name,)))
+    nonduplicating = True
 
 
 @dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
     args: tuple
+    letters = frozenset()
 
     def __post_init__(self):
-        fv = frozenset()
-        for t in self.args:
-            fv |= term_free_vars(t)
-        object.__setattr__(self, "free", fv)
-        object.__setattr__(self, "height", 1 + max((t.height for t in self.args), default=0))
+        # one walk collects every variable occurrence, repeats included
+        names, stack = [], list(self.args)
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                names.append(t.name)
+            elif isinstance(t, App):
+                stack.extend(t.args)
+        free = frozenset(names)
+        vars(self).update(free=free, height=1 + max((t.height for t in self.args), default=0),
+                          nonduplicating=len(free) == len(names))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,14 +178,19 @@ class Neg(Formula):
     sub: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "free", self.sub.free)
-        object.__setattr__(self, "height", 1 + self.sub.height)
+        s = self.sub
+        vars(self).update(free=s.free, height=1 + s.height, letters=s.letters,
+                          nonduplicating=s.nonduplicating)
 
 
 class _Binary(Formula):
     def __post_init__(self):
-        object.__setattr__(self, "free", self.left.free | self.right.free)
-        object.__setattr__(self, "height", 1 + max(self.left.height, self.right.height))
+        a, b = self.left, self.right
+        fa, fb, la, lb = a.free, b.free, a.letters, b.letters  # shared where a union adds nothing
+        vars(self).update(free=fa if fb <= fa else fb if fa <= fb else fa | fb,
+                          height=1 + max(a.height, b.height),
+                          letters=la if lb <= la else lb if la <= lb else la | lb,
+                          nonduplicating=a.nonduplicating and b.nonduplicating)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +219,9 @@ class Compat(_Binary):
 
 class _Quant(Formula):
     def __post_init__(self):
-        object.__setattr__(self, "free", self.body.free - {self.var.name})
-        object.__setattr__(self, "height", 1 + self.body.height)
+        b = self.body
+        vars(self).update(free=b.free - {self.var.name}, height=1 + b.height,
+                          letters=b.letters, nonduplicating=b.nonduplicating)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,19 +286,6 @@ def children(x) -> tuple:
     if isinstance(x, _Quant):
         return (x.body,)
     return getattr(x, "args", ())
-
-
-def letters(f: Formula) -> frozenset:
-    """Names of the propositional letters occurring in ``f``; computed once
-    per node and cached on it, so an expansion is not walked as a tree."""
-    ls = getattr(f, "_letters", None)
-    if ls is None:
-        if isinstance(f, Letter):
-            ls = frozenset((f.name,))
-        else:
-            ls = frozenset().union(*map(letters, () if isinstance(f, Atom) else children(f)))
-        object.__setattr__(f, "_letters", ls)
-    return ls
 
 
 def expand(f: Formula) -> Formula:
@@ -387,32 +380,16 @@ def _subst(f, x, t):
     if isinstance(f, _Binary):
         return type(f)(_subst(f.left, x, t), _subst(f.right, x, t))
     v, body = f.var, f.body
-    tfree = term_free_vars(t)
-    if v.name in tfree:
-        fresh = _variant(v.name, body.free | tfree | {x})
+    if v.name in t.free:
+        fresh = _variant(v.name, body.free | t.free | {x})
         body = _subst(body, v.name, Var(fresh, v.sort))
         v = Var(fresh, v.sort)
     return type(f)(v, _subst(body, x, t))
 
 
 def is_nonduplicating(f: Formula) -> bool:
-    """True when no variable occurs twice inside any single atom; computed
-    once per node and cached on it."""
-    nd = getattr(f, "_nd", None)
-    if nd is None:
-        if isinstance(f, Atom):
-            names, stack = [], list(f.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Var):
-                    names.append(t.name)
-                else:
-                    stack.extend(children(t))
-            nd = len(names) == len(set(names))
-        else:
-            nd = all(is_nonduplicating(g) for g in children(f))
-        object.__setattr__(f, "_nd", nd)
-    return nd
+    """True when no variable occurs twice inside any single atom (NOM_q)."""
+    return f.nonduplicating
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +415,14 @@ class Sequent:
 
 @dataclass
 class Signature:
-    """Symbol table for predicate formulas.
+    """Symbol table for predicate formulas: the parser declares a symbol at
+    its first use, with wildcard sorts, and later uses must stay consistent;
+    ``declare_*`` add constants and sorted symbols.  The wildcard sort "_"
+    matches every sort.  ``letters`` maps each letter used to its node."""
 
-    By default the parser is permissive: the first use of a symbol
-    declares it (with wildcard sorts), and later uses must stay
-    consistent.  Building a Signature with ``permissive=False`` turns
-    undeclared symbols into errors instead.  The wildcard sort "_"
-    matches every sort.  ``letters`` maps each letter used to its node.
-    """
-
-    sorts: set = field(default_factory=set)
     relations: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
-    permissive: bool = True
     letters: dict = field(default_factory=dict)
 
     def declare_relation(self, name, arg_sorts):
@@ -460,7 +431,6 @@ class Signature:
         if old is not None and old != arg_sorts:
             raise SignatureError(f"relation {name} redeclared with different profile")
         self.relations[name] = arg_sorts
-        self.sorts.update(arg_sorts)
 
     def declare_function(self, name, arg_sorts, result_sort=DEFAULT_SORT):
         profile = (tuple(arg_sorts), result_sort)
@@ -468,23 +438,18 @@ class Signature:
         if old is not None and old != profile:
             raise SignatureError(f"function {name} redeclared with different profile")
         self.functions[name] = profile
-        self.sorts.update(profile[0])
-        self.sorts.add(result_sort)
 
     def declare_constant(self, name, sort=DEFAULT_SORT):
         old = self.constants.get(name)
         if old is not None and old != sort:
             raise SignatureError(f"constant {name} redeclared with different sort")
         self.constants[name] = sort
-        self.sorts.add(sort)
 
     def _relation(self, name, nargs):
         prof = self.relations.get(name)
         if prof is None:
             if name in self.letters:
                 raise SignatureError(f"{name} already used as a propositional letter")
-            if not self.permissive:
-                raise SignatureError(f"undeclared relation {name}")
             prof = (DEFAULT_SORT,) * nargs
             self.relations[name] = prof
         if len(prof) != nargs:
@@ -494,8 +459,6 @@ class Signature:
     def _function(self, name, nargs):
         prof = self.functions.get(name)
         if prof is None:
-            if not self.permissive:
-                raise SignatureError(f"undeclared function {name}")
             prof = ((DEFAULT_SORT,) * nargs, DEFAULT_SORT)
             self.functions[name] = prof
         if len(prof[0]) != nargs:

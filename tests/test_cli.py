@@ -509,6 +509,19 @@ def test_repl_forward_rejections(runner, line, message):
     assert f"rejected: {message}" in res.output
 
 
+@pytest.mark.parametrize("line, message", [
+    ("p |- p by assume t=c", "assume takes no instantiation arguments"),
+    ("|- p -> p by imp_i x=y from 1", "imp_i takes no instantiation arguments"),
+    ("p |- forall x. p by all_i from 1", "all_i takes one x= argument"),
+    ("all_i x=y t=c from 1", "all_i takes one x= argument"),
+])
+def test_repl_steps_take_only_the_arguments_their_rule_reads(runner, line, message):
+    # the SEQ by JUST form and the forward form share the script's grammar
+    res = repl(runner, f"assume p\n{line}\nshow\nquit\n", mode="NOM_Q")
+    assert f"rejected: {message}" in res.output
+    assert "\n2:" not in res.output
+
+
 def test_repl_duplicate_hyp_is_rejected_when_declared(runner):
     res = repl(runner, "hyp h1: p |- p\nhyp h1: q |- q\nassume p\nshow\nquit\n")
     assert "rejected: duplicate hypothesis 'h1'" in res.output

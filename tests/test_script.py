@@ -2,6 +2,7 @@ import textwrap
 
 import pytest
 
+from orthoproof import script
 from orthoproof.script import (
     ProofScript, ScriptError, check_file, check_script, parse_script_file,
 )
@@ -122,6 +123,23 @@ class TestParsing:
          "  1: p |- p by all_e t=( from 1\nqed", "bad t="),
         ("theorem t mode=NOM\n  goal: p |- p\n  1: p |- by assume\nqed",
          ". formula"),
+        # a primitive rule takes exactly the instantiation argument it reads
+        ("theorem t mode=NOM\n  goal: p |- p\n  1: p |- p by assume t=c\nqed",
+         "line 3: assume takes no instantiation arguments"),
+        ("theorem t mode=NOM\n  goal: |- p -> p\n  1: p |- p by assume\n"
+         "  2: |- p -> p by imp_i x=y from 1\nqed", "imp_i takes no instantiation arguments"),
+        ("theorem t mode=NOM_Q\n  hyp H: |- R(y)\n  goal: |- forall x. R(x)\n"
+         "  1: |- R(y) by hyp H\n  2: |- forall x. R(x) by all_i from 1\nqed",
+         "all_i takes one x= argument"),
+        ("theorem t mode=NOM_Q\n  goal: forall x. R(x) |- R(c)\n"
+         "  1: forall x. R(x) |- R(c) by all_e t=c x=y from 1\nqed",
+         "all_e takes one t= argument"),
+        ("theorem t mode=NOM_Q\n  goal: forall x. R(x) |- R(c)\n"
+         "  1: forall x. R(x) |- R(c) by all_e t=c t=d from 1\nqed",
+         "all_e takes one t= argument"),
+        ("theorem t mode=NOM_Q\n  goal: forall x. R(x) |- R(c)\n"
+         "  1: forall x. R(x) |- R(c) by all_i t=c from 1\nqed",
+         "all_i takes one x= argument"),
     ])
     def test_rejects(self, src, frag):
         with pytest.raises(ScriptError, match=frag):
@@ -309,6 +327,27 @@ class TestChecking:
             qed
         """)
         assert r.accepted, str(r)
+
+    @pytest.mark.parametrize("goal, rule", [
+        # check_line checked the derived line's tree; a final check would repeat it
+        ("g |- ~~p", "derived P2.4.dni from 1"),
+        # check_line judged a primitive line as one inference; its tree is checked last
+        ("g |- p /\\ p", "and_i from 1 1"),
+    ])
+    def test_the_final_tree_is_checked_once(self, monkeypatch, goal, rule):
+        roots, real = [], script.check_derivation
+        monkeypatch.setattr(script, "check_derivation",
+                            lambda d, *args: roots.append(d) or real(d, *args))
+        r = run_one(f"""\
+            theorem t mode=NOM
+              hyp H: g |- p
+              goal: {goal}
+              1: g |- p by hyp H
+              2: {goal} by {rule}
+            qed
+        """)
+        assert r.accepted, str(r)
+        assert roots == [r.derivation]
 
     def test_empty_theorem_rejected(self):
         r = check_script(ProofScript("t", "NOM", S("|- p")))

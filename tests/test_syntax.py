@@ -16,7 +16,7 @@ from orthoproof.semantics import validate_sequent
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
     ParseError, Sequent, Signature, SignatureError, Var,
-    _Parser, alpha_key, children, expand, formula_eq, is_nonduplicating, letters,
+    _Parser, alpha_key, children, expand, formula_eq, is_nonduplicating,
     parse_formula, parse_sequent, parse_term, render, render_sequent,
     substitute, unfold,
 )
@@ -84,13 +84,6 @@ class TestParsing:
             parse_formula("R(x)", sig)
         with pytest.raises(ParseError):
             parse_formula("p /\\ p(x)", sig)
-
-    def test_strict_signature(self):
-        sig = Signature(permissive=False)
-        with pytest.raises(ParseError):
-            parse_formula("R(x)", sig)
-        sig.declare_relation("R", ("_",))
-        assert parse_formula("R(x)", sig) == Atom("R", (Var("x"),))
 
     def test_signature_redeclaration(self):
         sig = Signature()
@@ -300,7 +293,7 @@ class TestAlphaKeyOnSharedNodes:
         # >< nested 24 deep: walked as trees, letters and hash grow about 3x a
         # level (14 deep took seconds)
         start = time.perf_counter()
-        assert letters(expand(_compat_chain(24))) == {"p", "q", "r"}
+        assert expand(_compat_chain(24)).letters == {"p", "q", "r"}
         fx = expand(Forall(x, _compat_chain(24, Atom("R", (x,)))))
         fy = expand(Forall(y, _compat_chain(24, Atom("R", (y,)))))
         assert fx is not fy and hash(fx) == hash(fy) and fx == fy
@@ -374,28 +367,15 @@ class TestHashConsing:
         gc.collect()
         assert len(syntax._INTERNED) == before
 
-    def test_nonduplication_is_computed_once_per_node(self, monkeypatch):
-        f = expand(_compat_chain(12))
-        nodes, stack = set(), [f]
-        while stack:
-            g = stack.pop()
-            if id(g) not in nodes:
-                nodes.add(id(g))
-                stack.extend(children(g))
+    def test_nonduplication_is_set_when_each_node_is_built(self, monkeypatch):
         calls = []
         check = syntax.is_nonduplicating
-
-        def counting(g):
-            calls.append(id(g))
-            return check(g)
-
-        monkeypatch.setattr(syntax, "is_nonduplicating", counting)
-        assert syntax.is_nonduplicating(f)
-        assert set(calls) == nodes
-        assert len(calls) <= 2 * len(nodes) + 1
-        calls.clear()
-        assert syntax.is_nonduplicating(f)
-        assert calls == [id(f)]
+        monkeypatch.setattr(syntax, "is_nonduplicating", lambda g: calls.append(g) or check(g))
+        f = expand(_compat_chain(12, Atom("R", (x, y))))
+        g = And(f, Atom("R", (x, x)))
+        assert calls == []  # building asks no question
+        assert syntax.is_nonduplicating(f) and not syntax.is_nonduplicating(g)
+        assert calls == [f, g]  # and a question is one read, not a walk
 
 
 def _prime_bound(f):
@@ -473,6 +453,102 @@ def test_nodes_know_their_height():
     while layer:
         layer, layers = [k for g in layer for k in children(g)], layers + 1
     assert layers == f.height
+
+
+def _ref_occurrences(t):
+    """The variable names of a term in order, repeats included, as a tree walk."""
+    if isinstance(t, Var):
+        return [t.name]
+    if isinstance(t, App):
+        return [n for a in t.args for n in _ref_occurrences(a)]
+    return []
+
+
+def _ref_facts(f):
+    """(free, height, letters, nonduplicating) of a formula, walked as a tree."""
+    if isinstance(f, Letter):
+        return set(), 1, {f.name}, True
+    if isinstance(f, Atom):
+        names = [n for t in f.args for n in _ref_occurrences(t)]
+        return (set(names), 1 + max((_ref_height(t) for t in f.args), default=0), set(),
+                len(names) == len(set(names)))
+    if isinstance(f, (Forall, Exists)):
+        free, height, ls, nd = _ref_facts(f.body)
+        return free - {f.var.name}, 1 + height, ls, nd
+    subs = [_ref_facts(g) for g in ((f.sub,) if isinstance(f, Neg) else (f.left, f.right))]
+    return (set().union(*(s[0] for s in subs)), 1 + max(s[1] for s in subs),
+            set().union(*(s[2] for s in subs)), all(s[3] for s in subs))
+
+
+def _ref_height(t):
+    return 1 + max((_ref_height(a) for a in getattr(t, "args", ())), default=0)
+
+
+def _facts(f):
+    return f.free, f.height, f.letters, f.nonduplicating
+
+
+def _all_nodes(f):
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        stack.extend(children(g) if not isinstance(g, Atom) else ())
+    return out
+
+
+class TestFactsAtConstruction:
+    """Each node's facts, set when it is built from its children's, equal a
+    walk of its whole tree; so does each term's ``free``."""
+
+    def check(self, f):
+        for g in _all_nodes(f):
+            assert _facts(g) == _ref_facts(g), render(g)
+            for t in getattr(g, "args", ()):
+                assert t.free == set(_ref_occurrences(t)), render(g)
+
+    def test_examples(self):
+        fx = App("f", (x,))
+        cases = [
+            (Atom("R", (App("g", (fx, x)),)), {"x"}, False),   # a repeat inside one App
+            (Atom("R", (App("g", (fx, y)),)), {"x", "y"}, True),
+            (Atom("S", (App("g", (App("f", (fx,)), Const("c"))), x)), {"x"}, False),
+            (Atom("S", (App("g", (x, Const("c"))), y)), {"x", "y"}, True),
+            (And(Atom("R", (x,)), Forall(x, Atom("S", (x, y)))), {"x", "y"}, True),
+            (Forall(x, Imp(Atom("R", (x,)), Forall(x, Atom("R", (x,))))), set(), True),
+            (Forall(x, And(p, Exists(y, Atom("S", (y, App("f", (y,))))))), set(), False),
+            (Compat(Atom("R", (x, x)), Atom("R", (y,))), {"x", "y"}, False),
+            (Compat(Atom("R", (y,)), Atom("R", (x, x))), {"x", "y"}, False),
+            (Or(Neg(q), Forall(y, Atom("R", (y,)))), set(), True),
+        ]
+        for f, free, nd in cases:
+            assert (f.free, f.nonduplicating, is_nonduplicating(f)) == (free, nd, nd), render(f)
+            self.check(f)
+            self.check(expand(f))
+        assert Or(Neg(q), Compat(p, Atom("R", ()))).letters == {"p", "q"}
+
+    @given(formula_strategy)
+    @settings(max_examples=300)
+    def test_every_node_agrees_with_a_tree_walk(self, f):
+        self.check(f)
+        self.check(expand(f))
+        self.check(alpha_key(f))
+
+    def test_seeded_corpus_and_copies(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            f = random_formula(rng, depth=rng.randrange(8))
+            self.check(f)
+            for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert g is f and _facts(g) == _ref_facts(f)
+        # rebuilt after the originals are gone, the facts are computed afresh
+        data = [pickle.dumps(random_formula(rng, depth=6)) for _ in range(50)]
+        gc.collect()
+        for blob in data:
+            self.check(pickle.loads(blob))
+        t = App("g", (App("f", (x,)), x))
+        for u in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert u == t and u.free == {"x"} and u.height == 3
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +746,8 @@ _ODD = ["@", "$", "1", "'", "-", "|", "<", ">", "/", "\\", "é", "#", "# note\n"
 _SEPARATORS = [" ", " ", " ", "", "\n", "\t", " #~@|-\n"]
 
 
-def _fuzz_signature(strict):
-    sig = Signature(permissive=not strict)
+def _fuzz_signature():
+    sig = Signature()
     sig.declare_constant("c")
     sig.declare_constant("d", "t")
     sig.declare_relation("R", ("_",))
@@ -780,8 +856,7 @@ def test_parser_matches_the_former_parser_on_random_token_strings():
     public = {"formula": parse_formula, "sequent": parse_sequent, "term": parse_term}
     seen, texts = set(), 0
     while texts < 20_000:
-        strict = rng.random() < 0.15
-        new_sig, ref_sig = _fuzz_signature(strict), _fuzz_signature(strict)
+        new_sig, ref_sig = _fuzz_signature(), _fuzz_signature()
         for second in range(rng.randint(1, 2)):  # the second sees what the first declared
             if second and rng.random() < 0.3:
                 # a letter of the first text may become a relation
@@ -802,8 +877,8 @@ def test_parser_matches_the_former_parser_on_random_token_strings():
     # the fuzz reaches acceptance and every kind of rejection
     assert {"ok", "unexpected character", "unexpected '><'", "expected ')',",
             "expected term", "expected variable", "nested deeper", "relation p",
-            "relation R", "undeclared relation", "s-sorted argument", "t-sorted argument",
-            "function f", "undeclared function", "f already"} <= seen, seen
+            "relation R", "s-sorted argument", "t-sorted argument", "function f",
+            "f already"} <= seen, seen
 
 
 @pytest.mark.parametrize("text", [

@@ -62,8 +62,15 @@ SYNTAX_MUTANTS = (
     ("class dropped from the interning key",
      "key = (cls, *[id(x) if isinstance(x, Formula) else x for x in fields])",
      "key = tuple(id(x) if isinstance(x, Formula) else x for x in fields)"),
-    ("_subst without renaming", "if v.name in tfree:", "if False:"),
-    ("is_nonduplicating always true", "nd = len(names) == len(set(names))", "nd = True"),
+    ("_subst without renaming", "if v.name in t.free:", "if False:"),
+    ("an atom's nonduplication always true",
+     "nonduplicating=len(free) == len(names)", "nonduplicating=True"),
+    ("an atom's repeated variable counted once inside an App",
+     "stack.extend(t.args)", "names.extend(t.free)"),
+    ("a binary node's nonduplication from its left child only",
+     "nonduplicating=a.nonduplicating and b.nonduplicating", "nonduplicating=a.nonduplicating"),
+    ("a quantifier leaves its variable free",
+     "free=b.free - {self.var.name}", "free=b.free"),
     ("`><` unfolded with its conjuncts swapped",
      "return And(Imp(a, Imp(b, a)), Imp(b, Imp(a, b)))",
      "return And(Imp(b, Imp(a, b)), Imp(a, Imp(b, a)))"),
