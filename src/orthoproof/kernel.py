@@ -8,12 +8,12 @@ derivations — acceptance always comes back through this module.
 Schema matching is positional: premise order is part of each rule.
 Formulas are compared by alpha-equality after expanding the derived
 connectives, so a conclusion written with \\/ or >< matches the rule
-schemas of its expansion.
-"""
+schemas of its expansion."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .syntax import (
     And, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
@@ -45,6 +45,7 @@ _MODE_RULES = {
     "NOM_q": frozenset({"all_i", "all_e", "qexch"}),
 }
 _UNIVERSAL = frozenset(RULES).difference(*_MODE_RULES.values())
+_ND, _CONCLUSION = attrgetter("nonduplicating"), attrgetter("conclusion")
 
 
 @dataclass(frozen=True, eq=False)  # identity eq and hash: generated ones unfold the DAG
@@ -54,14 +55,13 @@ class Derivation:
     ``instantiation`` carries the explicit datum of the quantifier
     rules: the bound variable for all_i, the substituted term for
     all_e.  The pseudo-rule "hyp" marks a leaf standing on a declared
-    hypothesis of an open derivation.
-    """
+    hypothesis of an open derivation."""
 
     conclusion: Sequent
     rule: str
     premises: tuple = ()
     instantiation: object = None
-    _accepted = False  # not a field: True once accepted as a root, then a re-check record
+    _accepted = False  # not a field: the re-check record, set when accepted as a root
 
     def __post_init__(self):  # a tuple, so that a checked tree cannot change
         object.__setattr__(self, "premises", tuple(self.premises))
@@ -314,33 +314,33 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
 
 
 def check_derivation(d: Derivation, mode, hypotheses=()):
-    """Depth-first re-check of a whole tree; None, or the first
-    CheckFailure in preorder, judging each distinct node once.  A "hyp"
-    leaf must follow from a declared hypothesis by "wk" as NOM judges it.
-    An accepted root is marked; its first re-check records (``_accepted``)
-    its hyp leaves and mode rules, and each re-check judges only those unless
-    in NOM_q a formula duplicates.  Sound: trees are immutable, a universal
-    rule reads the mode only for NOM_q's nonduplication, premises are nodes.
-    """
+    """Depth-first re-check of a whole tree; None, or the first CheckFailure
+    in preorder, judging each distinct node once.  A "hyp" leaf must follow
+    from a declared hypothesis by "wk" as NOM judges it.  The accepting walk
+    records (``_accepted``) the hyp leaves and mode rules and whether all
+    formulas are nonduplicating; a re-check judges only those unless in NOM_q
+    one duplicates.  Sound: trees are immutable, a universal rule reads the
+    mode only for NOM_q's nonduplication, premises are nodes."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if (rec := d._accepted) is True:  # (recorded nodes in preorder, nonduplicating)
-        met = list(_preorder(d))
-        rec = ([n for n in met if n.rule not in _UNIVERSAL], all(is_nonduplicating(f)
-               for n in met for f in (*n.conclusion.antecedent, n.conclusion.succedent)))
-        object.__setattr__(d, "_accepted", rec)
+    rec, kept, forms = d._accepted, [], []  # rec: (kept nodes in preorder, nonduplicating)
     for n in rec[0] if rec and (rec[1] or mode != "NOM_q") else _preorder(d):
-        if n.rule != "hyp":
-            v = check_inference(n.rule, [p.conclusion for p in n.premises],
-                                n.conclusion, mode, n.instantiation)
+        c, rule = n.conclusion, n.rule
+        if not rec:
+            forms += c.antecedent
+            forms.append(c.succedent)
+            if rule not in _UNIVERSAL:
+                kept.append(n)
+        if rule != "hyp":
+            v = check_inference(rule, [*map(_CONCLUSION, n.premises)], c, mode, n.instantiation)
         else:
             v = (RuleViolation("hyp", "hypotheses take no premises") if n.premises
-                 else None if any(check_inference("wk", (h,), n.conclusion, "NOM") is None
+                 else None if any(check_inference("wk", (h,), c, "NOM") is None
                                   for h in hypotheses)
                  else RuleViolation("hyp", "sequent is not a declared hypothesis"))
         if v is not None:
-            return CheckFailure(_path(d, n), v, n.conclusion)
-    object.__setattr__(d, "_accepted", rec or True)
+            return CheckFailure(_path(d, n), v, c)
+    object.__setattr__(d, "_accepted", rec or (kept, all(map(_ND, forms))))
     return None
 
 
@@ -352,7 +352,7 @@ def _preorder(d: Derivation):
         if id(n) not in seen:
             seen.add(id(n))
             yield n
-            stack.extend(reversed(n.premises))
+            stack.extend(n.premises[::-1])
 
 
 def _path(d: Derivation, target: Derivation) -> tuple:

@@ -93,7 +93,8 @@ _STEP_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
 # the greedy prefix splits at the last 'by', also in runs like "... by by RULE"
 _BY_RE = re.compile(r"(.*)\s\bby\b(?=\s)(.*)")
 _ARG_RE = re.compile(r"([tx])=(\S+)$")
-# the one instantiation argument a primitive rule takes; the others take none
+# the one instantiation argument a primitive rule takes; the others take none,
+# and a derived line takes those of its catalog entry
 _WANTED = {"all_i": ["x"], "all_e": ["t"]}
 
 
@@ -109,6 +110,16 @@ def split_by(text):
     """Split ``SEQUENT by JUSTIFICATION`` at its last ``by``; None without one."""
     m = _BY_RE.match(" " + text)
     return m.groups() if m else None
+
+
+def _catalog_arguments(entry_id):
+    """The keys a ``derived`` line of the entry gives (see CatalogEntry); None
+    for an unknown id, which checking the line reports."""
+    from .tactics import TacticError, lookup
+    try:
+        return lookup(entry_id).arguments
+    except TacticError:
+        return None
 
 
 def parse_justification(text, sig, lineno=0):
@@ -147,9 +158,10 @@ def parse_justification(text, sig, lineno=0):
             raise ScriptError("x= must name a variable", lineno)
         args.append((key, term))
         tokens = tokens[1:]
-    wanted = _WANTED.get(rule, [])
-    if catalog_id is None and [k for k, _ in args] != wanted:
-        raise ScriptError(f"{rule} takes " + (f"one {wanted[0]}= argument" if wanted
+    name, wanted = (rule, _WANTED.get(rule, [])) if catalog_id is None \
+        else (catalog_id, _catalog_arguments(catalog_id))
+    if wanted is not None and [k for k, _ in args] != list(wanted):
+        raise ScriptError(f"{name} takes " + (f"one {wanted[0]}= argument" if wanted
                                               else "no instantiation arguments"), lineno)
     refs = ()
     if tokens:

@@ -48,7 +48,9 @@ class SignatureError(Exception):
 #
 # every node knows its facts from birth, computed once from its children's:
 # ``free`` and ``height`` (the nodes on its longest path down, terms included),
-# and on a formula ``letters`` and ``nonduplicating`` (see `is_nonduplicating`)
+# and on a formula ``letters`` and ``nonduplicating`` (see `is_nonduplicating`),
+# each set by ``object.__setattr__``, which builds no instance dictionary
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ class App:
     sort: str = DEFAULT_SORT
 
     def __post_init__(self):
-        vars(self).update(free=frozenset().union(*[t.free for t in self.args]),
-                          height=1 + max((t.height for t in self.args), default=0))
+        _set(self, "free", frozenset().union(*[t.free for t in self.args]))
+        _set(self, "height", 1 + max((t.height for t in self.args), default=0))
 
 
 def substitute_term(t, name: str, r):
@@ -149,8 +151,10 @@ class Letter(Formula):
     name: str
     height = 1
     free = frozenset()
-    letters = property(lambda self: frozenset((self.name,)))
     nonduplicating = True
+
+    def __post_init__(self):
+        _set(self, "letters", frozenset((self.name,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +173,9 @@ class Atom(Formula):
             elif isinstance(t, App):
                 stack.extend(t.args)
         free = frozenset(names)
-        vars(self).update(free=free, height=1 + max((t.height for t in self.args), default=0),
-                          nonduplicating=len(free) == len(names))
+        _set(self, "free", free)
+        _set(self, "height", 1 + max((t.height for t in self.args), default=0))
+        _set(self, "nonduplicating", len(free) == len(names))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,18 +184,20 @@ class Neg(Formula):
 
     def __post_init__(self):
         s = self.sub
-        vars(self).update(free=s.free, height=1 + s.height, letters=s.letters,
-                          nonduplicating=s.nonduplicating)
+        _set(self, "free", s.free)
+        _set(self, "height", 1 + s.height)
+        _set(self, "letters", s.letters)
+        _set(self, "nonduplicating", s.nonduplicating)
 
 
 class _Binary(Formula):
     def __post_init__(self):
         a, b = self.left, self.right
         fa, fb, la, lb = a.free, b.free, a.letters, b.letters  # shared where a union adds nothing
-        vars(self).update(free=fa if fb <= fa else fb if fa <= fb else fa | fb,
-                          height=1 + max(a.height, b.height),
-                          letters=la if lb <= la else lb if la <= lb else la | lb,
-                          nonduplicating=a.nonduplicating and b.nonduplicating)
+        _set(self, "free", fa if fb <= fa else fb if fa <= fb else fa | fb)
+        _set(self, "height", 1 + max(a.height, b.height))
+        _set(self, "letters", la if lb <= la else lb if la <= lb else la | lb)
+        _set(self, "nonduplicating", a.nonduplicating and b.nonduplicating)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +227,10 @@ class Compat(_Binary):
 class _Quant(Formula):
     def __post_init__(self):
         b = self.body
-        vars(self).update(free=b.free - {self.var.name}, height=1 + b.height,
-                          letters=b.letters, nonduplicating=b.nonduplicating)
+        _set(self, "free", b.free - {self.var.name})
+        _set(self, "height", 1 + b.height)
+        _set(self, "letters", b.letters)
+        _set(self, "nonduplicating", b.nonduplicating)
 
 
 @dataclass(frozen=True, eq=False)

@@ -813,6 +813,12 @@ class CatalogEntry:
         """The schema formulas an instantiation must give, in builder order."""
         return tuple(k for k in self.params if k in _METAVARS)
 
+    @property
+    def arguments(self):
+        """The keys a ``derived`` line gives, each once: ``t`` when the
+        builder takes the term, which the matcher reads from the line."""
+        return tuple(k for k in self.params if k == "t")
+
     def build(self, inst, prems):
         """Run the builder; a missing context is empty.  The build shares
         its repeated sub-lemmas (``_shared``), and forgets them when done."""

@@ -490,6 +490,19 @@ def test_existential_introduction_reads_a_deep_goal_as_written(runner, tmp_path)
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("mode, goal, just", [
+    ("NOM_E", "|- p -> (q -> p)", "derived T3.2.AX1 t=c x=y"),
+    ("NOM_Q", "|- (forall x. R(x)) >< R(c)", "derived L5.6 t=d t=c"),
+])
+def test_a_derived_line_with_arguments_its_entry_does_not_read_is_bad_input(
+        runner, tmp_path, mode, goal, just):
+    p = tmp_path / "args.nom"
+    p.write_text(f"theorem t mode={mode}\ngoal: {goal}\n1: {goal} by {just}\nqed\n")
+    res = invoke(runner, ["check", str(p)])
+    assert res.exit_code == 2 and "takes" in res.output
+    assert len(res.output.strip().splitlines()) == 1
+
+
 def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):
     text = "assume R(x), S(x)\nqexch from 1\nquit\n"
     res = repl(runner, text, mode="NOM_q")
@@ -514,6 +527,8 @@ def test_repl_forward_rejections(runner, line, message):
     ("|- p -> p by imp_i x=y from 1", "imp_i takes no instantiation arguments"),
     ("p |- forall x. p by all_i from 1", "all_i takes one x= argument"),
     ("all_i x=y t=c from 1", "all_i takes one x= argument"),
+    ("p |- ~~p by derived P2.4.dni t=c from 1", "P2.4.dni takes no instantiation arguments"),
+    ("derived P2.4.dni t=c from 1", "P2.4.dni takes no instantiation arguments"),
 ])
 def test_repl_steps_take_only_the_arguments_their_rule_reads(runner, line, message):
     # the SEQ by JUST form and the forward form share the script's grammar

@@ -631,7 +631,41 @@ class TestAcceptanceRecord:
             check_derivation(replace(d), mode)
         assert calls == []
         assert check_derivation(d, "NOM_E") is None and calls == []
-        assert check_derivation(d, "NOM") is not None and calls  # the record reads it once
+        # the accepting check read each formula's fact as an attribute; the re-check reads none
+        assert check_derivation(d, "NOM") is not None and calls == []
+        assert d._accepted == ([d.premises[0]], True)
+
+    def test_only_the_accepting_check_walks_the_tree(self, monkeypatch):
+        walks, real = [], kernel._preorder
+        monkeypatch.setattr(kernel, "_preorder", lambda d: walks.append(d) or real(d))
+        hyps = (S("g |- p"), S("g |- q"))
+        d = node("and_i", S("g |- p /\\ q"), hyp(S("g |- p")), hyp(S("g |- q")))
+        assert check_derivation(d, "NOM", hyps) is None and walks == [d]
+        for mode in MODES:
+            assert check_derivation(d, mode, hyps) is None
+        assert walks == [d] and d._accepted == (list(d.premises), True)
+        # the one exception: a NOM_q re-check of a duplicating tree walks it
+        h = (S("S(x, x) |- S(x, x)"),)
+        leaf = hyp(S("p, S(x, x) |- S(x, x)"))
+        assert check_derivation(leaf, "NOM_q", h) is None and leaf._accepted == ([leaf], False)
+        walks.clear()
+        for mode in ("NOM", "NOM_E", "NOM_Q"):
+            assert check_derivation(leaf, mode, h) is None
+        assert walks == []
+        assert check_derivation(leaf, "NOM_q", h) is None and walks == [leaf]
+
+    def test_a_failed_recheck_leaves_the_record_as_it_was(self):
+        d = node("wk", S("z, q, p |- q"), self.exch_tree())
+        dup = node("wk", S("p, S(x, x) |- S(x, x)"), node("assume", S("S(x, x) |- S(x, x)")))
+        for tree, accepting, rejecting, kept, nonduplicating in [
+                (d, "NOM_E", ("NOM", "NOM_Q", "NOM_q"), [d.premises[0]], True),
+                (dup, "NOM_Q", ("NOM_q",), [], False)]:
+            assert check_derivation(tree, accepting) is None
+            rec = tree._accepted
+            for mode in rejecting:
+                assert check_derivation(tree, mode) is not None
+                assert tree._accepted is rec and rec == (kept, nonduplicating), mode
+            assert check_derivation(tree, accepting) is None and tree._accepted is rec
 
 
 class TestWeaken:
@@ -846,11 +880,11 @@ def test_recorded_roots_judge_as_fresh_roots_after_every_pair_of_modes():
     # the intact and corrupted derivations, and each intact one under an
     # exch and a qexch node (accepted only in NOM_E, only in NOM_q), checked
     # in each mode on a new root, with the hypotheses and with one fewer.  A
-    # root is unmarked, marked by its first acceptance, or recorded by the
-    # check after that, whatever its verdict; the record depends on the tree
-    # alone and is never cleared.  So each sequence of an accepting mode and
-    # two more modes, each with either hypotheses, reaches every state on
-    # every root, and a longer sequence only repeats the recorded state
+    # root is unmarked until a check accepts it, and that check records it;
+    # the record depends on the tree alone and is never cleared.  So each
+    # sequence of an accepting mode and two more modes, each with either
+    # hypotheses, reaches both states and every pair of re-checks on every
+    # root, and a longer sequence only repeats the recorded state
     trees = rechecks = recorded_failures = 0
     for eid, prems, d, _, variants in seeded_corruptions():
         c = d.conclusion

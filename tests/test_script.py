@@ -140,6 +140,25 @@ class TestParsing:
         ("theorem t mode=NOM_Q\n  goal: forall x. R(x) |- R(c)\n"
          "  1: forall x. R(x) |- R(c) by all_i t=c from 1\nqed",
          "all_i takes one x= argument"),
+        # a derived line takes exactly the arguments its catalog entry reads
+        ("theorem t mode=NOM_E\n  goal: |- p -> (q -> p)\n"
+         "  1: |- p -> (q -> p) by derived T3.2.AX1 t=c x=y\nqed",
+         "line 3: T3.2.AX1 takes no instantiation arguments"),
+        ("theorem t mode=NOM\n  goal: p |- ~~p\n  1: p |- p by assume\n"
+         "  2: p |- ~~p by derived P2.4.dni t=c from 1\nqed",
+         "P2.4.dni takes no instantiation arguments"),
+        ("theorem t mode=NOM_Q\n  goal: |- (forall x. R(x)) >< R(c)\n"
+         "  1: |- (forall x. R(x)) >< R(c) by derived L5.6 t=d t=c\nqed",
+         "L5.6 takes one t= argument"),
+        ("theorem t mode=NOM_Q\n  goal: |- (forall x. R(x)) >< R(c)\n"
+         "  1: |- (forall x. R(x)) >< R(c) by derived L5.6\nqed",
+         "L5.6 takes one t= argument"),
+        ("theorem t mode=NOM_Q\n  goal: |- (forall x. R(x)) >< R(c)\n"
+         "  1: |- (forall x. R(x)) >< R(c) by derived L5.6 x=x\nqed",
+         "L5.6 takes one t= argument"),
+        ("theorem t mode=NOM_Q\n  hyp h: |- R(c)\n  goal: |- exists x. R(x)\n"
+         "  1: |- R(c) by hyp h\n  2: |- exists x. R(x) by derived P5.7.EI t=c t=c from 1\nqed",
+         "P5.7.EI takes one t= argument"),
     ])
     def test_rejects(self, src, frag):
         with pytest.raises(ScriptError, match=frag):
@@ -318,6 +337,16 @@ class TestChecking:
         """)
         assert r.accepted, str(r)
         assert r.derivation.instantiation == Var("y")
+
+    def test_an_unknown_catalog_id_is_a_rejected_line(self):
+        # the argument check leaves an unknown id to the line's check
+        r = run_one("""\
+            theorem t mode=NOM
+              goal: p |- p
+              1: p |- p by derived NO.SUCH t=c
+            qed
+        """)
+        assert not r.accepted and "unknown catalog id 'NO.SUCH'" in str(r)
 
     def test_derived_quantifier_entry(self):
         r = run_one("""\

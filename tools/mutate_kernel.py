@@ -6,7 +6,7 @@ disabled in turn (its test becomes ``False``) in a copy of the package made
 in a temporary directory; ``src/`` is never written.  The kernel, script and
 equality tests then run against that copy.  A guard whose mutant passes
 every test survives: no test submits an inference that only it rejects.
-Two mutants of the acceptance record of ``check_derivation`` (its re-checks
+Three mutants of the acceptance record of ``check_derivation`` (its re-checks
 judge only the recorded nodes), and named mutants of ``syntax.py``, are
 applied the same way, each an exact substitution in the source; the syntax
 mutants also run the syntax tests.  The probe stops if a mutant's text is
@@ -16,6 +16,8 @@ listed with the reason and not run.
     python tools/mutate_kernel.py [TEST_FILE ...]
 
 Prints one line per mutant and the survivors last; exits 1 if any survive.
+It reports ``58 guards, 0 surviving``, ``3 record mutants, 0 surviving``
+and ``15 syntax mutants, 0 surviving``.
 """
 
 import ast
@@ -35,8 +37,9 @@ RECORD_MUTANTS = (
     ("NOM_q uses the record although a formula duplicates",
      'rec and (rec[1] or mode != "NOM_q")', "rec"),
     ("hyp leaves are left out of the record",
-     "[n for n in met if n.rule not in _UNIVERSAL]",
-     '[n for n in met if n.rule not in _UNIVERSAL and n.rule != "hyp"]'),
+     "if rule not in _UNIVERSAL:", 'if rule not in _UNIVERSAL and rule != "hyp":'),
+    ("the record's nonduplication flag forced true",
+     "rec or (kept, all(map(_ND, forms)))", "rec or (kept, True)"),
 )
 # the same, in syntax.py
 SYNTAX_MUTANTS = (
@@ -64,13 +67,15 @@ SYNTAX_MUTANTS = (
      "key = tuple(id(x) if isinstance(x, Formula) else x for x in fields)"),
     ("_subst without renaming", "if v.name in t.free:", "if False:"),
     ("an atom's nonduplication always true",
-     "nonduplicating=len(free) == len(names)", "nonduplicating=True"),
+     '_set(self, "nonduplicating", len(free) == len(names))',
+     '_set(self, "nonduplicating", True)'),
     ("an atom's repeated variable counted once inside an App",
      "stack.extend(t.args)", "names.extend(t.free)"),
     ("a binary node's nonduplication from its left child only",
-     "nonduplicating=a.nonduplicating and b.nonduplicating", "nonduplicating=a.nonduplicating"),
+     '_set(self, "nonduplicating", a.nonduplicating and b.nonduplicating)',
+     '_set(self, "nonduplicating", a.nonduplicating)'),
     ("a quantifier leaves its variable free",
-     "free=b.free - {self.var.name}", "free=b.free"),
+     '_set(self, "free", b.free - {self.var.name})', '_set(self, "free", b.free)'),
     ("`><` unfolded with its conjuncts swapped",
      "return And(Imp(a, Imp(b, a)), Imp(b, Imp(a, b)))",
      "return And(Imp(b, Imp(a, b)), Imp(a, Imp(b, a)))"),
