@@ -387,7 +387,8 @@ class _Session:
             click.echo("\n".join(self._script(goal)))
             return True
         # kept only if the input is accepted; every value a Signature holds is
-        # immutable, so copying its containers is enough
+        # immutable, so copying its containers is enough.  The copy carries the
+        # parse memo as well, so a rejected line's parses go with its symbols
         sig = Signature(**{k: copy.copy(v) for k, v in vars(self.sig).items()})
         try:
             if line.partition(" ")[0] == "hyp":

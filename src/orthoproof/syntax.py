@@ -427,12 +427,22 @@ class Signature:
     """Symbol table for predicate formulas: the parser declares a symbol at
     its first use, with wildcard sorts, and later uses must stay consistent;
     ``declare_*`` add constants and sorted symbols.  The wildcard sort "_"
-    matches every sort.  ``letters`` maps each letter used to its node."""
+    matches every sort.  ``letters`` maps each letter used to its node.
+
+    ``parsed`` memoises the successful parses made under the signature: each
+    sequent by its text, and each top-level formula of one by its tokens.
+    Parsing only grows the tables (a used letter never becomes a relation, a
+    profile is fixed at first use, no constant is added), so a text parses
+    to the same nodes again.  Each ``declare_*`` clears the memo, since a new
+    constant or relation can change what a text means; only the parser and
+    ``declare_*`` may change the tables, and a direct write to them is
+    unsupported."""
 
     relations: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
     letters: dict = field(default_factory=dict)
+    parsed: dict = field(default_factory=dict, compare=False, repr=False)
 
     def declare_relation(self, name, arg_sorts):
         arg_sorts = tuple(arg_sorts)
@@ -440,6 +450,7 @@ class Signature:
         if old is not None and old != arg_sorts:
             raise SignatureError(f"relation {name} redeclared with different profile")
         self.relations[name] = arg_sorts
+        self.parsed.clear()
 
     def declare_function(self, name, arg_sorts, result_sort=DEFAULT_SORT):
         profile = (tuple(arg_sorts), result_sort)
@@ -447,12 +458,14 @@ class Signature:
         if old is not None and old != profile:
             raise SignatureError(f"function {name} redeclared with different profile")
         self.functions[name] = profile
+        self.parsed.clear()
 
     def declare_constant(self, name, sort=DEFAULT_SORT):
         old = self.constants.get(name)
         if old is not None and old != sort:
             raise SignatureError(f"constant {name} redeclared with different sort")
         self.constants[name] = sort
+        self.parsed.clear()
 
     def _relation(self, name, nargs):
         prof = self.relations.get(name)
@@ -632,14 +645,34 @@ class _Parser:
                     f"{arg.sort}-sorted argument where {name} wants {want}", self.pos(start))
 
     def sequent(self):
+        self.fresh = {}  # the formula parses to memoise once the whole text parses
         ante = []
         if self.toks[self.i] != "|-":
-            ante.append(self.formula())
+            ante.append(self.top())
             while self.toks[self.i] == ",":
                 self.i += 1
-                ante.append(self.formula())
+                ante.append(self.top())
         self.expect("|-")
-        return Sequent(tuple(ante), self.formula())
+        return Sequent(tuple(ante), self.top())
+
+    def top(self):
+        """A top-level formula of a sequent, looked up in the signature's memo by
+        its tokens: those before the first ``,``, ``|-`` or end of input outside
+        parentheses.  The formula reads the same whichever of the three follows."""
+        toks, i = self.toks, self.i
+        j, depth = i, 0
+        while (t := toks[j]) is not None and (depth or t != "," and t != "|-"):
+            depth += (t == "(") - (t == ")")
+            j += 1
+        key = tuple(toks[i:j])
+        f = self.sig.parsed.get(key)
+        if f is not None:
+            self.i = j
+            return f
+        f = self.formula()
+        if self.i == j:
+            self.fresh[key] = f
+        return f
 
     def finish(self, value):
         if self.toks[self.i] is not None:
@@ -658,9 +691,16 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
 
 
 def parse_sequent(text: str, sig: Signature | None = None) -> Sequent:
-    """Parse ``phi1, ..., phin |- psi`` keeping antecedent order (n = 0 allowed)."""
-    p = _Parser(text, sig if sig is not None else Signature())
-    return p.finish(p.sequent())
+    """Parse ``phi1, ..., phin |- psi`` keeping antecedent order (n = 0 allowed).
+    A text already parsed under ``sig`` is not read again (see `Signature`)."""
+    sig = sig if sig is not None else Signature()
+    s = sig.parsed.get(text)
+    if s is None:
+        p = _Parser(text, sig)
+        s = p.finish(p.sequent())
+        sig.parsed.update(p.fresh)
+        sig.parsed[text] = s
+    return s
 
 
 def parse_term(text: str, sig: Signature | None = None):

@@ -567,6 +567,17 @@ def test_repl_rejected_step_leaves_no_symbols_behind(runner):
     assert "1: p |- p" in res.output
 
 
+def test_repl_rejected_step_leaves_no_memoised_parse_behind(runner):
+    # the rejected first line parses S(x) with S of one argument; the copy of
+    # the signature that line used, memo included, is dropped with it
+    res = repl(runner, "R(x) |- S(x) by assume\nS(x, y) |- S(x, y) by assume\n"
+                       "R(x) |- S(x) by assume\nquit\n")
+    out = res.output.splitlines()
+    assert "rejected: assume:" in out[1]
+    assert "1: S(x,y) |- S(x,y)" in out[2]
+    assert "rejected: relation S takes 2 arguments" in out[3]
+
+
 def test_repl_session_keeps_the_interned_letter_nodes(capsys):
     # each step parses with a copy of the session signature; the copy must
     # hand out the shared nodes, not deep copies of them

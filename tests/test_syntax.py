@@ -1,5 +1,6 @@
 import copy
 import gc
+import os
 import pickle
 import random
 import re
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from conftest import corpus_signature, formula_strategy, random_formula
 from orthoproof.kernel import check_inference
 from orthoproof.lattice import by_name
-from orthoproof import syntax
+from orthoproof import script, syntax
 from orthoproof.semantics import validate_sequent
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
@@ -97,6 +98,82 @@ class TestParsing:
         assert parse_term("g(f(x),c)", sig) == App("g", (App("f", (Var("x"),)), Const("c")))
 
 
+def _memo_free(sig):
+    """A copy of ``sig`` with the same tables and an empty memo."""
+    return Signature(**{k: copy.copy(v) for k, v in vars(sig).items() if k != "parsed"})
+
+
+def _generated_script(seed, theorems=4, lines=15):
+    """Seeded script text whose lines restate contexts drawn from a small pool,
+    as real scripts do; its steps only need to parse."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(theorems):
+        pool = [render(random_formula(rng, depth=rng.randrange(5))) for _ in range(6)]
+        seq = lambda: ", ".join(rng.sample(pool, rng.randint(0, 3))) + " |- " + rng.choice(pool)
+        out += [f"theorem t{k} mode=NOM_Q", f"hyp h: {seq()}", f"goal: {seq()}"]
+        out += [f"{n}: {seq()} by assume" for n in range(1, lines + 1)]
+        out.append("qed")
+    return "\n".join(out)
+
+
+class TestParseMemo:
+    def test_memoised_parses_are_the_nodes_a_fresh_parse_builds(self, monkeypatch):
+        proofs = os.path.join(os.path.dirname(__file__), os.pardir, "proofs")
+        files = [(open(os.path.join(proofs, n)).read(), Signature())
+                 for n in sorted(os.listdir(proofs)) if n.endswith(".nom")]
+        files.append((_generated_script(11), corpus_signature()))
+        real, texts = script.parse_sequent, []
+
+        def differential(text, sig):
+            want = real(text, _memo_free(sig))
+            got = real(text, sig)
+            assert got.succedent is want.succedent, text
+            assert len(got.antecedent) == len(want.antecedent), text
+            assert all(f is g for f, g in zip(got.antecedent, want.antecedent)), text
+            texts.append(text)
+            return got
+
+        monkeypatch.setattr(script, "parse_sequent", differential)
+        for text, sig in files:
+            script.parse_script_file(text, sig)
+            assert any(type(k) is str for k in sig.parsed)
+            assert any(type(k) is tuple for k in sig.parsed)
+        assert len(texts) > len(set(texts))  # the memo answered some of them
+
+    def test_a_declared_constant_is_read_as_one_after_a_parse(self):
+        sig = Signature()
+        assert type(parse_sequent("R(c) |- R(c)", sig).succedent.args[0]) is Var
+        sig.declare_constant("c")
+        s = parse_sequent("R(c) |- R(c)", sig)
+        assert type(s.succedent.args[0]) is Const
+        assert type(s.antecedent[0].args[0]) is Const
+
+    def test_a_declared_relation_shadows_a_parsed_letter(self):
+        sig = Signature()
+        parse_sequent("p |- p", sig)
+        sig.declare_relation("p", ("_",))
+        with pytest.raises(ParseError) as fresh:
+            parse_sequent("p |- p", _memo_free(sig))
+        with pytest.raises(ParseError) as memo:
+            parse_sequent("p |- p", sig)
+        assert (str(memo.value), memo.value.pos) == (str(fresh.value), fresh.value.pos)
+        assert "relation p used without arguments" in str(memo.value)
+
+    @pytest.mark.parametrize("text", [
+        "p |- q )", "p, R(x |- p", "p |- ", "R(x), R(x, y) |- p", "p, q", "p |- q @",
+    ])
+    def test_a_failure_is_raised_again_and_never_memoised(self, text):
+        sig = Signature()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as e:
+                parse_sequent(text, sig)
+            errors.append((str(e.value), e.value.pos))
+        assert errors[0] == errors[1]
+        assert sig.parsed == {}
+
+
 def _nested(kind, depth):
     """A sequent whose first formula is nested ``depth`` levels deep: its tree
     (terms included) is that high, or it sits inside that many parentheses."""
@@ -118,6 +195,15 @@ class TestNestingLimit:
     def test_past_the_limit_is_a_parse_error(self, kind):
         with pytest.raises(ParseError, match="nested deeper than"):
             parse_sequent(_nested(kind, _Parser.MAX_NESTING + 1))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_past_the_limit_is_refused_on_every_call(self, kind):
+        # the chains parse without recursion and fail only at the height check
+        sig, text = Signature(), _nested(kind, _Parser.MAX_NESTING + 1)
+        for _ in range(3):
+            with pytest.raises(ParseError, match="nested deeper than"):
+                parse_sequent(text, sig)
+        assert sig.parsed == {}
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_at_the_limit_every_later_walk_is_safe(self, kind):
@@ -861,7 +947,8 @@ def test_parser_matches_the_former_parser_on_random_token_strings():
             if second and rng.random() < 0.3:
                 # a letter of the first text may become a relation
                 for s in (new_sig, ref_sig):
-                    s.relations.setdefault("p", ("_",))
+                    if "p" not in s.relations:
+                        s.declare_relation("p", ("_",))
             texts += 1
             kind = rng.choice(("formula", "sequent", "sequent", "term"))
             text = _fuzz_text(rng, kind)

@@ -7,7 +7,8 @@ in a temporary directory; ``src/`` is never written.  The kernel, script and
 equality tests then run against that copy.  A guard whose mutant passes
 every test survives: no test submits an inference that only it rejects.
 Three mutants of the acceptance record of ``check_derivation`` (its re-checks
-judge only the recorded nodes), and named mutants of ``syntax.py``, are
+judge only the recorded nodes), and named mutants of ``syntax.py`` (its parse
+memo included, which decides the sequent a theorem states), are
 applied the same way, each an exact substitution in the source; the syntax
 mutants also run the syntax tests.  The probe stops if a mutant's text is
 not found exactly once.  Equivalent mutants, which change no verdict, are
@@ -17,7 +18,7 @@ listed with the reason and not run.
 
 Prints one line per mutant and the survivors last; exits 1 if any survive.
 It reports ``58 guards, 0 surviving``, ``3 record mutants, 0 surviving``
-and ``15 syntax mutants, 0 surviving``.
+and ``16 syntax mutants, 0 surviving``.
 """
 
 import ast
@@ -79,6 +80,8 @@ SYNTAX_MUTANTS = (
     ("`><` unfolded with its conjuncts swapped",
      "return And(Imp(a, Imp(b, a)), Imp(b, Imp(a, b)))",
      "return And(Imp(b, Imp(a, b)), Imp(a, Imp(b, a)))"),
+    ("a declared constant leaves the parse memo in place",
+     "self.constants[name] = sort\n        self.parsed.clear()", "self.constants[name] = sort"),
 )
 # syntax mutants that change no verdict, with the reason: checked, not run
 EQUIVALENT = (
