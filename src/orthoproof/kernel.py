@@ -21,8 +21,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "MODES", "RULES", "PREMISE_COUNTS", "Derivation",
-    "RuleViolation", "CheckFailure",
+    "MODES", "RULES", "PREMISE_COUNTS", "Derivation", "RuleViolation", "CheckFailure",
     "check_inference", "check_derivation", "hyp", "node",
 ]
 
@@ -45,17 +44,16 @@ _MODE_RULES = {
     "NOM_q": frozenset({"all_i", "all_e", "qexch"}),
 }
 _UNIVERSAL = frozenset(RULES).difference(*_MODE_RULES.values())
-_ND, _CONCLUSION = attrgetter("nonduplicating"), attrgetter("conclusion")
+_ND, _CONCLUSION, _set = attrgetter("nonduplicating"), attrgetter("conclusion"), object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)  # identity eq and hash: generated ones unfold the DAG
+@dataclass(frozen=True, eq=False, init=False)  # identity eq and hash: generated ones unfold the DAG
 class Derivation:
-    """A rule-application tree; the kernel's only certificate.
-
-    ``instantiation`` carries the explicit datum of the quantifier
-    rules: the bound variable for all_i, the substituted term for
-    all_e.  The pseudo-rule "hyp" marks a leaf standing on a declared
-    hypothesis of an open derivation."""
+    """A rule-application tree; the kernel's only certificate, whose premises
+    are a tuple, so that a checked tree cannot change.  ``instantiation``
+    carries the explicit datum of the quantifier rules: the bound variable for
+    all_i, the substituted term for all_e.  The pseudo-rule "hyp" marks a leaf
+    standing on a declared hypothesis of an open derivation."""
 
     conclusion: Sequent
     rule: str
@@ -63,8 +61,11 @@ class Derivation:
     instantiation: object = None
     _accepted = False  # not a field: the re-check record, set when accepted as a root
 
-    def __post_init__(self):  # a tuple, so that a checked tree cannot change
-        object.__setattr__(self, "premises", tuple(self.premises))
+    def __init__(self, conclusion, rule, premises=(), instantiation=None):  # per field: no dict
+        _set(self, "conclusion", conclusion)
+        _set(self, "rule", rule)
+        _set(self, "premises", tuple(premises))
+        _set(self, "instantiation", instantiation)
 
     def __repr__(self):
         # one line: the generated repr would unfold the shared subtrees
@@ -173,8 +174,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("succedent must be a conjunction")
         if not (context_eq(p1.antecedent, ante) and context_eq(p2.antecedent, ante)):
             return bad("premises must share the conclusion's antecedent")
-        if not (expand(p1.succedent) == target.left
-                and expand(p2.succedent) == target.right):
+        if not (expand(p1.succedent) == target.left and expand(p2.succedent) == target.right):
             return bad("premises must conclude the two conjuncts in order")
         return None
 

@@ -39,7 +39,7 @@ class ScriptError(Exception):
         super().__init__(f"line {lineno}: {message}" if lineno else message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScriptLine:
     number: int
     sequent: Sequent
@@ -49,6 +49,12 @@ class ScriptLine:
     refs: tuple = ()                # earlier line numbers
     hyp_name: Optional[str] = None
     source_line: int = 0
+
+    def __init__(self, number, sequent, rule, catalog_id=None, args=(), refs=(),
+                 hyp_name=None, source_line=0):  # one write; lines are few, so are their dicts
+        object.__setattr__(self, "__dict__", {
+            "number": number, "sequent": sequent, "rule": rule, "catalog_id": catalog_id,
+            "args": args, "refs": refs, "hyp_name": hyp_name, "source_line": source_line})
 
 
 @dataclass(frozen=True)
@@ -221,39 +227,34 @@ def parse_script_file(text: str, signature: Optional[Signature] = None):
                 raise ScriptError(f"unknown mode '{mode}'", lineno)
             goal, hyps, steps = None, [], []
             in_theorem = True
-            continue
-        if line == "qed":
+        elif m := _STEP_RE.match(line):  # the most frequent line first
+            if goal is None:
+                raise ScriptError("proof lines must follow the goal", lineno)
+            number = int(m.group(1))
+            if steps and number <= steps[-1].number:
+                raise ScriptError("line numbers must increase", lineno)
+            steps.append(parse_step(number, m.group(2), sig, lineno))
+        elif line == "qed":
             if goal is None:
                 raise ScriptError("theorem ended without a goal", lineno)
             scripts.append(ProofScript(name, mode, goal, tuple(hyps), tuple(steps)))
             in_theorem = False
-            continue
-        m = HYP_RE.match(line)
-        if m and line.startswith("hyp"):
+        elif m := HYP_RE.match(line):
             if goal is not None:
                 raise ScriptError("hypotheses must precede the goal", lineno)
             hname = m.group(1)
             if any(h[0] == hname for h in hyps):
                 raise ScriptError(f"duplicate hypothesis '{hname}'", lineno)
             hyps.append((hname, _sequent(m.group(2), sig, lineno)))
-            continue
-        if line.startswith("goal"):
+        elif line.startswith("goal"):
             rest = line[4:].lstrip()
             if not rest.startswith(":"):
                 raise ScriptError("expected 'goal: SEQUENT'", lineno)
             if goal is not None:
                 raise ScriptError("duplicate goal", lineno)
             goal = _sequent(rest[1:], sig, lineno)
-            continue
-        m = _STEP_RE.match(line)
-        if not m:
+        else:
             raise ScriptError("expected a numbered proof line", lineno)
-        if goal is None:
-            raise ScriptError("proof lines must follow the goal", lineno)
-        number = int(m.group(1))
-        if steps and number <= steps[-1].number:
-            raise ScriptError("line numbers must increase", lineno)
-        steps.append(parse_step(number, m.group(2), sig, lineno))
     if in_theorem:
         raise ScriptError("missing 'qed' at end of file", len(text.splitlines()))
     return tuple(scripts)

@@ -10,6 +10,7 @@ building a node with the class and fields of a live one returns that node.
 
 from __future__ import annotations
 
+import inspect
 import re
 import weakref
 from dataclasses import dataclass, field, fields
@@ -115,18 +116,32 @@ def _canon_term(t, env, depth):
 
 
 # one node per formula structure, after Filliatre & Conchon, "Type-Safe Modular
-# Hash-Consing" (2006): formula fields are keyed by identity, since they are
-# interned already, strings, variables and term tuples by value.  The table
-# holds its nodes weakly, so it never keeps a formula alive.
-_INTERNED = weakref.WeakValueDictionary()
+# Hash-Consing" (2006): each class keys a node (``_key``) by its class and fields,
+# formula fields by identity, as they are interned already, others by value.  A hit
+# is one ``dict.get`` and one call of a weak reference; the table keeps no node alive.
+_INTERNED = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+    def drop(self, table=_INTERNED):  # the callback; by then the key may hold a new node
+        if table.get(self.key) is self:
+            del table[self.key]
 
 
 class _Interned(type):
-    def __call__(cls, *fields):
-        key = (cls, *[id(x) if isinstance(x, Formula) else x for x in fields])
-        f = _INTERNED.get(key)
+    def __call__(cls, *fields, **named):
+        if named:  # in field order, as the dataclass's __init__ binds them
+            bound = inspect.signature(cls.__init__).bind(cls, *fields, **named).arguments
+            fields = tuple(bound.values())[1:]
+        key = cls._key(cls, *fields)
+        r = _INTERNED.get(key)
+        f = r and r()
         if f is None:
-            f = _INTERNED[key] = super().__call__(*fields)
+            f = super().__call__(*fields)
+            r = _INTERNED[key] = _Ref(f, _Ref.drop)
+            r.key = key
         return f
 
 
@@ -135,6 +150,8 @@ class Formula(metaclass=_Interned):
     are equal when they share one canonical node (see `alpha_key`), so
     alpha-variants are equal distinct objects.  Copies and unpickled nodes are
     built by the constructor, so a copy is the node itself."""
+
+    _key = staticmethod(lambda *key: key)  # every field by value: Letter, Atom
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Formula) and alpha_key(self) is alpha_key(other))
@@ -181,6 +198,7 @@ class Atom(Formula):
 @dataclass(frozen=True, eq=False)
 class Neg(Formula):
     sub: Formula
+    _key = staticmethod(lambda cls, sub: (cls, id(sub)))
 
     def __post_init__(self):
         s = self.sub
@@ -191,6 +209,8 @@ class Neg(Formula):
 
 
 class _Binary(Formula):
+    _key = staticmethod(lambda cls, left, right: (cls, id(left), id(right)))
+
     def __post_init__(self):
         a, b = self.left, self.right
         fa, fb, la, lb = a.free, b.free, a.letters, b.letters  # shared where a union adds nothing
@@ -225,6 +245,8 @@ class Compat(_Binary):
 
 
 class _Quant(Formula):
+    _key = staticmethod(lambda cls, var, body: (cls, var, id(body)))
+
     def __post_init__(self):
         b = self.body
         _set(self, "free", b.free - {self.var.name})
@@ -405,14 +427,14 @@ def is_nonduplicating(f: Formula) -> bool:
 # sequents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sequent:
     antecedent: tuple
     succedent: Formula
 
-    def __post_init__(self):  # a tuple, so that a sequent cannot change
-        if type(self.antecedent) is not tuple:
-            object.__setattr__(self, "antecedent", tuple(self.antecedent))
+    def __init__(self, antecedent, succedent):  # a tuple, so that a sequent cannot change
+        _set(self, "antecedent", tuple(antecedent))
+        _set(self, "succedent", succedent)
 
     def __str__(self):
         return render_sequent(self)

@@ -19,7 +19,7 @@ from functools import partial, wraps
 from itertools import takewhile
 from typing import Callable, Optional
 
-from .kernel import MODES, Derivation, hyp, node
+from .kernel import MODES, Derivation, hyp
 from .syntax import (
     And, Compat, Exists, Forall, Formula, Imp, Letter, Neg, Or, Sequent,
     children, context_eq, formula_eq, sequent_eq, substitute, unfold,
@@ -35,7 +35,7 @@ _QMODES = ("NOM_Q", "NOM_q")
 
 
 def _n(rule, ante, succ, *prems, inst=None):
-    return node(rule, Sequent(tuple(ante), succ), *prems, instantiation=inst)
+    return Derivation(Sequent(ante, succ), rule, prems, inst)
 
 
 # The sub-lemmas of the build in progress (``CatalogEntry.build``), None
@@ -48,15 +48,16 @@ def _shared(builder):
     """Build a pure sub-lemma once per catalog build and share the node.
 
     Formulas are hash-consed, so equal arguments are the same objects; a
-    context tuple keys as the ids of its members, a keyword argument as its
-    value."""
+    tuple argument keys as the ids of its members, any other argument as its
+    id, a keyword argument as its value."""
     @wraps(builder)
     def shared(*args, **kw):
         if _MEMO is None:
             return builder(*args, **kw)
-        key = (builder, *[tuple(map(id, a)) if type(a) is tuple else id(a) for a in args],
-               *kw.items())
-        hit = _MEMO.get(key)
+        key = [builder, *kw.items()]  # a loop builds no function per call, as a comprehension does
+        for a in args:
+            key.append(tuple(map(id, a)) if type(a) is tuple else id(a))
+        hit = _MEMO.get(key := tuple(key))
         if hit is None:
             hit = _MEMO[key] = (args, builder(*args, **kw))
         return hit[1]

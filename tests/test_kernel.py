@@ -1,7 +1,8 @@
+import copy
 import itertools
 import random
 import time
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -517,6 +518,52 @@ class TestCheckDerivation:
         # a hyp leaf is judged as rule "wk" in NOM, in every mode
         h = S("S(x, x) |- S(x, x)")
         assert check_derivation(hyp(S("p, S(x, x) |- S(x, x)")), "NOM_q", (h,)) is None
+
+
+class TestDerivationRecord:
+    """A derivation is a frozen record with identity equality; its premises
+    are a tuple whatever sequence built it."""
+
+    @staticmethod
+    def tree():
+        return Derivation(S("g, q |- q /\\ q"), "and_i",
+                          [node("assume", S("g, q |- q"))] * 2)
+
+    @staticmethod
+    def same_fields(a, b):
+        return all(getattr(a, f.name) is getattr(b, f.name) for f in fields(Derivation))
+
+    def test_a_list_of_premises_is_stored_as_a_tuple(self):
+        d = self.tree()
+        assert type(d.premises) is tuple and len(d.premises) == 2
+        assert type(node("assume", S("p |- p")).premises) is tuple
+        assert type(Derivation(S("p |- p"), "assume").premises) is tuple
+        assert d.instantiation is None and hyp(S("p |- p")).premises == ()
+
+    @pytest.mark.parametrize("name", ["conclusion", "rule", "premises", "instantiation"])
+    def test_fields_cannot_be_assigned(self, name):
+        d = self.tree()
+        with pytest.raises(FrozenInstanceError):
+            setattr(d, name, None)
+
+    def test_copy_and_replace_give_an_equal_record(self):
+        d = self.tree()
+        for c in (copy.copy(d), replace(d)):
+            assert c is not d and self.same_fields(c, d)
+            assert check_derivation(c, "NOM") is None
+        e = replace(d, premises=list(d.premises[::-1]))
+        assert type(e.premises) is tuple and e.conclusion is d.conclusion
+        assert replace(d, rule="cut").rule == "cut"
+
+    def test_only_an_accepting_root_check_records_a_derivation(self):
+        d = self.tree()
+        assert not d._accepted and "_accepted" not in vars(d)
+        assert check_derivation(d.premises[0], "NOM") is None
+        assert not d._accepted  # checking a premise records the premise only
+        assert check_derivation(d, "NOM") is None and d._accepted
+        assert not replace(d)._accepted  # a rebuilt record starts unrecorded
+        bad = Derivation(S("g, q |- p /\\ q"), "and_i", list(d.premises))
+        assert check_derivation(bad, "NOM") is not None and not bad._accepted
 
 
 class TestAcceptanceRecord:

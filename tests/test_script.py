@@ -1,10 +1,12 @@
+import copy
+import dataclasses
 import textwrap
 
 import pytest
 
 from orthoproof import script
 from orthoproof.script import (
-    ProofScript, ScriptError, check_file, check_script, parse_script_file,
+    ProofScript, ScriptError, ScriptLine, check_file, check_script, parse_script_file,
 )
 from orthoproof.syntax import Sequent, Var, parse_sequent
 
@@ -171,6 +173,57 @@ class TestParsing:
             assert exc.lineno == 3
         else:
             pytest.fail("no error raised")
+
+
+    @pytest.mark.parametrize("body,lineno,frag", [
+        # each kind of line inside a theorem, wrong where it stands
+        ("  1: p |- p by assume\n  goal: p |- p", 2, "proof lines must follow the goal"),
+        ("  goal: p |- p\n  hyp H: p |- p", 3, "hypotheses must precede the goal"),
+        ("  goal: p |- p\n  goal p |- p", 3, "expected 'goal: SEQUENT'"),
+        ("  goal: p |- p\n  1: p |- p by assume\n  1: p |- p by assume", 4,
+         "line numbers must increase"),
+        ("  goal: p |- p\n  hyp: p |- p", 3, "expected a numbered proof line"),
+        ("  goal: p |- p\n  1 p |- p by assume", 3, "expected a numbered proof line"),
+        ("  goal: p |- p\n  1: p |- p", 3, "expected 'SEQUENT by RULE ...'"),
+        ("  goal: p |- p\n  theorem u mode=NOM", 3, "expected a numbered proof line"),
+    ])
+    def test_each_line_kind_reports_its_error_and_line(self, body, lineno, frag):
+        with pytest.raises(ScriptError) as exc:
+            parse_script_file(f"theorem t mode=NOM\n{body}\nqed\n")
+        assert exc.value.lineno == lineno
+        assert str(exc.value) == f"line {lineno}: {frag}"
+
+
+class TestScriptLineRecord:
+    def line(self):
+        return parse_one("""\
+            theorem t mode=NOM_Q
+              goal: forall x. R(x) |- R(c)
+              1: forall x. R(x) |- forall x. R(x) by assume
+              2: forall x. R(x) |- R(c) by all_e t=c from 1
+            qed
+        """).lines[1]
+
+    def test_fields_and_defaults(self):
+        ln = self.line()
+        assert (ln.number, ln.rule, ln.refs, ln.source_line) == (2, "all_e", (1,), 4)
+        assert ln.catalog_id is None and ln.hyp_name is None
+        bare = ScriptLine(1, S("p |- p"), "assume")
+        assert (bare.catalog_id, bare.args, bare.refs, bare.hyp_name, bare.source_line) \
+            == (None, (), (), None, 0)
+        assert ScriptLine(number=1, sequent=S("p |- p"), rule="assume") == bare
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScriptLine)])
+    def test_fields_cannot_be_assigned(self, name):
+        ln = self.line()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ln, name, None)
+
+    def test_copy_and_replace_give_an_equal_record(self):
+        ln = self.line()
+        for c in (copy.copy(ln), dataclasses.replace(ln)):
+            assert c == ln and hash(c) == hash(ln)
+        assert dataclasses.replace(ln, number=3).number == 3
 
 
 class TestChecking:

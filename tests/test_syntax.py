@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import os
 import pickle
@@ -453,6 +454,68 @@ class TestHashConsing:
         gc.collect()
         assert len(syntax._INTERNED) == before
 
+    def test_equal_distinct_strings_give_one_node(self):
+        name = "".join(["p", "0"])  # equal to "p0", and a distinct object
+        assert Letter(name) is Letter("p0")
+        args = tuple([Var("".join(["x", "1"]))])
+        assert Atom("R", args) is Atom("R", (Var("x1"),))
+
+    def test_every_class_interns(self):
+        fc = App("f", (Const("c"), App("g", (x,))))
+        for make in (lambda: Letter("p"), lambda: Atom("R", (fc, y)), lambda: Neg(p),
+                     lambda: And(p, q), lambda: Imp(p, q), lambda: Or(p, q),
+                     lambda: Compat(p, q), lambda: Forall(x, Atom("R", (x,))),
+                     lambda: Exists(x, Atom("R", (fc, x)))):
+            assert make() is make()
+        nodes = [Or(p, q), Compat(p, q), And(p, q), Imp(p, q)]
+        assert len({id(n) for n in nodes}) == 4  # the class is part of the key
+        assert Forall(x, Atom("R", (x,))) is not Exists(x, Atom("R", (x,)))
+
+    def test_formula_fields_key_by_identity(self):
+        # alpha-variants are equal distinct nodes, so nodes over them are too
+        fx, fy = parse_formula("forall x. R(x)"), parse_formula("forall y. R(y)")
+        assert fx == fy and fx is not fy
+        assert Neg(fx) is not Neg(fy) and Neg(fx) == Neg(fy)
+        assert And(fx, p) is not And(fy, p) and And(fx, p) == And(fy, p)
+        assert Forall(y, fx) is not Forall(y, fy) and Forall(y, fx) == Forall(y, fy)
+
+    def test_a_binary_node_keys_on_both_children(self):
+        assert And(p, q) is not And(p, r)
+        assert And(p, q) is not And(r, q)
+        assert And(p, q) is not And(q, p)
+        assert Imp(p, And(p, q)) is not Imp(p, And(p, r))
+
+    def test_keyword_fields_give_the_positional_node(self):
+        fx = Forall(x, Atom("R", (x,)))
+        assert Letter(name="p") is Letter("p") is p
+        assert Atom(name="R", args=(x,)) is Atom("R", (x,))
+        assert Atom("R", args=(x,)) is Atom("R", (x,))
+        assert Neg(sub=p) is Neg(p)
+        assert Imp(p, right=q) is Imp(p, q) is Imp(right=q, left=p)
+        assert Forall(body=fx.body, var=x) is fx
+        assert dataclasses.replace(And(p, q), right=r) is And(p, r)
+        assert dataclasses.replace(fx, var=y) is Forall(y, fx.body)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Letter(nam="p"), lambda: Letter("p", name="p"), lambda: And(p, left=q),
+        lambda: Neg(), lambda: Neg(p, q), lambda: And(p), lambda: Forall(x),
+    ])
+    def test_bad_fields_raise_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_a_late_callback_leaves_a_key_that_holds_a_new_node(self):
+        f = And(Letter("late0"), Letter("late1"))
+        key = (And, id(f.left), id(f.right))
+        live = syntax._INTERNED[key]
+        stale = syntax._Ref(Letter("late2"))
+        stale.key = key
+        stale.drop()  # as if an earlier node under this key died only now
+        assert syntax._INTERNED[key] is live and live() is f
+        del f
+        gc.collect()
+        assert key not in syntax._INTERNED
+
     def test_nonduplication_is_set_when_each_node_is_built(self, monkeypatch):
         calls = []
         check = syntax.is_nonduplicating
@@ -462,6 +525,34 @@ class TestHashConsing:
         assert calls == []  # building asks no question
         assert syntax.is_nonduplicating(f) and not syntax.is_nonduplicating(g)
         assert calls == [f, g]  # and a question is one read, not a walk
+
+
+class TestSequentRecord:
+    def test_a_list_antecedent_is_stored_as_a_tuple(self):
+        ante = [p, q]
+        s = Sequent(ante, r)
+        assert type(s.antecedent) is tuple and s.antecedent == (p, q)
+        ante[0] = r
+        assert s.antecedent == (p, q)
+        assert Sequent([p], q) == Sequent((p,), q)
+        assert hash(Sequent([p], q)) == hash(Sequent((p,), q))
+        assert Sequent(antecedent=[p], succedent=q) == Sequent((p,), q)
+
+    @pytest.mark.parametrize("name", ["antecedent", "succedent"])
+    def test_fields_cannot_be_assigned(self, name):
+        s = Sequent((p,), q)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, r)
+        assert s == Sequent((p,), q)
+
+    def test_copy_and_replace_give_an_equal_record(self):
+        s = Sequent((p, Imp(p, q)), q)
+        for c in (copy.copy(s), dataclasses.replace(s), copy.deepcopy(s),
+                  pickle.loads(pickle.dumps(s))):
+            assert c == s and hash(c) == hash(s)
+            assert type(c.antecedent) is tuple
+        t = dataclasses.replace(s, antecedent=[q])
+        assert type(t.antecedent) is tuple and t == Sequent((q,), q)
 
 
 def _prime_bound(f):

@@ -18,7 +18,7 @@ listed with the reason and not run.
 
 Prints one line per mutant and the survivors last; exits 1 if any survive.
 It reports ``58 guards, 0 surviving``, ``3 record mutants, 0 surviving``
-and ``16 syntax mutants, 0 surviving``.
+and ``17 syntax mutants, 0 surviving``.
 """
 
 import ast
@@ -64,8 +64,10 @@ SYNTAX_MUTANTS = (
     ("__eq__ as bare identity",
      "isinstance(other, Formula) and alpha_key(self) is alpha_key(other)", "False"),
     ("class dropped from the interning key",
-     "key = (cls, *[id(x) if isinstance(x, Formula) else x for x in fields])",
-     "key = tuple(id(x) if isinstance(x, Formula) else x for x in fields)"),
+     "key = cls._key(cls, *fields)", "key = cls._key(Formula, *fields)"),
+    ("a binary node keyed by its left child only",
+     "lambda cls, left, right: (cls, id(left), id(right))",
+     "lambda cls, left, right: (cls, id(left))"),
     ("_subst without renaming", "if v.name in t.free:", "if False:"),
     ("an atom's nonduplication always true",
      '_set(self, "nonduplicating", len(free) == len(names))',
