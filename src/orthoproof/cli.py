@@ -25,10 +25,10 @@ from .script import (
     parse_step, split_by, strip_comment,
 )
 from .syntax import (  # parse_term is unused here; the benchmark's tracer wraps it
-    And, Forall, Imp, ParseError, Sequent, Signature, SignatureError, parse_sequent,
-    parse_term, render_sequent, render_term, sequent_eq, substitute, unfold,
+    ParseError, Sequent, Signature, SignatureError, parse_sequent, parse_term,
+    render_sequent, render_term, sequent_eq,
 )
-from .tactics import TacticError, infer_conclusion
+from .tactics import TacticError, forward, infer_conclusion
 from .tactics import catalog as catalog_entries
 from .tactics import lookup as catalog_lookup
 
@@ -230,49 +230,6 @@ class _Rejected(Exception):
     """An input the session answers with one 'rejected: ...' line."""
 
 
-def _forward_primitive(rule, args, prems):
-    """Conclusion of a forward rule application; the kernel re-checks it."""
-    (p1, *rest) = prems
-    ante, succ = p1.antecedent, p1.succedent
-    e = unfold(succ)  # its top connective, over operands as written
-    if rule == "cut":
-        return Sequent(ante, rest[0].succedent)
-    if rule == "paste":
-        return Sequent(ante + (succ,), rest[0].succedent)
-    if rule == "cexch":
-        return Sequent(prems[2].antecedent, prems[1].succedent)
-    if rule == "and_i":
-        return Sequent(ante, And(succ, rest[0].succedent))
-    if rule in ("and_e1", "and_e2"):
-        if not isinstance(e, And):
-            raise _Rejected("the premise succedent is not a conjunction")
-        return Sequent(ante, e.left if rule == "and_e1" else e.right)
-    if rule == "imp_i":
-        if not ante:
-            raise _Rejected("imp_i needs a premise with an antecedent")
-        return Sequent(ante[:-1], Imp(ante[-1], succ))
-    if rule == "imp_e":
-        if not isinstance(e, Imp):
-            raise _Rejected("the premise succedent is not an arrow")
-        return Sequent(ante + (e.left,), e.right)
-    if rule == "lem":
-        if not ante:
-            raise _Rejected("lem premises need a final assumption to discharge")
-        return Sequent(ante[:-1], succ)
-    if rule in ("explode", "wk"):
-        what = "succedent" if rule == "explode" else "added context"
-        raise _Rejected(f"{rule}'s {what} is unconstrained; state the target sequent")
-    if rule in ("exch", "qexch"):
-        if len(ante) < 2:
-            raise _Rejected(f"{rule} needs at least two antecedent formulas")
-        return Sequent(ante[:-2] + (ante[-1], ante[-2]), succ)
-    if rule == "all_i":
-        return Sequent(ante, Forall(args["x"], succ))
-    if not isinstance(e, Forall):
-        raise _Rejected("the premise succedent is not universally quantified")
-    return Sequent(ante, substitute(e.body, e.var, args["t"]))
-
-
 def _justification(ln):
     """The text after ``by`` that parses back into the justification of ``ln``."""
     if ln.rule == "hyp":
@@ -349,7 +306,7 @@ class _Session:
         arity = PREMISE_COUNTS[rule] if eid is None else len(catalog_lookup(eid).premises)
         refs = self._resolve_refs(refs, arity)
         prems = [self.lines[r - 1].sequent for r in refs]
-        concl = (_forward_primitive(rule, dict(args), prems) if eid is None
+        concl = (forward(rule, prems, dict(args)).conclusion if eid is None
                  else infer_conclusion(eid, prems))
         self._add(ScriptLine(number, concl, rule, eid, args, refs))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .syntax import (
-    And, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
+    And, App, Const, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
     is_nonduplicating, render_sequent, substitute,
 )
 
@@ -268,10 +268,9 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         target = expand(succ)
         if not isinstance(target, Forall):
             return bad("succedent must be universally quantified")
-        if instantiation is None:
+        x = instantiation
+        if not isinstance(x, Var):
             return bad("needs the quantified variable recorded (x=...)")
-        x = instantiation if isinstance(instantiation, Var) \
-            else Var(str(instantiation), target.var.sort)
         if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
         if Forall(x, expand(p1.succedent)) != target:
@@ -286,7 +285,7 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         source = p1.succedent  # a Forall iff its expansion is; substituted as written
         if not isinstance(source, Forall):
             return bad("premise succedent must be universally quantified")
-        if instantiation is None:
+        if not isinstance(instantiation, (Var, Const, App)):
             return bad("needs the substituted term recorded (t=...)")
         if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")

@@ -38,6 +38,112 @@ def _n(rule, ante, succ, *prems, inst=None):
     return Derivation(Sequent(ante, succ), rule, prems, inst)
 
 
+# ---------------------------------------------------------------------------
+# Forward rule applications: one constructor per primitive rule whose
+# premises fix its conclusion, given the datum named (explode's succedent,
+# exch's position, all_i's variable, all_e's term).  Each reads its premises'
+# conclusions, looking through ``unfold`` where it expects a connective, and
+# builds the node; the kernel judges it like any other.
+
+def _expect(f, cls, what):
+    """``f`` unfolded one step, which must be a ``cls`` node."""
+    e = unfold(f)
+    if not isinstance(e, cls):
+        raise TacticError(f"the premise succedent is not {what}")
+    return e
+
+
+def cut(d1, d2):
+    return _n("cut", d1.conclusion.antecedent, d2.conclusion.succedent, d1, d2)
+
+
+def paste(d1, d2):
+    c = d1.conclusion
+    return _n("paste", c.antecedent + (c.succedent,), d2.conclusion.succedent, d1, d2)
+
+
+def cexch(d1, d2, d3):
+    return _n("cexch", d3.conclusion.antecedent, d2.conclusion.succedent, d1, d2, d3)
+
+
+def and_i(d1, d2):
+    c = d1.conclusion
+    return _n("and_i", c.antecedent, And(c.succedent, d2.conclusion.succedent), d1, d2)
+
+
+def and_e(d, side):
+    """The side-th conjunct: and_e1 at side 1, and_e2 at side 2."""
+    c = d.conclusion
+    a = _expect(c.succedent, And, "a conjunction")
+    return _n(("and_e1", "and_e2")[side - 1], c.antecedent, (a.left, a.right)[side - 1], d)
+
+
+def imp_i(d):
+    c = d.conclusion
+    if not c.antecedent:
+        raise TacticError("imp_i needs a premise with an antecedent")
+    return _n("imp_i", c.antecedent[:-1], Imp(c.antecedent[-1], c.succedent), d)
+
+
+def imp_e(d):
+    c = d.conclusion
+    a = _expect(c.succedent, Imp, "an arrow")
+    return _n("imp_e", c.antecedent + (a.left,), a.right, d)
+
+
+def lem(d1, d2):
+    c = d1.conclusion
+    if not c.antecedent:
+        raise TacticError("lem premises need a final assumption to discharge")
+    return _n("lem", c.antecedent[:-1], c.succedent, d1, d2)
+
+
+def explode(d, succ):
+    c = d.conclusion
+    neg = _expect(c.succedent, Neg, "a negation")
+    return _n("explode", c.antecedent + (neg.sub,), succ, d)
+
+
+def exch(d, i=-2, rule="exch"):
+    """Antecedent formulas i and i + 1 swapped (the last two by default) by
+    ``rule``: exch, or qexch, which the kernel allows at the last two only."""
+    c = d.conclusion
+    a = c.antecedent
+    if len(a) < 2:
+        raise TacticError(f"{rule} needs at least two antecedent formulas")
+    i %= len(a)
+    return _n(rule, a[:i] + (a[i + 1], a[i]) + a[i + 2:], c.succedent, d)
+
+
+def all_i(d, x):
+    c = d.conclusion
+    return _n("all_i", c.antecedent, Forall(x, c.succedent), d, inst=x)
+
+
+def all_e(d, t):
+    c = d.conclusion
+    f = _expect(c.succedent, Forall, "universally quantified")
+    return _n("all_e", c.antecedent, substitute(f.body, f.var, t), d, inst=t)
+
+
+# the REPL's forward steps by rule name
+_FORWARD = {"cut": cut, "paste": paste, "cexch": cexch, "and_i": and_i,
+            "and_e1": partial(and_e, side=1), "and_e2": partial(and_e, side=2),
+            "imp_i": imp_i, "imp_e": imp_e, "lem": lem, "all_i": all_i, "all_e": all_e,
+            "exch": exch, "qexch": partial(exch, rule="qexch")}
+
+
+def forward(rule, premises, args):
+    """The node of primitive ``rule`` applied forward to the sequents
+    ``premises``, each a hyp leaf: the REPL's forward step.  ``args`` maps
+    ``x`` to all_i's variable or ``t`` to all_e's term; exch and qexch swap
+    the last two antecedent formulas.  TacticError if no conclusion follows."""
+    if rule in ("explode", "wk"):
+        what = "succedent" if rule == "explode" else "added context"
+        raise TacticError(f"{rule}'s {what} is unconstrained; state the target sequent")
+    return _FORWARD[rule](*map(hyp, premises), *args.values())
+
+
 # The sub-lemmas of the build in progress (``CatalogEntry.build``), None
 # between builds: (builder, argument ids) -> (arguments, derivation).  The
 # arguments are kept so that no id is reused while the memo lives.
@@ -86,8 +192,7 @@ def _relabel(d: Derivation, succ: Formula) -> Derivation:
     """Swap the root's succedent for an abbreviation of the same formula."""
     if not formula_eq(succ, d.conclusion.succedent):
         raise TacticError("relabel changed the conclusion")
-    return Derivation(Sequent(d.conclusion.antecedent, succ), d.rule,
-                      d.premises, d.instantiation)
+    return _n(d.rule, d.conclusion.antecedent, succ, *d.premises, inst=d.instantiation)
 
 
 # ---------------------------------------------------------------------------
@@ -98,67 +203,49 @@ def _relabel(d: Derivation, succ: Formula) -> Derivation:
 
 def _p21(g, phi, psi, d1, d2):
     # modus ponens via cut over the arrow elimination
-    return _n("cut", g, psi, d1, _n("imp_e", g + (phi,), psi, d2))
+    return cut(d1, imp_e(d2))
 
 
 def _p22(g, phi, psi, d1, d2):
     # anything follows from phi together with ~phi
-    inner = _n("cut", g + (Neg(phi),), psi,
-               _n("paste", g + (Neg(phi),), phi, d2, d1),
-               _n("explode", g + (Neg(phi), phi), psi, _assume(g, Neg(phi))))
-    return _n("cut", g, psi, d2, inner)
+    return cut(d2, cut(paste(d2, d1), explode(_assume(g, Neg(phi)), psi)))
 
 
 @_cored
 def _l231(g, phi, psi):
-    return _n("explode", g + (Neg(phi), phi), psi, _assume(g, Neg(phi)))
+    return explode(_assume(g, Neg(phi)), psi)
 
 
 @_cored
 def _l232(g, phi):
     nn = Neg(Neg(phi))
-    return _n("lem", g + (nn,), phi,
-              _assume(g + (nn,), phi),
-              _n("explode", g + (nn, Neg(phi)), phi, _assume(g, nn)))
+    return lem(_assume(g + (nn,), phi), explode(_assume(g, nn), phi))
 
 
 @_cored
 def _l233(g, phi, psi):
-    target = Imp(phi, Imp(Neg(phi), psi))
-    left = _n("imp_i", g + (Neg(phi),), target,
-              _l231(g, phi, Imp(Neg(phi), psi)))
-    nn = Neg(Neg(phi))
-    right = _n("imp_i", g + (nn,), target,
-               _n("paste", g + (nn, phi), Imp(Neg(phi), psi),
-                  _l232(g, phi),
-                  _n("imp_i", g + (nn,), Imp(Neg(phi), psi),
-                     _l231(g, Neg(phi), psi))))
-    root = _n("lem", g, target, left, right)
-    return _n("imp_e", g + (phi, Neg(phi)), psi,
-              _n("imp_e", g + (phi,), Imp(Neg(phi), psi), root))
+    left = imp_i(_l231(g, phi, Imp(Neg(phi), psi)))
+    right = imp_i(paste(_l232(g, phi), imp_i(_l231(g, Neg(phi), psi))))
+    return imp_e(imp_e(lem(left, right)))
 
 
 @_cored
 def _l234(g, phi):
     nn = Neg(Neg(phi))
-    return _n("lem", g + (phi,), nn,
-              _l233(g, phi, nn),
-              _assume(g + (phi,), nn))
+    return lem(_l233(g, phi, nn), _assume(g + (phi,), nn))
 
 
 def _dni(g, phi, d):
-    return _n("cut", g, Neg(Neg(phi)), d, _l234(g, phi))
+    return cut(d, _l234(g, phi))
 
 
 def _dne(g, phi, d):
-    return _n("cut", g, phi, d, _l232(g, phi))
+    return cut(d, _l232(g, phi))
 
 
 def _reductio1(g, phi, psi, d1, d2):
     # from contradictory consequences of phi, conclude ~phi
-    return _n("lem", g, Neg(phi),
-              _p22(g + (phi,), psi, Neg(phi), d1, d2),
-              _assume(g, Neg(phi)))
+    return lem(_p22(g + (phi,), psi, Neg(phi), d1, d2), _assume(g, Neg(phi)))
 
 
 def _reductio2(g, phi, psi, d1, d2):
@@ -174,93 +261,96 @@ def _cm2(g, phi, d):
 
 
 def _l25_expand(g, phi, psi, d):
-    return _n("paste", g + (phi, phi), psi, _assume(g, phi), d)
+    return paste(_assume(g, phi), d)
 
 
 def _l25_contract(g, phi, psi, d):
-    return _n("cut", g + (phi,), psi, _assume(g, phi), d)
+    return cut(_assume(g, phi), d)
 
 
 def _l25_dn_intro(g, phi, psi, d):
-    nn = Neg(Neg(phi))
-    cex = _n("cexch", g + (nn, phi), psi,
-             _n("paste", g + (phi, nn), phi, _l234(g, phi), _assume(g, phi)),
-             _n("paste", g + (phi, nn), psi, _l234(g, phi), d),
-             _n("paste", g + (nn, phi), nn, _l232(g, phi), _assume(g, nn)))
-    return _n("cut", g + (nn,), psi, _l232(g, phi), cex)
+    cex = cexch(paste(_l234(g, phi), _assume(g, phi)),
+                paste(_l234(g, phi), d),
+                paste(_l232(g, phi), _assume(g, Neg(Neg(phi)))))
+    return cut(_l232(g, phi), cex)
 
 
 def _l25_dn_elim(g, phi, psi, d):
-    nn = Neg(Neg(phi))
-    cex = _n("cexch", g + (phi, nn), psi,
-             _n("paste", g + (nn, phi), nn, _l232(g, phi), _assume(g, nn)),
-             _n("paste", g + (nn, phi), psi, _l232(g, phi), d),
-             _n("paste", g + (phi, nn), phi, _l234(g, phi), _assume(g, phi)))
-    return _n("cut", g + (phi,), psi, _l234(g, phi), cex)
+    cex = cexch(paste(_l232(g, phi), _assume(g, Neg(Neg(phi)))),
+                paste(_l232(g, phi), d),
+                paste(_l234(g, phi), _assume(g, phi)))
+    return cut(_l234(g, phi), cex)
 
 
 # -- generalized rules, built by recursion on the trailing context ----------
 
-def _t26(base, front, fronts, delta, psi, *ds):
+def _t26(base, carries, delta, *ds):
     """A rule generalized over a trailing context delta, by recursion on it.
 
-    ``base(psi, *ds)`` builds the rule without delta; the conclusion's
-    antecedent is ``front + delta``.  Each premise whose entry in ``fronts``
-    is a context has antecedent ``that context + delta``: its last delta
-    formula is discharged with imp_i before the recursive call, and the
-    result is restored with imp_e.  A premise whose entry is None is passed
-    on unchanged.
+    ``base(*ds)`` builds the rule without delta.  Each premise flagged in
+    ``carries`` ends in delta: its last delta formula is discharged with
+    imp_i before the recursive call, and the result is restored with imp_e.
+    A premise not flagged is passed on unchanged.
     """
     if not delta:
-        return base(psi, *ds)
-    *dp, dl = delta
-    dp, arrow = tuple(dp), Imp(dl, psi)
-    inner = _t26(base, front, fronts, dp, arrow,
-                 *(d if f is None else _n("imp_i", f + dp, arrow, d)
-                   for f, d in zip(fronts, ds)))
-    return _n("imp_e", front + dp + (dl,), psi, inner)
+        return base(*ds)
+    return imp_e(_t26(base, carries, delta[:-1],
+                      *(imp_i(d) if c else d for c, d in zip(carries, ds))))
+
+
+def _arrows(delta, psi):
+    """delta_1 -> (... -> (delta_n -> psi)): the succedent with delta discharged."""
+    for f in reversed(delta):
+        psi = Imp(f, psi)
+    return psi
+
+
+# which premises carry delta into _t26: the second of two, the middle of three, both
+_SECOND, _MIDDLE, _BOTH = (False, True), (False, True, False), (True, True)
 
 
 def _t26_contract(g, phi, delta, psi, d):
-    return _t26(partial(_l25_contract, g, phi), g + (phi,), (g + (phi, phi),), delta, psi, d)
+    return _t26(partial(cut, _assume(g, phi)), (True,), delta, d)
 
 
 def _t26_expand(g, phi, delta, psi, d):
-    return _t26(partial(_l25_expand, g, phi), g + (phi, phi), (g + (phi,),), delta, psi, d)
+    return _t26(partial(paste, _assume(g, phi)), (True,), delta, d)
 
 
 def _t26_cut(g, phi, delta, psi, d1, d2):
-    return _t26(partial(_n, "cut", g), g, (None, g + (phi,)), delta, psi, d1, d2)
+    return _t26(cut, _SECOND, delta, d1, d2)
 
 
 def _t26_paste(g, phi, delta, psi, d1, d2):
-    return _t26(partial(_n, "paste", g + (phi,)), g + (phi,), (None, g), delta, psi, d1, d2)
+    # the pasted formula as the schema writes it: paste() would copy d1's
+    # succedent, which C4.6.elim and P5.7.EE take as written in their premise
+    base = lambda d1, d2: _n("paste", g + (phi,), d2.conclusion.succedent, d1, d2)
+    return _t26(base, _SECOND, delta, d1, d2)
 
 
 def _t26_cexch(g, phi, psi, delta, chi, d1, d2, d3):
-    return _t26(partial(_n, "cexch", g + (psi, phi)), g + (psi, phi),
-                (None, g + (phi, psi), None), delta, chi, d1, d2, d3)
+    return _t26(cexch, _MIDDLE, delta, d1, d2, d3)
 
 
 @_cored
 def _t26_explode_l(g, phi, delta, psi):
-    return _t26(partial(_l231, g, phi), g + (Neg(phi), phi), (), delta, psi)
+    return _t26(partial(_l231, g, phi, _arrows(delta, psi)), (), delta)
 
 
 def _t26_explode_r(g, phi, delta, psi):
-    return _t26(partial(_l233, g, phi), g + (phi, Neg(phi)), (), delta, psi)
+    return _t26(partial(_l233, g, phi, _arrows(delta, psi)), (), delta)
 
 
 def _t26_dn_elim(g, phi, delta, psi, d):
-    return _t26(partial(_l25_dn_elim, g, phi), g + (phi,), (g + (Neg(Neg(phi)),),), delta, psi, d)
+    return _t26(partial(_l25_dn_elim, g, phi, _arrows(delta, psi)), (True,), delta, d)
 
 
 def _t26_dn_intro(g, phi, delta, psi, d):
-    return _t26(partial(_l25_dn_intro, g, phi), g + (Neg(Neg(phi)),), (g + (phi,),), delta, psi, d)
+    return _t26(partial(_l25_dn_intro, g, phi, _arrows(delta, psi)), (True,), delta, d)
 
 
 def _t26_lem(g, phi, delta, psi, d1, d2):
-    return _t26(partial(_n, "lem", g), g, (g + (phi,), g + (Neg(phi),)), delta, psi, d1, d2)
+    return _t26(lem, _BOTH, delta, d1, d2)
 
 
 # -- compatibility of a conjunction with its conjuncts ----------------------
@@ -270,72 +360,59 @@ def _t26_lem(g, phi, delta, psi, d1, d2):
 # It is passed by keyword, as the catalog registrations fix it, so that
 # ``_shared`` keys both uses of a cored lemma alike and builds it once.
 
-_AND_E = {1: "and_e1", 2: "and_e2"}
-
-
-def _conjunct(g, a, side):
-    """g, a |- the side-th conjunct of the conjunction a, by projection."""
-    return _n(_AND_E[side], g + (a,), (a.left, a.right)[side - 1], _assume(g, a))
-
-
 @_cored
 def _l271(g, phi, psi, side):
     a, c = And(phi, psi), (phi, psi)[side - 1]
-    return _t26_cut(g + (a,), c, (Neg(c),), a,
-                    _conjunct(g, a, side=side),
-                    _t26_explode_r(g + (a,), c, (), a))
+    return _t26(cut, _SECOND, (Neg(c),), and_e(_assume(g, a), side),
+                _t26_explode_r(g + (a,), c, (), a))
 
 
 @_cored
 def _l272(g, phi, psi, side):
     a, c = And(phi, psi), (phi, psi)[side - 1]
     g0 = g + (Neg(c),)
-    first = _conjunct(g0, a, side=side)
-    cex = _n("cexch", g0 + (a, c), Neg(c),
-             _t26_explode_l(g, c, (a,), c),
-             _t26_explode_l(g, c, (a,), Neg(c)),
-             _n("paste", g0 + (a, c), a, first, _assume(g0, a)))
-    return _n("cut", g0 + (a,), Neg(c), first, cex)
+    first = and_e(_assume(g0, a), side)
+    cex = cexch(_t26_explode_l(g, c, (a,), c),
+                _t26_explode_l(g, c, (a,), Neg(c)),
+                paste(first, _assume(g0, a)))
+    return cut(first, cex)
 
 
 @_cored
 def _l273(g, phi, psi, side):
     a, c = And(phi, psi), (phi, psi)[side - 1]
     g0 = g + (Neg(a),)
-    cex = _n("cexch", g0 + (c, a), Neg(a),
-             _t26_explode_l(g, a, (c,), a),
-             _t26_explode_l(g, a, (c,), Neg(a)),
-             _conjunct(g0 + (c,), a, side=side))
+    cex = cexch(_t26_explode_l(g, a, (c,), a),
+                _t26_explode_l(g, a, (c,), Neg(a)),
+                and_e(_assume(g0 + (c,), a), side))
     return _cm1(g0 + (c,), a, cex)
 
 
 @_cored
 def _l274(g, phi, psi, side):
     a, c = And(phi, psi), (phi, psi)[side - 1]
-    first = _t26_cexch(g, c, a, (Neg(a),), c,
-                       _conjunct(g + (c,), a, side=side),
-                       _t26_explode_r(g + (c,), a, (), c),
-                       _n("paste", g + (a, c), a,
-                          _conjunct(g, a, side=side), _assume(g, a)))
-    second = _n("paste", g + (Neg(a), c, Neg(a)), c,
-                _l273(g, phi, psi, side=side), _assume(g + (Neg(a),), c))
-    return _t26_lem(g, a, (c, Neg(a)), c, first, second)
+    first = _t26(cexch, _MIDDLE, (Neg(a),),
+                 and_e(_assume(g + (c,), a), side),
+                 _t26_explode_r(g + (c,), a, (), c),
+                 paste(and_e(_assume(g, a), side), _assume(g, a)))
+    second = paste(_l273(g, phi, psi, side=side), _assume(g + (Neg(a),), c))
+    return _t26(lem, _BOTH, (c, Neg(a)), first, second)
 
 
 def _p281(g, phi, psi, delta, chi, d, side):
-    return _t26_cexch(g, (phi, psi)[side - 1], Neg(And(phi, psi)), delta, chi,
-                      _l274(g, phi, psi, side=side), d, _l273(g, phi, psi, side=side))
+    return _t26(cexch, _MIDDLE, delta,
+                _l274(g, phi, psi, side=side), d, _l273(g, phi, psi, side=side))
 
 
 def _p282(g, phi, psi, delta, chi, d, side):
-    return _t26_cexch(g, Neg(And(phi, psi)), (phi, psi)[side - 1], delta, chi,
-                      _l273(g, phi, psi, side=side), d, _l274(g, phi, psi, side=side))
+    return _t26(cexch, _MIDDLE, delta,
+                _l273(g, phi, psi, side=side), d, _l274(g, phi, psi, side=side))
 
 
 def _p291(g, phi, psi, d, side):
     a, c = And(phi, psi), (phi, psi)[side - 1]
-    return _reductio1(g, a, c, _conjunct(g, a, side=side),
-                      _t26_cut(g, Neg(c), (a,), Neg(c), d, _l272(g, phi, psi, side=side)))
+    return _reductio1(g, a, c, and_e(_assume(g, a), side),
+                      _t26(cut, _SECOND, (a,), d, _l272(g, phi, psi, side=side)))
 
 
 def _p292(g, phi, psi, d):
@@ -347,129 +424,97 @@ def _p294(g, phi, psi, d):
 
 
 def _t210_fwd(g, phi, psi, d):
-    core = Neg(And(phi, Neg(And(phi, psi))))
-    left = _p294(g + (phi,), phi, And(phi, psi),
-                 _n("and_i", g + (phi,), And(phi, psi),
-                    _assume(g, phi),
-                    _n("imp_e", g + (phi,), psi, d)))
+    left = _p294(g + (phi,), phi, And(phi, psi), and_i(_assume(g, phi), imp_e(d)))
     right = _p291(g + (Neg(phi),), phi, Neg(And(phi, psi)),
                   _assume(g, Neg(phi)), side=1)
-    return _n("lem", g, core, left, right)
+    return lem(left, right)
 
 
 def _t210_bwd(g, phi, psi, d):
     nps = Neg(And(phi, psi))
     core = Neg(And(phi, nps))
     inner = _p281(g + (phi,), phi, nps, (), core, _assume(g + (phi, nps), core), side=2)
-    step1 = _t26_cut(g, core, (phi, nps), core, d,
-                     _p281(g, phi, nps, (nps,), core, inner, side=1))
-    andi = _n("and_i", g + (phi, nps), And(phi, nps),
-              _p282(g, phi, psi, (), phi, _assume(g + (nps,), phi), side=1),
-              _assume(g + (phi,), nps))
+    step1 = _t26(cut, _SECOND, (phi, nps), d,
+                 _p281(g, phi, nps, (nps,), core, inner, side=1))
+    andi = and_i(_p282(g, phi, psi, (), phi, _assume(g + (nps,), phi), side=1),
+                 _assume(g + (phi,), nps))
     red = _reductio2(g + (phi,), And(phi, psi), And(phi, nps), andi, step1)
-    return _n("imp_i", g, Imp(phi, psi),
-              _n("and_e2", g + (phi,), psi, red))
+    return imp_i(and_e(red, 2))
 
 
 # -- classical axioms and the quotient-lattice constructions ----------------
 
 def _l361(phi, psi, chi, d1, d2):
-    return _n("cut", (phi,), chi, d1, _wk((phi,), d2))
+    return cut(d1, _wk((phi,), d2))
 
 
 def _l362(phi, psi, d):
     w = _wk((Neg(psi),), d)
-    cex = _n("cexch", (Neg(psi), phi, psi), Neg(psi),
-             _t26_explode_l((), psi, (phi,), psi),
-             _t26_explode_l((), psi, (phi,), Neg(psi)),
-             _n("paste", (Neg(psi), phi, psi), phi, w,
-                _assume((Neg(psi),), phi)))
+    cex = cexch(_t26_explode_l((), psi, (phi,), psi),
+                _t26_explode_l((), psi, (phi,), Neg(psi)),
+                paste(w, _assume((Neg(psi),), phi)))
     return _reductio1((Neg(psi),), phi, psi, w, _cm1((Neg(psi), phi), psi, cex))
 
 
 def _ax1(phi, psi):
-    ex = _n("exch", (phi, psi), phi, _assume((psi,), phi))
-    return _n("imp_i", (), Imp(phi, Imp(psi, phi)),
-              _n("imp_i", (phi,), Imp(psi, phi), ex))
+    return imp_i(imp_i(exch(_assume((psi,), phi), 0)))
 
 
 def _ax2(phi, psi, chi):
     a, b = Imp(phi, psi), Imp(phi, Imp(psi, chi))
-    left = _n("exch", (a, b, phi), psi,
-              _n("imp_e", (b, a, phi), psi, _assume((b,), a)))
-    right = _n("imp_e", (a, b, phi, psi), chi,
-               _n("imp_e", (a, b, phi), Imp(psi, chi), _assume((a,), b)))
-    body = _n("cut", (a, b, phi), chi, left, right)
-    goal = Imp(a, Imp(b, Imp(phi, chi)))
-    return _n("imp_i", (), goal,
-              _n("imp_i", (a,), Imp(b, Imp(phi, chi)),
-                 _n("imp_i", (a, b), Imp(phi, chi), body)))
+    left = exch(imp_e(_assume((b,), a)), 0)
+    right = imp_e(imp_e(_assume((a,), b)))
+    return imp_i(imp_i(imp_i(cut(left, right))))
 
 
 def _ax3(phi, psi):
-    ex = _n("exch", (phi, psi), phi, _assume((psi,), phi))
-    andi = _n("and_i", (phi, psi), And(phi, psi), ex, _assume((phi,), psi))
-    return _n("imp_i", (), Imp(phi, Imp(psi, And(phi, psi))),
-              _n("imp_i", (phi,), Imp(psi, And(phi, psi)), andi))
+    return imp_i(imp_i(and_i(exch(_assume((psi,), phi), 0), _assume((phi,), psi))))
 
 
 def _ax4(phi, psi, side):
-    a = And(phi, psi)
-    return _n("imp_i", (), Imp(a, (phi, psi)[side - 1]), _conjunct((), a, side=side))
+    return imp_i(and_e(_assume((), And(phi, psi)), side))
 
 
 def _ax6(phi, psi):
     a, b = Imp(phi, psi), Imp(phi, Neg(psi))
-    left = _n("exch", (a, b, phi), psi,
-              _n("imp_e", (b, a, phi), psi, _assume((b,), a)))
-    right = _n("imp_e", (a, b, phi), Neg(psi), _assume((a,), b))
-    red = _reductio1((a, b), phi, psi, left, right)
-    return _n("imp_i", (), Imp(a, Imp(b, Neg(phi))),
-              _n("imp_i", (a,), Imp(b, Neg(phi)), red))
+    left = exch(imp_e(_assume((b,), a)), 0)
+    return imp_i(imp_i(_reductio1((a, b), phi, psi, left, imp_e(_assume((a,), b)))))
 
 
 def _ax7(phi):
-    return _n("imp_i", (), Imp(Neg(Neg(phi)), phi), _l232((), phi))
+    return imp_i(_l232((), phi))
 
 
 def _t38bot(g, phi, psi):
     x = And(phi, Neg(phi))
-    return _p22(g + (x,), phi, psi, _conjunct(g, x, side=1), _conjunct(g, x, side=2))
+    return _p22(g + (x,), phi, psi, and_e(_assume(g, x), 1), and_e(_assume(g, x), 2))
 
 
 def _t38om1(phi, psi, d):
     w = _wk((Neg(phi), psi), d)
-    cex = _n("cexch", (Neg(phi), psi, phi), Neg(phi),
-             _t26_explode_l((), phi, (psi,), phi),
-             _t26_explode_l((), phi, (psi,), Neg(phi)),
-             w)
-    pst = _n("paste", (Neg(phi), psi, Neg(phi)), psi,
-             _cm1((Neg(phi), psi), phi, cex),
-             _assume((Neg(phi),), psi))
+    cex = cexch(_t26_explode_l((), phi, (psi,), phi),
+                _t26_explode_l((), phi, (psi,), Neg(phi)), w)
+    pst = paste(_cm1((Neg(phi), psi), phi, cex), _assume((Neg(phi),), psi))
     gp = _t26_paste((phi,), psi, (Neg(phi),), psi, d, _l233((), phi, psi))
-    glem = _t26_lem((), phi, (psi, Neg(phi)), psi, gp, pst)
-    return _t210_fwd((psi,), Neg(phi), psi,
-                     _n("imp_i", (psi,), Imp(Neg(phi), psi), glem))
+    glem = _t26(lem, _BOTH, (psi, Neg(phi)), gp, pst)
+    return _t210_fwd((psi,), Neg(phi), psi, imp_i(glem))
 
 
 def _t38om2(phi, psi, d):
     a = Imp(Neg(phi), psi)
-    return _n("lem", (a,), psi,
-              _wk((a,), d),
-              _n("imp_e", (a, Neg(phi)), psi, _assume((), a)))
+    return lem(_wk((a,), d), imp_e(_assume((), a)))
 
 
 def _c39lem(phi, psi, d1, d2):
-    return _n("lem", (), psi, d1, d2)
+    return lem(d1, d2)
 
 
 # -- disjunction and the compatibility connective ---------------------------
 
 def _p42(g, phi, psi, d):
-    cex = _n("cexch", g + (phi, psi, Neg(phi)), phi,
-             _t26_explode_r(g, phi, (psi,), Neg(phi)),
-             _t26_explode_r(g, phi, (psi,), phi),
-             _n("paste", g + (phi, psi, Neg(phi)), psi, d, _assume(g + (phi,), psi)))
+    cex = cexch(_t26_explode_r(g, phi, (psi,), Neg(phi)),
+                _t26_explode_r(g, phi, (psi,), phi),
+                paste(d, _assume(g + (phi,), psi)))
     return _reductio1(g + (phi,), psi, phi, _cm2(g + (phi, psi), phi, cex), d)
 
 
@@ -477,10 +522,8 @@ def _l43(g, phi, psi, chi, d1, d2, d3):
     a = And(phi, psi)
     q2 = _dne(g + (chi,), phi, _p42(g, chi, Neg(phi), d2))
     q3 = _dne(g + (chi,), psi, _p42(g, chi, Neg(psi), d3))
-    gp = _t26_paste(g, Neg(a), (chi,), a, d1,
-                    _n("and_i", g + (chi,), a, q2, q3))
-    inner = _p42(g, Neg(a), chi, _dni(g + (Neg(a), chi), a, gp))
-    return _n("cut", g, Neg(chi), d1, inner)
+    gp = _t26_paste(g, Neg(a), (chi,), a, d1, and_i(q2, q3))
+    return cut(d1, _p42(g, Neg(a), chi, _dni(g + (Neg(a), chi), a, gp)))
 
 
 def _t44(g, phi, psi, d1, d2):
@@ -491,17 +534,13 @@ def _t44(g, phi, psi, d1, d2):
                  _assume(g, nps),
                  _t26_explode_r(g + (nps,), phi, (), Neg(phi)),
                  _p281(g, phi, psi, (Neg(psi),), Neg(phi),
-                       _t26_cut(g + (phi,), psi, (nps, Neg(psi)), Neg(phi), d2, back),
-                       side=1))
-    x = Neg(And(Neg(phi), Neg(And(Neg(phi), psi))))
+                       _t26(cut, _SECOND, (nps, Neg(psi)), d2, back), side=1))
     a = And(phi, psi)
-    left = _p292(g + (a,), phi, Neg(And(Neg(phi), psi)), _conjunct(g, a, side=1))
-    gcut = _t26_cut(g, psi, (nps,), psi, d1,
-                    _p282(g, phi, psi, (), psi, _assume(g + (nps,), psi), side=2))
-    right = _p294(g + (nps,), Neg(phi), And(Neg(phi), psi),
-                  _n("and_i", g + (nps,), And(Neg(phi), psi), step1, gcut))
-    lemn = _n("lem", g, x, left, right)
-    return _n("imp_e", g + (Neg(phi),), psi, _t210_bwd(g, Neg(phi), psi, lemn))
+    left = _p292(g + (a,), phi, Neg(And(Neg(phi), psi)), and_e(_assume(g, a), 1))
+    gcut = _t26(cut, _SECOND, (nps,), d1,
+                _p282(g, phi, psi, (), psi, _assume(g + (nps,), psi), side=2))
+    right = _p294(g + (nps,), Neg(phi), And(Neg(phi), psi), and_i(step1, gcut))
+    return imp_e(_t210_bwd(g, Neg(phi), psi, lem(left, right)))
 
 
 def _c451(g, phi, psi, d):
@@ -509,19 +548,11 @@ def _c451(g, phi, psi, d):
 
 
 def _c452(g, phi, psi, d1, d2):
-    t = _t44(g, phi, Imp(psi, Imp(phi, psi)),
-             _n("imp_i", g, Imp(psi, Imp(phi, psi)),
-                _n("imp_i", g + (psi,), Imp(phi, psi), d2)),
-             _n("imp_i", g + (phi,), Imp(psi, Imp(phi, psi)),
-                _n("imp_i", g + (phi, psi), Imp(phi, psi),
-                   _n("paste", g + (phi, psi, phi), psi, d1,
-                      _assume(g + (phi,), psi)))))
-    body = _n("imp_e", g + (Neg(phi), psi, phi), psi,
-              _n("imp_e", g + (Neg(phi), psi), Imp(phi, psi), t))
-    cex = _n("cexch", g + (Neg(phi), psi, phi), Neg(phi),
-             _t26_explode_l(g, phi, (psi,), phi),
-             _t26_explode_l(g, phi, (psi,), Neg(phi)),
-             body)
+    t = _t44(g, phi, Imp(psi, Imp(phi, psi)), imp_i(imp_i(d2)),
+             imp_i(imp_i(paste(d1, _assume(g + (phi,), psi)))))
+    cex = cexch(_t26_explode_l(g, phi, (psi,), phi),
+                _t26_explode_l(g, phi, (psi,), Neg(phi)),
+                imp_e(imp_e(t)))
     return _cm1(g + (Neg(phi), psi), phi, cex)
 
 
@@ -535,12 +566,8 @@ def _c46_intro2(g, phi, psi, d):
 
 def _c46_elim(g, phi, psi, chi, d1, d2, d3, d4, d5):
     def branch(side, dmain, dctx):
-        arrow = Imp(side, chi)
-        t = _t44(g, chi, arrow,
-                 _n("imp_i", g, arrow, dmain),
-                 _n("imp_i", g + (chi,), arrow, dctx))
-        ie = _n("imp_e", g + (Neg(chi), side), chi, t)
-        gd = _t26_dn_intro(g + (Neg(chi),), side, (), chi, ie)
+        t = _t44(g, chi, Imp(side, chi), imp_i(dmain), imp_i(dctx))
+        gd = _t26_dn_intro(g + (Neg(chi),), side, (), chi, imp_e(t))
         return _dni(g + (Neg(chi), Neg(Neg(side))), chi, gd)
 
     l43 = _l43(g, Neg(phi), Neg(psi), Neg(chi), d1,
@@ -549,35 +576,28 @@ def _c46_elim(g, phi, psi, chi, d1, d2, d3, d4, d5):
 
 
 def _p47intro(g, phi, psi, d1, d2):
-    left = _n("imp_i", g, Imp(phi, Imp(psi, phi)),
-              _n("imp_i", g + (phi,), Imp(psi, phi), d1))
-    right = _n("imp_i", g, Imp(psi, Imp(phi, psi)),
-               _n("imp_i", g + (psi,), Imp(phi, psi), d2))
+    # and_i would write the conjunction; this writes its abbreviation phi >< psi
+    left, right = imp_i(imp_i(d1)), imp_i(imp_i(d2))
     return _n("and_i", g, Compat(phi, psi), left, right)
 
 
-def _p47half(g, phi, psi, d, side):
-    """g, x, y |- x from ``d`` concluding phi >< psi, x its side-th argument."""
-    x, y = (phi, psi) if side == 1 else (psi, phi)
-    return _n("imp_e", g + (x, y), x,
-              _n("imp_e", g + (x,), Imp(y, x),
-                 _n(_AND_E[side], g, Imp(x, Imp(y, x)), d)))
+def _p47half(d, side):
+    """g, x, y |- x from ``d`` concluding g |- phi >< psi, x its side-th argument."""
+    return imp_e(imp_e(and_e(d, side)))
 
 
 def _p47exch(g, phi, psi, delta, chi, d1, d2, side):
     """P4.7.exch1, or exch2 at side 2: the side-th argument of phi >< psi
     leads in the premise d2, and the two swap places."""
-    x, y = (phi, psi) if side == 1 else (psi, phi)
-    return _t26_cexch(g, x, y, delta, chi, _p47half(g, phi, psi, d1, side=side),
-                      d2, _p47half(g, phi, psi, d1, side=3 - side))
+    return _t26(cexch, _MIDDLE, delta, _p47half(d1, side), d2, _p47half(d1, 3 - side))
 
 
 def _p481(g, phi, psi, d):
-    return _p47exch(g, phi, psi, (), phi, d, _assume(g + (psi,), phi), side=2)
+    return cexch(_p47half(d, 2), _assume(g + (psi,), phi), _p47half(d, 1))
 
 
 def _p482(g, phi, psi, d):
-    return _p47exch(g, phi, psi, (), psi, d, _assume(g + (phi,), psi), side=1)
+    return cexch(_p47half(d, 1), _assume(g + (phi,), psi), _p47half(d, 2))
 
 
 def _p483(g, phi, psi, d):
@@ -619,83 +639,60 @@ def _p487(g, phi, psi, d):
 def _p488(g, phi, psi):
     arrow = Imp(phi, psi)
     intro = _p47intro(g, arrow, Neg(phi),
-                      _n("imp_i", g + (arrow, Neg(phi)), arrow,
-                         _t26_explode_l(g + (arrow,), phi, (), psi)),
-                      _n("paste", g + (Neg(phi), arrow), Neg(phi),
-                         _n("imp_i", g + (Neg(phi),), arrow, _l231(g, phi, psi)),
-                         _assume(g, Neg(phi))))
+                      imp_i(_t26_explode_l(g + (arrow,), phi, (), psi)),
+                      paste(imp_i(_l231(g, phi, psi)), _assume(g, Neg(phi))))
     return _p483(g, arrow, phi, _p485(g, arrow, phi, intro))
 
 
 def _p489(g, phi, psi, side):
     a, c = And(phi, psi), (phi, psi)[side - 1]
-    return _p47intro(g, c, a, _conjunct(g + (c,), a, side=side),
-                     _n("paste", g + (a, c), a, _conjunct(g, a, side=side),
-                        _assume(g, a)))
+    return _p47intro(g, c, a, and_e(_assume(g + (c,), a), side),
+                     paste(and_e(_assume(g, a), side), _assume(g, a)))
 
 
 def _p49(g, phi, psi, d1, d2):
-    left = _t26_cut(g + (phi,), psi, (Neg(psi),), Neg(phi), d2,
-                    _t26_explode_r(g + (phi,), psi, (), Neg(phi)))
+    left = _t26(cut, _SECOND, (Neg(psi),), d2,
+                _t26_explode_r(g + (phi,), psi, (), Neg(phi)))
     right = _p481(g, Neg(phi), Neg(psi),
                   _p486(g, phi, Neg(psi), _p484(g, phi, psi, d1)))
-    return _t26_lem(g, phi, (Neg(psi),), Neg(phi), left, right)
+    return _t26(lem, _BOTH, (Neg(psi),), left, right)
 
 
 def _l4101(g, phi, psi, d):
-    return _n("and_i", g + (phi, psi), And(phi, psi),
-              _p481(g, phi, psi, d), _assume(g + (phi,), psi))
+    return and_i(_p481(g, phi, psi, d), _assume(g + (phi,), psi))
 
 
 def _l4102(g, phi, psi, d):
-    return _n("and_i", g + (phi, Neg(psi)), And(phi, Neg(psi)),
-              _p481(g, phi, Neg(psi), _p484(g, phi, psi, d)),
-              _assume(g + (phi,), Neg(psi)))
+    return _l4101(g, phi, Neg(psi), _p484(g, phi, psi, d))
 
 
 def _l4103(g, phi, psi, d):
-    return _n("and_i", g + (Neg(phi), psi), And(Neg(phi), psi),
-              _p481(g, Neg(phi), psi, _p486(g, phi, psi, d)),
-              _assume(g + (Neg(phi),), psi))
+    return _l4101(g, Neg(phi), psi, _p486(g, phi, psi, d))
 
 
 def _l4104(g, phi, psi, d):
-    return _n("and_i", g + (Neg(phi), Neg(psi)), And(Neg(phi), Neg(psi)),
-              _p481(g, Neg(phi), Neg(psi),
-                    _p486(g, phi, Neg(psi), _p484(g, phi, psi, d))),
-              _assume(g + (Neg(phi),), Neg(psi)))
+    return _l4101(g, Neg(phi), Neg(psi), _p486(g, phi, Neg(psi), _p484(g, phi, psi, d)))
 
 
 def _p411(g, phi, psi, d):
     z1, z2 = And(phi, psi), And(phi, Neg(psi))
-    target = Or(z1, z2)
-    return _n("lem", g + (phi,), target,
-              _c46_intro1(g + (phi, psi), z1, z2, _l4101(g, phi, psi, d)),
-              _c46_intro2(g + (phi, Neg(psi)), z1, z2, _l4102(g, phi, psi, d)))
+    return lem(_c46_intro1(g + (phi, psi), z1, z2, _l4101(g, phi, psi, d)),
+               _c46_intro2(g + (phi, Neg(psi)), z1, z2, _l4102(g, phi, psi, d)))
 
 
 def _p411full(g, phi, psi, d):
     or1 = Or(And(phi, psi), And(phi, Neg(psi)))
     or2 = Or(And(Neg(phi), psi), And(Neg(phi), Neg(psi)))
-    target = Or(or1, or2)
-    return _n("lem", g, target,
-              _c46_intro1(g + (phi,), or1, or2, _p411(g, phi, psi, d)),
-              _c46_intro2(g + (Neg(phi),), or1, or2,
-                          _p411(g, Neg(phi), psi, _p486(g, phi, psi, d))))
+    return lem(_c46_intro1(g + (phi,), or1, or2, _p411(g, phi, psi, d)),
+               _c46_intro2(g + (Neg(phi),), or1, or2,
+                           _p411(g, Neg(phi), psi, _p486(g, phi, psi, d))))
 
 
 def _l412and(g, phi, psi, d):
     a = And(phi, psi)
-    e1 = _conjunct(g, a, side=1)
-    e2 = _conjunct(g, a, side=2)
-    r1 = _n("paste", g + (phi, psi), phi,
-            _t26_cut(g, a, (phi,), psi, d,
-                     _n("paste", g + (a, phi), psi, e1, e2)),
-            _assume(g, phi))
-    r2 = _n("paste", g + (psi, phi), psi,
-            _t26_cut(g, a, (psi,), phi, d,
-                     _n("paste", g + (a, psi), phi, e2, e1)),
-            _assume(g, psi))
+    e1, e2 = and_e(_assume(g, a), 1), and_e(_assume(g, a), 2)
+    r1 = paste(_t26(cut, _SECOND, (phi,), d, paste(e1, e2)), _assume(g, phi))
+    r2 = paste(_t26(cut, _SECOND, (psi,), d, paste(e2, e1)), _assume(g, psi))
     return _p47intro(g, phi, psi, r1, r2)
 
 
@@ -758,32 +755,27 @@ def _p414(g, phi, psi, d):
 
 def _l56(g, x, t, phi):
     fa = Forall(x, phi)
-    sub = substitute(phi, x, t)
-    inst = _n("all_e", g + (fa,), sub, _assume(g, fa), inst=t)
-    p1 = _n("paste", g + (fa, sub), fa, inst, _assume(g, fa))
-    p2 = _n("all_e", g + (sub, fa), sub, _assume(g + (sub,), fa), inst=t)
-    return _p47intro(g, fa, sub, p1, p2)
+    inst = all_e(_assume(g, fa), t)
+    sub = inst.conclusion.succedent
+    p2 = all_e(_assume(g + (sub,), fa), t)
+    return _p47intro(g, fa, sub, paste(inst, _assume(g, fa)), p2)
 
 
 def _p57ei(g, x, t, phi, d):
     sub = substitute(phi, x, t)
     fa = Forall(x, Neg(phi))
     step = _p482(g, fa, sub, _p485(g, fa, sub, _l56(g, x, t, Neg(phi))))
-    left = _t26_cut(g, sub, (fa,), sub, d, step)
-    right = _n("all_e", g + (fa,), Neg(sub), _assume(g, fa), inst=t)
-    return _relabel(_reductio1(g, fa, sub, left, right), Exists(x, phi))
+    left = _t26(cut, _SECOND, (fa,), d, step)
+    return _relabel(_reductio1(g, fa, sub, left, all_e(_assume(g, fa), t)), Exists(x, phi))
 
 
 def _p57ee(g, x, phi, psi, d1, d2, d3):
     fa = Forall(x, Neg(phi))
     nf = Neg(fa)
-    intro = _p47intro(g, phi, psi,
-                      _n("paste", g + (phi, psi), phi, d2, _assume(g, phi)),
-                      d3)
-    ai = _n("all_i", g + (Neg(psi),), fa, _p49(g, phi, psi, intro, d2), inst=x)
-    gp = _t26_paste(g, nf, (Neg(psi),), fa, d1, ai)
+    intro = _p47intro(g, phi, psi, paste(d2, _assume(g, phi)), d3)
+    gp = _t26_paste(g, nf, (Neg(psi),), fa, d1, all_i(_p49(g, phi, psi, intro, d2), x))
     p42 = _p42(g, nf, Neg(psi), _dni(g + (nf, Neg(psi)), fa, gp))
-    return _n("cut", g, psi, d1, _dne(g + (nf,), psi, p42))
+    return cut(d1, _dne(g + (nf,), psi, p42))
 
 
 # ---------------------------------------------------------------------------

@@ -389,7 +389,7 @@ NEAR_MISSES = [
                  id="exch-too-short"),
     pytest.param("all_i", ["p |- R(x)"], "p |- R(x)", "NOM_Q", Var("x"),
                  "succedent must be universally quantified", id="all_i-forall"),
-    # a variable named None: without the guard, str(None) would be taken for it
+    # no variable recorded, though the formulas name one None
     pytest.param("all_i", ["p |- R(None)"], "p |- forall None. R(None)", "NOM_Q", None,
                  "needs the quantified variable recorded (x=...)", id="all_i-recorded"),
     pytest.param("all_i", ["q |- R(x)"], "p |- forall x. R(x)", "NOM_Q", Var("x"),
@@ -400,6 +400,17 @@ NEAR_MISSES = [
                  "premise succedent must be universally quantified", id="all_e-forall"),
     pytest.param("all_e", ["q |- forall x. R(x)"], "p |- R(y)", "NOM_Q", Var("y"),
                  "premise must share the conclusion's antecedent", id="all_e-context"),
+    # a name or a number is no variable and no term: rejected, not coerced or raised on
+    pytest.param("all_i", ["p |- R(x)"], "p |- forall x. R(x)", "NOM_Q", "x",
+                 "needs the quantified variable recorded (x=...)", id="all_i-string"),
+    pytest.param("all_i", ["p |- R(x)"], "p |- forall x. R(x)", "NOM_q", 1,
+                 "needs the quantified variable recorded (x=...)", id="all_i-int"),
+    pytest.param("all_e", ["|- forall x. R(x)"], "|- R(c)", "NOM_Q", "c",
+                 "needs the substituted term recorded (t=...)", id="all_e-string"),
+    pytest.param("all_e", ["|- forall x. R(x)"], "|- R(c)", "NOM_q", "c",
+                 "needs the substituted term recorded (t=...)", id="all_e-string-nom_q"),
+    pytest.param("all_e", ["|- forall x. R(x)"], "|- R(c)", "NOM_Q", 3,
+                 "needs the substituted term recorded (t=...)", id="all_e-int"),
     pytest.param("qexch", ["R(x) |- p"], "R(x) |- p", "NOM_q", None,
                  "needs equal antecedents of length >= 2", id="qexch-too-short"),
     pytest.param("qexch", ["g, R(x), T(y) |- p"], "T(y), R(x) |- p", "NOM_q", None,

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import propositional_strategy
+from conftest import CONST_NAMES, VAR_NAMES, formula_strategy, propositional_strategy
 from orthoproof import tactics
-from orthoproof.kernel import Derivation, _preorder, check_derivation, hyp, node
+from orthoproof.kernel import (
+    PREMISE_COUNTS, Derivation, _preorder, check_derivation, check_inference, hyp, node,
+)
 from orthoproof.lattice import by_name
 from orthoproof.semantics import Interpretation, sequent_letters, sequent_true
 from orthoproof.syntax import (
-    Atom, Compat, Const, Exists, Forall, Letter, Sequent, Var, parse_sequent, render,
+    And, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Sequent, Var, children,
+    parse_sequent, render,
 )
 from orthoproof.tactics import (
     TacticError, catalog, derive, infer_conclusion, lookup, match_and_build,
@@ -169,46 +172,51 @@ def _instantiation_vars(d: Derivation):
             if n.rule == "all_i" and (x := n.instantiation) is not None}
 
 
-def weaken(d: Derivation, delta) -> Derivation:
+def weaken(d: Derivation, delta, memo) -> Derivation:
     """Prefix a formula sequence onto every sequent of a derivation.
 
     The inductive weakening transform: the result has the same tree
     shape and still checks.  Refuses a prefix whose free variables
     collide with an all_i eigenvariable inside the tree, since that
-    would break the rule's side condition.
+    would break the rule's side condition.  ``memo`` maps (node id,
+    prefix ids) to the weakened node; shared across one tree, it weakens
+    each node under each prefix once.
     """
     delta = tuple(delta)
     if not delta:
         return d
-    clash = _instantiation_vars(d) & set().union(*(f.free for f in delta))
+    free = set().union(*(f.free for f in delta))
+    clash = free and _instantiation_vars(d) & free
     if clash:
         raise ValueError(f"prefix would capture quantified variable(s) {clash}")
-    return _weaken(d, delta, {})
+    return _weaken(d, delta, memo)
 
 
 def _weaken(d, delta, memo):
+    ids = tuple(map(id, delta))
     stack = [d]
     while stack:
         n = stack[-1]
-        if id(n) in memo:
+        if (id(n), ids) in memo:
             stack.pop()
             continue
-        todo = [p for p in n.premises if id(p) not in memo]
+        todo = [p for p in n.premises if (id(p), ids) not in memo]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
         c = Sequent(delta + n.conclusion.antecedent, n.conclusion.succedent)
-        memo[id(n)] = Derivation(c, n.rule,
-                                 tuple(memo[id(p)] for p in n.premises),
-                                 n.instantiation)
-    return memo[id(d)]
+        memo[id(n), ids] = Derivation(c, n.rule,
+                                      tuple(memo[id(p), ids] for p in n.premises),
+                                      n.instantiation)
+    return memo[id(d), ids]
 
 
 def without_wk(d):
     """``d`` with each wk node replaced by ``weaken`` (the kernel's former
-    transform, above) of its premise; the sharing of the rest is kept."""
-    memo, stack = {}, [d]
+    transform, above) of its premise; the sharing of the rest is kept, and a
+    node weakened under one prefix at several wk nodes is weakened once."""
+    memo, weakened, stack = {}, {}, [d]
     while stack:
         n = stack[-1]
         todo = [p for p in n.premises if id(p) not in memo]
@@ -221,7 +229,7 @@ def without_wk(d):
         prems = tuple(memo[id(p)] for p in n.premises)
         if n.rule == "wk":
             extra = len(n.conclusion.antecedent) - len(prems[0].conclusion.antecedent)
-            memo[id(n)] = weaken(prems[0], n.conclusion.antecedent[:extra])
+            memo[id(n)] = weaken(prems[0], n.conclusion.antecedent[:extra], weakened)
         else:
             memo[id(n)] = Derivation(n.conclusion, n.rule, prems, n.instantiation)
     return memo[id(d)]
@@ -505,3 +513,132 @@ class TestRandomInstantiation:
         d = derive(eid, inst, prem_seqs)
         assert d.conclusion == concl
         assert check_derivation(d, entry.modes[0], hypotheses=prem_seqs) is None
+
+
+# -- forward rule applications -----------------------------------------------
+
+# a mode that has each rule outside NOM
+_RULE_MODE = {"exch": "NOM_E", "qexch": "NOM_q", "all_i": "NOM_Q", "all_e": "NOM_Q"}
+_terms = st.sampled_from([Var(n) for n in VAR_NAMES] + [Const(n) for n in CONST_NAMES])
+
+
+@st.composite
+def forward_cases(draw):
+    """A primitive rule, premise sequents in the shape the rule's premises
+    take, its x= or t= argument, and the refusal the REPL answers with (None
+    where the premises fix a conclusion)."""
+    rule = draw(st.sampled_from([r for r, k in PREMISE_COUNTS.items() if k]))
+    g = tuple(draw(st.lists(propositional_strategy, max_size=2)))
+    a, b, c = (draw(propositional_strategy) for _ in range(3))
+    args, refusal = {}, None
+    if rule == "cut":
+        prems = [Sequent(g, a), Sequent(g + (a,), b)]
+    elif rule in ("paste", "and_i"):
+        prems = [Sequent(g, a), Sequent(g, b)]
+    elif rule == "cexch":
+        prems = [Sequent(g + (a, b), a), Sequent(g + (a, b), c), Sequent(g + (b, a), b)]
+    elif rule == "lem":
+        prems = [Sequent(g, b), Sequent(g and g[:-1] + (Neg(g[-1]),), b)]
+        refusal = None if g else "lem premises need a final assumption to discharge"
+    elif rule == "all_i":
+        prems, args = [Sequent(g, draw(formula_strategy))], {"x": Var(draw(st.sampled_from(VAR_NAMES)))}
+    elif rule == "all_e":
+        body = draw(formula_strategy)
+        succ = draw(st.sampled_from([body, Forall(Var(draw(st.sampled_from(VAR_NAMES))), body)]))
+        prems, args = [Sequent(g, succ)], {"t": draw(_terms)}
+        if not isinstance(succ, Forall):
+            refusal = "the premise succedent is not universally quantified"
+    else:
+        prems = [Sequent(g, a)]
+        if rule in ("explode", "wk"):
+            what = "succedent" if rule == "explode" else "added context"
+            refusal = f"{rule}'s {what} is unconstrained; state the target sequent"
+        elif rule == "imp_i" and not g:
+            refusal = "imp_i needs a premise with an antecedent"
+        elif rule in ("exch", "qexch") and len(g) < 2:
+            refusal = f"{rule} needs at least two antecedent formulas"
+        elif rule in ("and_e1", "and_e2") and not isinstance(a, (And, Compat)):
+            refusal = "the premise succedent is not a conjunction"
+        elif rule == "imp_e" and not isinstance(a, Imp):
+            refusal = "the premise succedent is not an arrow"
+    return rule, prems, args, refusal
+
+
+class TestForward:
+    @given(forward_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_forward_applications_agree_with_the_kernel(self, case):
+        # a conclusion the premises fix is one the kernel accepts; a refusal
+        # is a TacticError with the REPL's message, never another exception
+        rule, prems, args, refusal = case
+        try:
+            n = tactics.forward(rule, prems, args)
+        except TacticError as err:
+            assert str(err) == refusal
+            return
+        assert refusal is None and n.rule == rule
+        assert [p.conclusion for p in n.premises] == prems
+        assert check_inference(rule, prems, n.conclusion, _RULE_MODE.get(rule, "NOM"),
+                               n.instantiation) is None
+
+
+# -- builders read no argument ----------------------------------------------
+
+def _filled(f, m, memo):
+    """``f`` with each letter named in ``m`` replaced by its formula."""
+    out = memo.get(id(f))
+    if out is None:
+        if isinstance(f, Letter):
+            out = m.get(f.name, f)
+        else:
+            out = type(f)(*(_filled(k, m, memo) for k in children(f)))
+        memo[id(f)] = out
+    return out
+
+
+def tree_hash(d, m=None):
+    """A hash of the tree below ``d`` over each node's rule, rendered
+    conclusion and premises, with the letters in ``m`` substituted first."""
+    out, forms, rendered, stack = {}, {}, {}, [d]
+    while stack:
+        n = stack[-1]
+        todo = [p for p in n.premises if id(p) not in out]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        c = n.conclusion
+        fs = (*c.antecedent, c.succedent)
+        for f in fs:
+            if id(f) not in rendered:
+                rendered[id(f)] = render(_filled(f, m or {}, forms))
+        text = [rendered[id(f)] for f in fs]
+        h = hashlib.sha256("\0".join((n.rule, *text)).encode())
+        for p in n.premises:
+            h.update(out[id(p)])
+        out[id(n)] = h.digest()
+    return out[id(d)]
+
+
+def _build(entry, inst):
+    return derive(entry.id, inst, entry.instantiate(inst)[0])
+
+
+class TestBuildersReadNoArgument:
+    @pytest.mark.parametrize("eid", BASE_IDS)
+    @given(formulas=st.lists(propositional_strategy, min_size=7, max_size=7),
+           glen=st.integers(0, 2), dlen=st.integers(0, 2))
+    @settings(max_examples=2, deadline=None)
+    def test_a_build_is_the_substituted_letter_tree(self, eid, formulas, glen, dlen):
+        # the constructors read premises through unfold; a builder that
+        # inspected a schema formula would build another tree for it
+        entry = lookup(eid)
+        names = [*entry.variables, *(f"g{i}" for i in range(glen)),
+                 *(f"d{i}" for i in range(dlen))]
+        m = dict(zip(names, formulas))
+        letters = {v: Letter(v) for v in entry.variables}
+        drawn = {v: m[v] for v in entry.variables}
+        for key, prefix, k in (("gamma", "g", glen), ("delta", "d", dlen)):
+            letters[key] = tuple(Letter(f"{prefix}{i}") for i in range(k))
+            drawn[key] = tuple(m[f"{prefix}{i}"] for i in range(k))
+        assert tree_hash(_build(entry, drawn)) == tree_hash(_build(entry, letters), m)
