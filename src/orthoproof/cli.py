@@ -21,7 +21,7 @@ import click
 
 from .kernel import MODES, PREMISE_COUNTS
 from .script import (
-    HYP_RE, ScriptError, ScriptLine, check_file, check_line, parse_justification,
+    GOAL_RE, HYP_RE, ScriptError, ScriptLine, check_file, check_line, parse_justification,
     parse_step, split_by, strip_comment,
 )
 from .syntax import (  # parse_term is unused here; the benchmark's tracer wraps it
@@ -356,9 +356,9 @@ class _Session:
                     raise _Rejected(f"duplicate hypothesis '{m.group(1)}'")
                 self.hyps[m.group(1)] = parse_sequent(m.group(2), sig)
                 click.echo(f"hyp {m.group(1)}: {m.group(2)}")
-            elif line.startswith("goal:"):
-                self.goal = parse_sequent(line[5:], sig)
-                click.echo(f"goal: {line[5:].strip()}")
+            elif m := GOAL_RE.match(line):
+                self.goal = parse_sequent(m.group(1), sig)
+                click.echo(f"goal: {m.group(1).strip()}")
             elif line.startswith("export "):
                 self._export(line[7:].strip())
             elif split_by(line):

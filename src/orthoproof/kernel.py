@@ -268,16 +268,15 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         target = expand(succ)
         if not isinstance(target, Forall):
             return bad("succedent must be universally quantified")
-        x = instantiation
-        if not isinstance(x, Var):
+        if not isinstance(instantiation, Var):
             return bad("needs the quantified variable recorded (x=...)")
         if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
-        if Forall(x, expand(p1.succedent)) != target:
+        if Forall(instantiation, expand(p1.succedent)) != target:
             return bad("succedent must quantify the premise's succedent over x")
         for f in ante:
-            if x.name in f.free:
-                return bad(f"{x.name} occurs free in the antecedent")
+            if instantiation.name in f.free:
+                return bad(f"{instantiation.name} occurs free in the antecedent")
         return None
 
     if rule == "all_e":
@@ -287,6 +286,8 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("premise succedent must be universally quantified")
         if not isinstance(instantiation, (Var, Const, App)):
             return bad("needs the substituted term recorded (t=...)")
+        if instantiation.sort != source.var.sort:
+            return bad(f"term of sort {instantiation.sort} for a variable of sort {source.var.sort}")
         if not context_eq(p1.antecedent, ante):
             return bad("premise must share the conclusion's antecedent")
         if mode == "NOM_q" and instantiation.free & source.body.free:

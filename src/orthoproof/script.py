@@ -95,6 +95,7 @@ class ScriptReport:
 
 _THEOREM_RE = re.compile(r"theorem\s+(\S+)\s+mode=(\S+)\s*$")
 HYP_RE = re.compile(r"hyp\s+([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(.*)$")
+GOAL_RE = re.compile(r"goal\s*:(.*)$")
 _STEP_RE = re.compile(r"(\d+)\s*:\s*(.*)$")
 # the greedy prefix splits at the last 'by', also in runs like "... by by RULE"
 _BY_RE = re.compile(r"(.*)\s\bby\b(?=\s)(.*)")
@@ -247,12 +248,11 @@ def parse_script_file(text: str, signature: Optional[Signature] = None):
                 raise ScriptError(f"duplicate hypothesis '{hname}'", lineno)
             hyps.append((hname, _sequent(m.group(2), sig, lineno)))
         elif line.startswith("goal"):
-            rest = line[4:].lstrip()
-            if not rest.startswith(":"):
+            if not (m := GOAL_RE.match(line)):
                 raise ScriptError("expected 'goal: SEQUENT'", lineno)
             if goal is not None:
                 raise ScriptError("duplicate goal", lineno)
-            goal = _sequent(rest[1:], sig, lineno)
+            goal = _sequent(m.group(1), sig, lineno)
         else:
             raise ScriptError("expected a numbered proof line", lineno)
     if in_theorem:

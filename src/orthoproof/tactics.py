@@ -17,12 +17,12 @@ import inspect
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import takewhile
-from typing import Callable, Optional
+from typing import Callable
 
 from .kernel import MODES, Derivation, hyp
 from .syntax import (
     And, Compat, Exists, Forall, Formula, Imp, Letter, Neg, Or, Sequent,
-    children, context_eq, formula_eq, sequent_eq, substitute, unfold,
+    Var, children, context_eq, formula_eq, sequent_eq, substitute, unfold,
 )
 
 
@@ -783,6 +783,9 @@ def _p57ee(g, x, phi, psi, d1, d2, d3):
 
 _PHI, _PSI, _CHI = Letter("phi"), Letter("psi"), Letter("chi")
 _METAVARS = ("phi", "psi", "chi")
+# a quantifier's variable in a shape binds ``x``; "phi with t for x" is the
+# one computed shape, filled by substitution and matched by comparison with it
+_X, _PHI_T = Var("x"), Letter("phi[t/x]")
 _CONTEXTS = {"G": "gamma", "D": "delta"}    # shape markers and their inst keys
 # builder parameter names and the inst keys whose values they receive
 _PARAMS = {"g": "gamma", "delta": "delta", "phi": "phi", "psi": "psi",
@@ -798,13 +801,17 @@ class CatalogEntry:
     builder: Callable          # schema values, then one derivation per premise
     locus: str
     params: tuple              # inst keys of the builder's schema parameters
-    matcher: Optional[Callable] = None
-    instantiator: Optional[Callable] = None
 
     @property
     def variables(self):
         """The schema formulas an instantiation must give, in builder order."""
         return tuple(k for k in self.params if k in _METAVARS)
+
+    @property
+    def matcher(self):
+        """``match`` where the instantiation binds a variable ``x`` (the
+        quantifier rules), None elsewhere."""
+        return self.match if "x" in self.params else None
 
     @property
     def arguments(self):
@@ -825,16 +832,21 @@ class CatalogEntry:
 
     def instantiate(self, inst):
         """Concrete premise sequents and conclusion for an assignment."""
-        if self.instantiator is not None:
-            return self.instantiator(inst)
         prems = tuple(_fill_shape(s, inst) for s in self.premises)
         return prems, _fill_shape(self.conclusion, inst)
 
     def match(self, premise_sequents, conclusion, args=None):
-        """Infer the instantiation from concrete sequents."""
-        if self.matcher is not None:
-            return self.matcher(premise_sequents, conclusion, args or {})
-        return _match_shapes(self, premise_sequents, conclusion)
+        """Infer the instantiation from concrete sequents and the line's
+        arguments, which give each key of ``arguments``."""
+        args = args or {}
+        for key in self.arguments:
+            if key not in args:
+                raise TacticError(f"{self.id} needs an explicit {key}= argument")
+        if len(premise_sequents) != len(self.premises):
+            raise TacticError(f"{self.id} takes {len(self.premises)} premises, "
+                              f"got {len(premise_sequents)}")
+        return _fit(self, (self.conclusion, *self.premises), (conclusion, *premise_sequents),
+                    0, "conclusion", "undetermined", {k: args[k] for k in self.arguments})
 
 
 def _sh(*items):
@@ -843,14 +855,14 @@ def _sh(*items):
 
 
 def _fill_formula(pattern, inst):
+    if pattern is _PHI_T:
+        return substitute(inst["phi"], inst["x"], inst["t"])
     if isinstance(pattern, Letter) and pattern.name in _METAVARS:
         return inst[pattern.name]
-    if isinstance(pattern, Neg):
-        return Neg(_fill_formula(pattern.sub, inst))
-    if isinstance(pattern, (And, Imp, Or, Compat)):
-        cls = type(pattern)
-        return cls(_fill_formula(pattern.left, inst),
-                   _fill_formula(pattern.right, inst))
+    if isinstance(pattern, (Forall, Exists)):
+        return type(pattern)(inst["x"], _fill_formula(pattern.body, inst))
+    if isinstance(pattern, (Neg, And, Imp, Or, Compat)):
+        return type(pattern)(*(_fill_formula(p, inst) for p in children(pattern)))
     return pattern
 
 
@@ -869,7 +881,15 @@ def _bind_formula(p, s, inst):
     """Bind the metavariables of pattern ``p`` to the sub-formulas of ``s``
     they stand for.  The two are walked as written, and where their
     connectives differ each is unfolded one level, so every binding is a
-    node of ``s`` as written."""
+    node of ``s`` as written.  The first quantifier met binds ``x`` to its
+    variable; one met again, like "phi with t for x", is filled and compared
+    whole, so alpha-variants match.  The conclusion is bound first, so
+    ``phi``, ``x`` and ``t`` are bound by then."""
+    if p is _PHI_T or isinstance(p, (Forall, Exists)) and "x" in inst:
+        if not formula_eq(_fill_formula(p, inst), s):
+            raise TacticError("not the instance of phi at t" if p is _PHI_T
+                              else "quantifier did not match")
+        return
     if isinstance(p, Letter) and p.name in _METAVARS:
         bound = inst.get(p.name)
         if bound is None:
@@ -879,10 +899,12 @@ def _bind_formula(p, s, inst):
         return
     if type(p) is not type(s):
         p, s = unfold(p), unfold(s)
-    if isinstance(p, (Neg, And, Imp, Or, Compat)):
+    if isinstance(p, (Neg, And, Imp, Or, Compat, Forall, Exists)):
         if type(s) is not type(p):
             raise TacticError("negation did not match" if isinstance(p, Neg)
                               else "connective did not match")
+        if isinstance(p, (Forall, Exists)):
+            inst["x"] = s.var
         for a, b in zip(children(p), children(s)):
             _bind_formula(a, b, inst)
     elif not formula_eq(p, s):
@@ -923,16 +945,16 @@ def _splits(items, ante):
             if (k == 0 or "G" in items) and (k == spare or "D" in items)]
 
 
-def _fit(entry, shapes, seqs, key, what, unbound):
-    """The first instantiation, over the splits of ``shapes[key]`` (named
-    ``what``), that binds every shape to its sequent and determines every
-    schema formula."""
+def _fit(entry, shapes, seqs, key, what, unbound, args):
+    """The first instantiation, starting from ``args``, over the splits of
+    ``shapes[key]`` (named ``what``), that binds every shape to its sequent
+    and determines every schema formula."""
     splits = _splits(shapes[key][0], seqs[key].antecedent)
     if splits is None:
         raise TacticError(f"{entry.id}: {what} has too few antecedents")
     last = TacticError(f"{entry.id}: shape mismatch")
     for gamma, delta in splits:
-        inst = {"gamma": gamma, "delta": delta}
+        inst = {"gamma": gamma, "delta": delta, **args}
         try:
             for shape, seq in zip(shapes, seqs):
                 _bind_shape(shape, seq, inst)
@@ -945,20 +967,10 @@ def _fit(entry, shapes, seqs, key, what, unbound):
     raise last
 
 
-def _match_shapes(entry, premise_sequents, conclusion):
-    if len(premise_sequents) != len(entry.premises):
-        raise TacticError(
-            f"{entry.id} takes {len(entry.premises)} premises, "
-            f"got {len(premise_sequents)}")
-    return _fit(entry, (entry.conclusion, *entry.premises),
-                (conclusion, *premise_sequents), 0, "conclusion", "undetermined")
-
-
 _CATALOG: "dict[str, CatalogEntry]" = {}
 
 
-def _reg(eid, prems, concl, builder, locus, modes=MODES,
-         matcher=None, instantiator=None):
+def _reg(eid, prems, concl, builder, locus, modes=MODES):
     """Register ``builder`` bare: its leading parameters named in ``_PARAMS``
     receive the instantiation (``g`` the ambient context, ``delta`` the
     trailing one), and the positional parameters after them the premise
@@ -972,7 +984,7 @@ def _reg(eid, prems, concl, builder, locus, modes=MODES,
         raise ValueError(f"{eid}: builder takes {len(names) - len(params)} "
                          f"premises, not {len(prems)}")
     _CATALOG[eid] = CatalogEntry(eid, tuple(prems), concl, tuple(modes),
-                                 builder, locus, params, matcher, instantiator)
+                                 builder, locus, params)
 
 
 _NPS = Neg(And(_PHI, _PSI))
@@ -1212,94 +1224,14 @@ _reg("P4.14", [_sh("G", Or(_OR1, _OR2))], _sh("G", _CPT),
      _p414, "the four-fold disjunction gives compatibility")
 
 
-def _require(args, key, eid):
-    if key not in args:
-        raise TacticError(f"{eid} needs an explicit {key}= argument")
-    return args[key]
+_ALL, _EXISTS = Forall(_X, _PHI), Exists(_X, _PHI)
 
-
-def _as_compat(f):
-    inst = {}
-    try:
-        _bind_formula(_CPT, f, inst)
-    except TacticError:
-        return None
-    return inst["phi"], inst["psi"]
-
-
-def _as_exists(f):
-    e = unfold(f)  # ~forall x. ~phi, its body read through unfold as well
-    body = unfold(e.sub.body) if isinstance(e, Neg) and isinstance(e.sub, Forall) else None
-    return (e.sub.var, body.sub) if isinstance(body, Neg) else None
-
-
-def _match_l56(prem_seqs, concl, args):
-    t = _require(args, "t", "L5.6")
-    pair = _as_compat(concl.succedent)
-    if pair is None or not isinstance(pair[0], Forall):
-        raise TacticError("L5.6 concludes a compatibility with a universal")
-    fa, sub = pair
-    if not formula_eq(sub, substitute(fa.body, fa.var, t)):
-        raise TacticError("right component is not the instance at t")
-    return {"gamma": concl.antecedent, "x": fa.var, "t": t, "phi": fa.body}
-
-
-def _inst_l56(inst):
-    fa = Forall(inst["x"], inst["phi"])
-    sub = substitute(inst["phi"], inst["x"], inst["t"])
-    return (), Sequent(tuple(inst.get("gamma", ())), Compat(fa, sub))
-
-
-def _match_p57ei(prem_seqs, concl, args):
-    t = _require(args, "t", "P5.7.EI")
-    pair = _as_exists(concl.succedent)
-    if pair is None:
-        raise TacticError("P5.7.EI concludes an existential")
-    x, phi = pair
-    want = Sequent(concl.antecedent, substitute(phi, x, t))
-    if not sequent_eq(prem_seqs[0], want):
-        raise TacticError("premise is not the instance at t")
-    return {"gamma": concl.antecedent, "x": x, "t": t, "phi": phi}
-
-
-def _inst_p57ei(inst):
-    g = tuple(inst.get("gamma", ()))
-    sub = substitute(inst["phi"], inst["x"], inst["t"])
-    return ((Sequent(g, sub),),
-            Sequent(g, Exists(inst["x"], inst["phi"])))
-
-
-def _match_p57ee(prem_seqs, concl, args):
-    if len(prem_seqs) != 3:
-        raise TacticError("P5.7.EE takes three premises")
-    pair = _as_exists(prem_seqs[0].succedent)
-    if pair is None:
-        raise TacticError("first premise must be an existential")
-    x, phi = pair
-    g, psi = concl.antecedent, concl.succedent
-    inst = {"gamma": g, "x": x, "phi": phi, "psi": psi}
-    want, _ = _inst_p57ee(inst)
-    for seq, expected in zip(prem_seqs, want):
-        if not sequent_eq(seq, expected):
-            raise TacticError("premise shape mismatch for P5.7.EE")
-    return inst
-
-
-def _inst_p57ee(inst):
-    g = tuple(inst.get("gamma", ()))
-    x, phi, psi = inst["x"], inst["phi"], inst["psi"]
-    return ((Sequent(g, Exists(x, phi)),
-             Sequent(g + (phi,), psi),
-             Sequent(g + (psi, phi), psi)),
-            Sequent(g, psi))
-
-
-_reg("L5.6", [], None, _l56, "a universal is compatible with its instances",
-     modes=_QMODES, matcher=_match_l56, instantiator=_inst_l56)
-_reg("P5.7.EI", [None], None, _p57ei, "existential introduction",
-     modes=_QMODES, matcher=_match_p57ei, instantiator=_inst_p57ei)
-_reg("P5.7.EE", [None, None, None], None, _p57ee, "existential elimination",
-     modes=_QMODES, matcher=_match_p57ee, instantiator=_inst_p57ee)
+_reg("L5.6", [], _sh("G", Compat(_ALL, _PHI_T)), _l56,
+     "a universal is compatible with its instances", modes=_QMODES)
+_reg("P5.7.EI", [_sh("G", _PHI_T)], _sh("G", _EXISTS), _p57ei,
+     "existential introduction", modes=_QMODES)
+_reg("P5.7.EE", [_sh("G", _EXISTS), _sh("G", _PHI, _PSI), _sh("G", _PSI, _PHI, _PSI)],
+     _sh("G", _PSI), _p57ee, "existential elimination", modes=_QMODES)
 
 
 def catalog():
@@ -1345,9 +1277,9 @@ def infer_conclusion(entry_id: str, premise_sequents) -> Sequent:
     """Forward application: the conclusion determined by the premises alone.
 
     Only works for entries whose conclusion metavariables all occur in
-    some premise; entries with custom matchers (the quantifier rules)
-    and premise-free entries are never inferable.  Raises TacticError
-    with a hint to state the target sequent explicitly.
+    some premise; the quantifier rules (``matcher`` is set) and premise-free
+    entries are never inferable.  Raises TacticError with a hint to state
+    the target sequent explicitly.
     """
     entry = lookup(entry_id)
     prems = tuple(premise_sequents)
@@ -1362,7 +1294,7 @@ def infer_conclusion(entry_id: str, premise_sequents) -> Sequent:
     # gamma and delta are read off the first premise with a trailing context
     key = next((k for k, (its, _) in enumerate(entry.premises) if "D" in its), 0)
     inst = _fit(entry, entry.premises, prems, key, f"premise {key + 1}",
-                "is not determined by the premises; state the target sequent")
+                "is not determined by the premises; state the target sequent", {})
     return entry.instantiate(inst)[1]
 
 

@@ -503,6 +503,43 @@ def test_a_derived_line_with_arguments_its_entry_does_not_read_is_bad_input(
     assert len(res.output.strip().splitlines()) == 1
 
 
+# a derived line with a premise too few or too many: (goal, justification, message)
+MISCOUNTED = [
+    ("|- exists x. R(x)", "derived P5.7.EI t=c", "P5.7.EI takes 1 premises, got 0"),
+    ("|- (forall x. R(x)) >< R(c)", "derived L5.6 t=c from 1", "L5.6 takes 0 premises, got 1"),
+]
+
+
+@pytest.mark.parametrize("goal, just, message", MISCOUNTED)
+def test_a_derived_line_with_the_wrong_premise_count_is_a_rejected_line(
+        runner, tmp_path, goal, just, message):
+    p = tmp_path / "count.nom"
+    p.write_text(f"theorem t mode=NOM_Q\nhyp h: |- R(c)\ngoal: {goal}\n"
+                 f"1: |- R(c) by hyp h\n2: {goal} by {just}\nqed\n")
+    res = invoke(runner, ["check", str(p)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert [ln.strip() for ln in res.output.splitlines() if ln.strip().startswith("line ")] \
+        == [f"line 2: {message}"]
+
+
+@pytest.mark.parametrize("goal, just, message", MISCOUNTED)
+def test_repl_derived_line_with_the_wrong_premise_count_is_one_rejected_line(
+        runner, goal, just, message):
+    res = repl(runner, f"hyp h: |- R(c)\n|- R(c) by hyp h\n{goal} by {just}\nshow\nquit\n",
+               mode="NOM_Q")
+    assert res.exit_code == 0 and res.exception is None
+    assert res.output.count("rejected:") == 1 and f"rejected: {message}" in res.output
+    assert "mode: NOM_Q" in res.output  # the next command is answered
+
+
+def test_repl_reads_goal_lines_by_the_script_grammar(runner):
+    # a script accepts whitespace before the goal's colon; so does the session
+    res = repl(runner, "goal : |- p -> p\nassume p\nimp_i\nquit\n")
+    assert "goal: |- p -> p" in res.output and "rejected" not in res.output
+    assert "goal reached." in res.output
+
+
 def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):
     text = "assume R(x), S(x)\nqexch from 1\nquit\n"
     res = repl(runner, text, mode="NOM_q")

@@ -411,6 +411,11 @@ NEAR_MISSES = [
                  "needs the substituted term recorded (t=...)", id="all_e-string-nom_q"),
     pytest.param("all_e", ["|- forall x. R(x)"], "|- R(c)", "NOM_Q", 3,
                  "needs the substituted term recorded (t=...)", id="all_e-int"),
+    # a term of another sort than the variable: rejected, not raised on by substitution
+    pytest.param("all_e", ["|- forall x. R(x)"], "|- R(c)", "NOM_Q", Const("c", "other"),
+                 "term of sort other for a variable of sort _", id="all_e-sort"),
+    pytest.param("all_e", ["|- forall x. R(x)"], "|- R(c)", "NOM_q", Const("c", "other"),
+                 "term of sort other for a variable of sort _", id="all_e-sort-nom_q"),
     pytest.param("qexch", ["R(x) |- p"], "R(x) |- p", "NOM_q", None,
                  "needs equal antecedents of length >= 2", id="qexch-too-short"),
     pytest.param("qexch", ["g, R(x), T(y) |- p"], "T(y), R(x) |- p", "NOM_q", None,

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONST_NAMES, VAR_NAMES, formula_strategy, propositional_strategy
+from conftest import (
+    CONST_NAMES, VAR_NAMES, corpus_signature, formula_strategy, propositional_strategy,
+)
 from orthoproof import tactics
 from orthoproof.kernel import (
     PREMISE_COUNTS, Derivation, _preorder, check_derivation, check_inference, hyp, node,
@@ -16,8 +18,8 @@ from orthoproof.kernel import (
 from orthoproof.lattice import by_name
 from orthoproof.semantics import Interpretation, sequent_letters, sequent_true
 from orthoproof.syntax import (
-    And, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Sequent, Var, children,
-    parse_sequent, render,
+    And, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Sequent, Signature, Var,
+    children, parse_formula, parse_sequent, parse_term, render, substitute,
 )
 from orthoproof.tactics import (
     TacticError, catalog, derive, infer_conclusion, lookup, match_and_build,
@@ -380,6 +382,99 @@ class TestQuantifierEntries:
             match_and_build("L5.6", (), concl, "NOM_Q", args={"t": Const("d")})
 
 
+# The quantifier schemas over formulas as written: exists as ~forall x. ~phi,
+# >< written out (its universal repeated as an alpha-variant), and near misses.
+# (entry, premises, conclusion, t, the bound x and phi, or the refusal)
+QUANTIFIER_TABLE = [
+    ("L5.6", [], "|- (forall x. R(x)) >< R(c)", "c", ("x", "R(x)")),
+    ("L5.6", [], "a, b |- (forall x. R(x) /\\ a) >< (R(c) /\\ a)", "c", ("x", "R(x) /\\ a")),
+    ("L5.6", [], "|- ((forall x. R(x)) -> (R(c) -> forall x. R(x))) /\\ "
+                 "(R(c) -> ((forall x. R(x)) -> R(c)))", "c", ("x", "R(x)")),
+    ("L5.6", [], "|- ((forall x. R(x)) -> (R(c) -> forall y. R(y))) /\\ "
+                 "(R(c) -> ((forall z. R(z)) -> R(c)))", "c", ("x", "R(x)")),
+    ("L5.6", [], "|- (forall x. R(x)) >< R(d)", "c", "not the instance of phi at t"),
+    ("L5.6", [], "|- (forall x. R(x)) /\\ R(c)", "c", "connective did not match"),
+    ("L5.6", ["|- R(c)"], "|- (forall x. R(x)) >< R(c)", "c", "L5.6 takes 0 premises, got 1"),
+    ("L5.6", [], "|- (forall x. R(x)) >< R(c)", None, "L5.6 needs an explicit t= argument"),
+    ("P5.7.EI", ["|- R(c)"], "|- exists x. R(x)", "c", ("x", "R(x)")),
+    ("P5.7.EI", ["|- R(c)"], "|- ~forall x. ~R(x)", "c", ("x", "R(x)")),
+    ("P5.7.EI", ["a |- a -> R(c)"], "a |- exists x. a -> R(x)", "c", ("x", "a -> R(x)")),
+    ("P5.7.EI", ["|- R(d)"], "|- exists x. R(x)", "c", "not the instance of phi at t"),
+    ("P5.7.EI", ["|- R(c)"], "|- forall x. R(x)", "c", "negation did not match"),
+    ("P5.7.EI", ["b |- R(c)"], "a |- exists x. R(x)", "c", "ambient context mismatch"),
+    ("P5.7.EI", [], "|- exists x. R(x)", "c", "P5.7.EI takes 1 premises, got 0"),
+    ("P5.7.EE", ["|- exists x. R(x)", "R(x) |- q", "q, R(x) |- q"], "|- q", None,
+     ("x", "R(x)")),
+    ("P5.7.EE", ["a |- ~forall y. ~R(y)", "a, R(y) |- q", "a, q, R(y) |- q"], "a |- q", None,
+     ("y", "R(y)")),
+    ("P5.7.EE", ["|- exists x. R(x)", "R(x) |- q", "R(x), q |- q"], "|- q", None,
+     "metavariable psi bound inconsistently"),
+    ("P5.7.EE", ["|- exists x. R(x)", "R(x) |- q"], "|- q", None,
+     "P5.7.EE takes 3 premises, got 2"),
+]
+
+
+def _matched_and_derived(eid, prem_seqs, concl, args):
+    """The instantiation ``match`` finds, and the build ``match_and_build``
+    makes; the build must be derive's at that instantiation."""
+    inst = lookup(eid).match(prem_seqs, concl, args)
+    d = match_and_build(eid, tuple(hyp(s) for s in prem_seqs), concl, "NOM_Q", args)
+    assert tree_hash(d) == tree_hash(derive(eid, inst, prem_seqs))
+    for mode in ("NOM_Q", "NOM_q"):
+        assert check_derivation(d, mode, hypotheses=tuple(prem_seqs)) is None, (eid, mode)
+    return inst
+
+
+class TestQuantifierSchemas:
+    @pytest.mark.parametrize("eid, prems, concl, t, want", QUANTIFIER_TABLE)
+    def test_verdicts(self, eid, prems, concl, t, want):
+        sig = Signature()
+        prem_seqs = [parse_sequent(p, sig) for p in prems]
+        concl = parse_sequent(concl, sig)
+        args = {} if t is None else {"t": parse_term(t, sig)}
+        if isinstance(want, str):
+            with pytest.raises(TacticError) as err:
+                match_and_build(eid, tuple(hyp(s) for s in prem_seqs), concl, "NOM_Q", args)
+            assert str(err.value) == want
+            return
+        inst = _matched_and_derived(eid, prem_seqs, concl, args)
+        assert inst["gamma"] == concl.antecedent and inst.get("t") == args.get("t")
+        assert (inst["x"], inst["phi"]) == (Var(want[0]), parse_formula(want[1], sig))
+        if eid == "P5.7.EE":
+            assert inst["psi"] is concl.succedent
+
+    @given(matrix=st.sampled_from(["R(x)", "R(x) /\\ a", "a -> R(x)", "~R(x)", "S(x, c)"]),
+           gamma=st.lists(propositional_strategy, max_size=2),
+           psi=propositional_strategy, t=st.sampled_from(["c", "d"]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_matrices(self, matrix, gamma, psi, t):
+        sig = corpus_signature()
+        g, x, phi = tuple(gamma), Var("x"), parse_formula(matrix, sig)
+        term = parse_term(t, sig)
+        sub = substitute(phi, x, term)
+        for eid, prem_seqs, concl, args in [
+                ("L5.6", [], Sequent(g, Compat(Forall(x, phi), sub)), {"t": term}),
+                ("P5.7.EI", [Sequent(g, sub)], Sequent(g, Exists(x, phi)), {"t": term}),
+                ("P5.7.EE", [Sequent(g, Exists(x, phi)), Sequent(g + (phi,), psi),
+                             Sequent(g + (psi, phi), psi)], Sequent(g, psi), {})]:
+            inst = _matched_and_derived(eid, prem_seqs, concl, args)
+            assert inst["x"] == x and inst["phi"] is phi and inst["gamma"] == g
+
+
+class TestPremiseCount:
+    @pytest.mark.parametrize("eid", ALL_IDS)
+    def test_a_premise_too_few_or_too_many_is_a_tactic_error(self, eid):
+        entry = lookup(eid)
+        inst = {**fresh_inst(entry, 1), "x": Var("x"), "t": Const("c")}
+        prem_seqs, concl = entry.instantiate(inst)
+        prems = tuple(hyp(s) for s in prem_seqs)
+        args = {k: inst[k] for k in entry.arguments}
+        for wrong in ([prems[:-1]] if prems else []) + [prems + (hyp(concl),)]:
+            with pytest.raises(TacticError, match=f"takes {len(prems)} premises, "
+                                                  f"got {len(wrong)}"):
+                match_and_build(eid, wrong, concl, entry.modes[0], args)
+
+
 class TestRejections:
     def test_unknown_id(self):
         with pytest.raises(TacticError):
@@ -598,7 +693,8 @@ def _filled(f, m, memo):
 
 def tree_hash(d, m=None):
     """A hash of the tree below ``d`` over each node's rule, rendered
-    conclusion and premises, with the letters in ``m`` substituted first."""
+    conclusion, instantiation and premises, with the letters in ``m``
+    substituted first."""
     out, forms, rendered, stack = {}, {}, {}, [d]
     while stack:
         n = stack[-1]
@@ -611,8 +707,8 @@ def tree_hash(d, m=None):
         fs = (*c.antecedent, c.succedent)
         for f in fs:
             if id(f) not in rendered:
-                rendered[id(f)] = render(_filled(f, m or {}, forms))
-        text = [rendered[id(f)] for f in fs]
+                rendered[id(f)] = render(_filled(f, m, forms) if m else f)
+        text = [rendered[id(f)] for f in fs] + [repr(n.instantiation)]
         h = hashlib.sha256("\0".join((n.rule, *text)).encode())
         for p in n.premises:
             h.update(out[id(p)])

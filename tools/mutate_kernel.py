@@ -17,7 +17,7 @@ listed with the reason and not run.
     python tools/mutate_kernel.py [TEST_FILE ...]
 
 Prints one line per mutant and the survivors last; exits 1 if any survive.
-It reports ``58 guards, 0 surviving``, ``3 record mutants, 0 surviving``
+It reports ``59 guards, 0 surviving``, ``3 record mutants, 0 surviving``
 and ``17 syntax mutants, 0 surviving``.
 """
 
