@@ -38,6 +38,7 @@ EQ_TOL = 1e-9           # projector Frobenius distance for equality
 ANNIHILATE_TOL = 1e-12  # a probability below this is zero
 MAX_DIM = 64            # largest ambient dimension ``verify`` accepts
 CHUNK_CELLS = 1 << 14   # a sweep's chunk holds at most CHUNK_CELLS // n**2 instances
+MAX_CHAIN = 3           # the most links a fold or measurement sweep's chain draws
 
 
 class HilbertError(ValueError):
@@ -367,9 +368,9 @@ def _sweep(rng, dims, trials, draw, judge):
     return failures, worst
 
 
-def _chain_and_b(rng, n, links, max_chain):
-    """Drawn links padded with the whole space to max_chain, then b's draws."""
-    return np.stack([*links, *[np.eye(n)] * (max_chain - len(links)), _draw(rng, n)])
+def _chain_and_b(rng, n, links):
+    """Drawn links padded with the whole space to MAX_CHAIN, then b's draws."""
+    return np.stack([*links, *[np.eye(n)] * (MAX_CHAIN - len(links)), _draw(rng, n)])
 
 
 def closure_agreement_sweep(rng, dims, trials) -> CheckRow:
@@ -387,11 +388,11 @@ def closure_agreement_sweep(rng, dims, trials) -> CheckRow:
     return CheckRow("sasaki-closure-agreement", trials, *_sweep(rng, dims, trials, draw, judge))
 
 
-def fold_agreement_sweep(rng, dims, trials, max_chain=3) -> CheckRow:
+def fold_agreement_sweep(rng, dims, trials) -> CheckRow:
     """Lattice side versus range side of the fold criterion."""
     def draw(rng, n):
-        links = [_draw(rng, n) for _ in range(int(rng.integers(0, max_chain + 1)))]
-        return (_chain_and_b(rng, n, links, max_chain),)
+        links = [_draw(rng, n) for _ in range(int(rng.integers(0, MAX_CHAIN + 1)))]
+        return (_chain_and_b(rng, n, links),)
 
     def judge(gs):
         links, projs, b = _lift_chains(gs)
@@ -401,7 +402,7 @@ def fold_agreement_sweep(rng, dims, trials, max_chain=3) -> CheckRow:
     return CheckRow("fold-criterion-agreement", trials, *_sweep(rng, dims, trials, draw, judge))
 
 
-def measurement_sweep(rng, dims, trials, max_chain=3) -> CheckRow:
+def measurement_sweep(rng, dims, trials) -> CheckRow:
     """When the fold criterion holds, surviving traces must end inside b
     with exactly the advertised probability.  b joins the range of the
     chain's projector product with a random subspace, so the criterion
@@ -410,8 +411,8 @@ def measurement_sweep(rng, dims, trials, max_chain=3) -> CheckRow:
     counted is replaced by a fresh draw after its chunk."""
     def draw(rng, n):
         links = [_draw(rng, n, int(rng.integers(1, n + 1)))
-                 for _ in range(int(rng.integers(1, max_chain + 1)))]
-        gs = _chain_and_b(rng, n, links, max_chain)
+                 for _ in range(int(rng.integers(1, MAX_CHAIN + 1)))]
+        gs = _chain_and_b(rng, n, links)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         return gs, g / np.linalg.norm(g)
 

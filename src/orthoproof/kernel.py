@@ -22,7 +22,7 @@ from .syntax import (
 
 __all__ = [
     "MODES", "RULES", "PREMISE_COUNTS", "Derivation", "RuleViolation", "CheckFailure",
-    "check_inference", "check_derivation", "hyp", "node",
+    "check_inference", "check_derivation", "hyp",
 ]
 
 MODES = ("NOM", "NOM_E", "NOM_Q", "NOM_q")
@@ -75,10 +75,6 @@ class Derivation:
 
 def hyp(s: Sequent) -> Derivation:
     return Derivation(s, "hyp")
-
-
-def node(rule: str, conclusion: Sequent, *premises, instantiation=None) -> Derivation:
-    return Derivation(conclusion, rule, premises, instantiation)
 
 
 @dataclass(frozen=True)

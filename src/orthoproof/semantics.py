@@ -3,10 +3,11 @@
 A sequent phi1, ..., phin |- psi is true under an interpretation when
 the left-associated Sasaki fold of the antecedent values lies below the
 succedent value (the empty fold is top).  One evaluator gives values under
-one assignment, over a whole grid of assignments at once, and in a finite
-Q-valued predicate structure.  On top of it this module offers exhaustive
-validation, a battery-based countermodel search and the sound-and-complete
-two-variable decision procedure; a classical truth-table oracle stands apart.
+one interpretation, a finite Q-valued structure whose letters and relations
+alike take lattice values, and over a whole grid of letter assignments at
+once.  On top of it this module offers exhaustive validation, a
+battery-based countermodel search and the sound-and-complete two-variable
+decision procedure; a classical truth-table oracle stands apart.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .syntax import (
 )
 
 __all__ = [
-    "Interpretation", "QStructure", "Verdict", "Valid", "Countermodel",
-    "eval_formula", "sequent_true", "validate_sequent", "decide_two_var",
-    "countermodel_search", "classical_valid", "eval_predicate",
-    "predicate_sequent_true", "sequent_letters", "MAX_CELLS",
+    "Interpretation", "Verdict", "Valid", "Countermodel", "eval_formula",
+    "sequent_true", "validate_sequent", "decide_two_var", "countermodel_search",
+    "classical_valid", "sequent_letters", "MAX_CELLS",
 ]
 
 # the most assignments one validate_sequent sweep may visit, about 2 s of work
@@ -38,27 +38,16 @@ _SLICE = 1 << 16
 
 @dataclass(frozen=True)
 class Interpretation:
-    lattice: FiniteOML
-    letters: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", dict(self.letters))
-
-
-@dataclass(frozen=True)
-class QStructure:
-    """A finite Q-valued structure: domains per sort, lattice-valued relations.
-
-    ``domains`` maps sort name to a tuple of domain elements;
-    ``relations`` maps a relation name to {argument tuple: lattice element};
-    ``functions`` maps a function name to {argument tuple: domain element};
-    ``constants`` maps a constant name to a domain element.  Letters may
-    appear too, as 0-ary relations keyed by the empty tuple.
-    """
+    """A finite Q-valued structure, propositional when it has no domains.
+    ``letters`` maps a letter to a lattice element, ``domains`` a sort to a
+    tuple of domain elements, ``relations`` a name to {argument tuple:
+    lattice element}, ``functions`` a name to {argument tuple: domain
+    element} and ``constants`` a name to a domain element."""
 
     lattice: FiniteOML
-    domains: dict
-    relations: dict
+    letters: dict = field(default_factory=dict)
+    domains: dict = field(default_factory=dict)
+    relations: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
 
@@ -95,7 +84,7 @@ def sequent_letters(s: Sequent) -> list:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one assignment, a sweep of the assignment grid, a predicate structure
+# evaluation: one interpretation, or a sweep of the letter assignment grid
 
 
 def _lookup(table, key, kind, name=None):
@@ -121,11 +110,11 @@ def _shared(roots):
     return shared
 
 
-def _ev_grid(f, L, cols, memo, M=None, env=None):
+def _ev_grid(f, L, cols, memo, I=None, env=None):
     """Value in L of an expanded formula: an element, or an array of elements
-    when ``cols`` gives each letter a column of assignments.  A predicate
-    structure ``M`` interprets atoms and forall, with ``env`` holding the
-    variables' values."""
+    when ``cols`` gives each letter a column of assignments.  An
+    interpretation ``I`` interprets atoms and forall, with ``env`` holding
+    the variables' values."""
     # memo keeps the values of shared nodes only (expand reuses the operands of
     # ><), so the walk is linear and other nodes' values are freed after use; a
     # node that reads a variable is kept in the memo of the innermost binder
@@ -137,69 +126,59 @@ def _ev_grid(f, L, cols, memo, M=None, env=None):
     if isinstance(f, Letter):
         v = _lookup(cols, f.name, "letter")
     elif isinstance(f, Neg):
-        v = L.neg[_ev_grid(f.sub, L, cols, memo, M, env)]
+        v = L.neg[_ev_grid(f.sub, L, cols, memo, I, env)]
     elif isinstance(f, And):
-        v = L.meet[_ev_grid(f.left, L, cols, memo, M, env),
-                   _ev_grid(f.right, L, cols, memo, M, env)]
+        v = L.meet[_ev_grid(f.left, L, cols, memo, I, env),
+                   _ev_grid(f.right, L, cols, memo, I, env)]
     elif isinstance(f, Imp):
-        v = sasaki_arrow(L, _ev_grid(f.left, L, cols, memo, M, env),
-                         _ev_grid(f.right, L, cols, memo, M, env))
-    elif M is None:
+        v = sasaki_arrow(L, _ev_grid(f.left, L, cols, memo, I, env),
+                         _ev_grid(f.right, L, cols, memo, I, env))
+    elif I is None:
         raise ValueError(f"{type(f).__name__} is not propositional")
     elif isinstance(f, Atom):
-        args = tuple(_ev_term(t, M, env) for t in f.args)
-        v = _lookup(M.relations.get(f.name, {}), args, "relation", f.name)
+        args = tuple(_ev_term(t, I, env) for t in f.args)
+        v = _lookup(I.relations.get(f.name, {}), args, "relation", f.name)
     else:  # forall: the meet over the domain of the bound variable's sort
         v = L.top
-        for u in _lookup(M.domains, f.var.sort, "sort"):
+        for u in _lookup(I.domains, f.var.sort, "sort"):
             inner = {**env, f.var.name: u, None: dict.fromkeys(memo)}
-            v = L.meet[v, _ev_grid(f.body, L, cols, memo, M, inner)]
+            v = L.meet[v, _ev_grid(f.body, L, cols, memo, I, inner)]
     if id(f) in here:
         here[id(f)] = v
     return v
 
 
-def _ev_term(t, M, env):
+def _ev_term(t, I, env):
     if isinstance(t, Var):
         return _lookup(env, t.name, "variable")
     if isinstance(t, Const):
-        return _lookup(M.constants, t.name, "constant")
-    args = tuple(_ev_term(a, M, env) for a in t.args)
-    return _lookup(M.functions.get(t.name, {}), args, "function", t.name)
+        return _lookup(I.constants, t.name, "constant")
+    args = tuple(_ev_term(a, I, env) for a in t.args)
+    return _lookup(I.functions.get(t.name, {}), args, "function", t.name)
 
 
-def _fold(s: Sequent, L, cols=None, M=None, env=None):
+def _fold(s: Sequent, L, cols, I=None, env=None):
     """The left-associated Sasaki fold of the antecedent values of ``s``
     (top when empty) and the succedent value, with one memo for the sequent."""
     exprs = [expand(f) for f in (*s.antecedent, s.succedent)]
     memo = dict.fromkeys(_shared(exprs))
-    if M is not None:  # letters are 0-ary relations, keyed by the empty tuple
-        cols = {name: table[()] for name, table in M.relations.items() if () in table}
+    if I is not None:
         env = {**(env or {}), None: memo}
     fold = L.top
     for f in exprs[:-1]:
-        fold = sasaki_and(L, fold, _ev_grid(f, L, cols, memo, M, env))
-    return fold, _ev_grid(exprs[-1], L, cols, memo, M, env)
+        fold = sasaki_and(L, fold, _ev_grid(f, L, cols, memo, I, env))
+    return fold, _ev_grid(exprs[-1], L, cols, memo, I, env)
 
 
-def eval_formula(f, I: Interpretation) -> int:
-    """Value of a propositional formula; -> is the Sasaki arrow and the
-    derived connectives go through their expansions."""
-    return int(_fold(Sequent((), f), I.lattice, I.letters)[1])
+def eval_formula(f, I: Interpretation, env=None) -> int:
+    """Value of a formula under ``I`` and the free variables' values ``env``:
+    -> is the Sasaki arrow, forall the meet over its sort's domain, and the
+    derived connectives and exists go through their expansions."""
+    return int(_fold(Sequent((), f), I.lattice, I.letters, I, env)[1])
 
 
-def sequent_true(s: Sequent, I: Interpretation) -> bool:
-    return I.lattice.le(*_fold(s, I.lattice, I.letters))
-
-
-def eval_predicate(f, M: QStructure, env=None) -> int:
-    """Finite-domain value of a predicate formula (forall = meet over the
-    domain; exists through its negation-of-forall expansion)."""
-    return int(_fold(Sequent((), f), M.lattice, M=M, env=env)[1])
-
-
-def predicate_sequent_true(s: Sequent, M: QStructure, env=None) -> bool:
-    return M.lattice.le(*_fold(s, M.lattice, M=M, env=env))
+def sequent_true(s: Sequent, I: Interpretation, env=None) -> bool:
+    return I.lattice.le(*_fold(s, I.lattice, I.letters, I, env))
 
 
 # ---------------------------------------------------------------------------

@@ -856,7 +856,10 @@ def _sh(*items):
 
 def _fill_formula(pattern, inst):
     if pattern is _PHI_T:
-        return substitute(inst["phi"], inst["x"], inst["t"])
+        x, t = inst["x"], inst["t"]
+        if t.sort != x.sort:
+            raise TacticError(f"term of sort {t.sort} for a variable of sort {x.sort}")
+        return substitute(inst["phi"], x, t)
     if isinstance(pattern, Letter) and pattern.name in _METAVARS:
         return inst[pattern.name]
     if isinstance(pattern, (Forall, Exists)):
@@ -1301,9 +1304,7 @@ def infer_conclusion(entry_id: str, premise_sequents) -> Sequent:
 def match_and_build(entry_id: str, premises, conclusion: Sequent,
                     mode: str, args=None) -> Derivation:
     """Resolve a ``derived`` proof-script line into a primitive derivation."""
-    entry = _CATALOG.get(entry_id)
-    if entry is None:
-        raise TacticError(f"unknown catalog id '{entry_id}'")
+    entry = lookup(entry_id)
     if mode not in entry.modes:
         raise TacticError(f"{entry_id}: not available in mode {mode}")
     inst = entry.match([d.conclusion for d in premises], conclusion,

@@ -26,9 +26,8 @@ from orthoproof.lattice import (
 )
 from orthoproof.script import check_file
 from orthoproof.semantics import (
-    Countermodel, Interpretation, QStructure, Valid, classical_valid,
-    countermodel_search, decide_two_var, eval_formula, predicate_sequent_true,
-    sequent_letters, sequent_true, validate_sequent,
+    Countermodel, Interpretation, Valid, classical_valid, countermodel_search,
+    decide_two_var, eval_formula, sequent_letters, sequent_true, validate_sequent,
 )
 from orthoproof.syntax import (
     And, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or, Sequent,
@@ -296,35 +295,31 @@ def test_quantifier_soundness_exhaustive_small_domains():
             for rvals in itertools.product(range(lat.n), repeat=len(dom)):
                 for cval in dom:
                     for qval in range(lat.n):
-                        M = QStructure(
-                            lat, {"_": dom},
-                            {"R": {(d,): v for d, v in zip(dom, rvals)},
-                             "q": {(): qval}},
+                        I = Interpretation(
+                            lat, {"q": qval}, {"_": dom},
+                            {"R": {(d,): v for d, v in zip(dom, rvals)}},
                             constants={"c": cval})
                         structures += 1
                         # compatibility of a universal with its instances
-                        assert predicate_sequent_true(
-                            seq((), Compat(fa, Rc)), M)
+                        assert sequent_true(seq((), Compat(fa, Rc)), I)
                         # existential introduction
-                        if predicate_sequent_true(seq((), Rc), M):
-                            assert predicate_sequent_true(seq((), ex), M)
+                        if sequent_true(seq((), Rc), I):
+                            assert sequent_true(seq((), ex), I)
                         # existential elimination (free x ranges over
                         # every environment in the open premises)
-                        p1 = predicate_sequent_true(seq((), ex), M)
-                        p2 = all(predicate_sequent_true(seq((Rx,), q), M,
-                                                        {"x": d})
+                        p1 = sequent_true(seq((), ex), I)
+                        p2 = all(sequent_true(seq((Rx,), q), I, {"x": d})
                                  for d in dom)
-                        p3 = all(predicate_sequent_true(seq((q, Rx), q), M,
-                                                        {"x": d})
+                        p3 = all(sequent_true(seq((q, Rx), q), I, {"x": d})
                                  for d in dom)
                         if p1 and p2 and p3:
-                            assert predicate_sequent_true(seq((), q), M)
+                            assert sequent_true(seq((), q), I)
                         # the primitive quantifier rules
-                        if all(predicate_sequent_true(seq((), Rx), M, {"x": d})
+                        if all(sequent_true(seq((), Rx), I, {"x": d})
                                for d in dom):
-                            assert predicate_sequent_true(seq((), fa), M)
-                        if predicate_sequent_true(seq((), fa), M):
-                            assert predicate_sequent_true(seq((), Rc), M)
+                            assert sequent_true(seq((), fa), I)
+                        if sequent_true(seq((), fa), I):
+                            assert sequent_true(seq((), Rc), I)
     assert structures == 488
 
 

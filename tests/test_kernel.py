@@ -8,7 +8,8 @@ import pytest
 
 from orthoproof import kernel
 from orthoproof.kernel import (
-    MODES, PREMISE_COUNTS, CheckFailure, Derivation, RuleViolation, check_derivation, check_inference, hyp, node,
+    MODES, PREMISE_COUNTS, CheckFailure, Derivation, RuleViolation, check_derivation, check_inference,
+    hyp,
 )
 from conftest import random_formula
 from orthoproof.lattice import by_name
@@ -439,8 +440,8 @@ def test_near_miss_is_rejected_by_its_side_condition(rule, premises, conclusion,
 
 def l231_tree(gamma="g"):
     # Γ, ~p, p |- q via explosion over an assumption
-    return node("explode", S(f"{gamma}, ~p, p |- q"),
-                node("assume", S(f"{gamma}, ~p |- ~p")))
+    return Derivation(S(f"{gamma}, ~p, p |- q"), "explode",
+                      (Derivation(S(f"{gamma}, ~p |- ~p"), "assume"),))
 
 
 class TestCheckDerivation:
@@ -448,7 +449,7 @@ class TestCheckDerivation:
         assert check_derivation(l231_tree(), "NOM") is None
 
     def test_order_matters(self):
-        d = node("explode", S("g, p, ~p |- q"), node("assume", S("g, p |- p")))
+        d = Derivation(S("g, p, ~p |- q"), "explode", (Derivation(S("g, p |- p"), "assume"),))
         fail = check_derivation(d, "NOM")
         assert isinstance(fail, CheckFailure)
         assert fail.path == ()
@@ -456,32 +457,32 @@ class TestCheckDerivation:
 
     def test_open_derivation_with_hypotheses(self):
         hyps = (S("g |- p"), S("g |- p -> q"))
-        d = node("cut", S("g |- q"),
-                 hyp(S("g |- p")),
-                 node("imp_e", S("g, p |- q"), hyp(S("g |- p -> q"))))
+        d = Derivation(S("g |- q"), "cut",
+                       (hyp(S("g |- p")),
+                        Derivation(S("g, p |- q"), "imp_e", (hyp(S("g |- p -> q")),))))
         assert check_derivation(d, "NOM", hyps) is None
         fail = check_derivation(d, "NOM")
         assert fail is not None and fail.violation.rule == "hyp"
 
     def test_failure_path_depth_first(self):
         hyps = (S("g |- p"),)
-        d = node("cut", S("g |- q"),
-                 hyp(S("g |- p")),
-                 node("imp_e", S("g, p |- q"), hyp(S("g |- p -> q"))))
+        d = Derivation(S("g |- q"), "cut",
+                       (hyp(S("g |- p")),
+                        Derivation(S("g, p |- q"), "imp_e", (hyp(S("g |- p -> q")),))))
         fail = check_derivation(d, "NOM", hyps)
         assert fail.path == (1, 0)
 
     def test_shared_bad_node_is_reported_at_its_first_preorder_position(self):
         # one bad node object below two valid branches, at paths (0, 1, 1)
         # and (1, 0, 0); a valid leaf is shared as well
-        good = node("assume", S("g, q |- q"))
-        bad_node = node("assume", S("g, q |- p"))
-        left = node("and_i", S("g, q |- q /\\ (q /\\ p)"),
-                    good, node("and_i", S("g, q |- q /\\ p"), good, bad_node))
-        right = node("and_i", S("g, q |- (p /\\ q) /\\ q"),
-                     node("and_i", S("g, q |- p /\\ q"), bad_node, good), good)
-        d = node("and_i", S("g, q |- (q /\\ (q /\\ p)) /\\ ((p /\\ q) /\\ q)"),
-                 left, right)
+        good = Derivation(S("g, q |- q"), "assume")
+        bad_node = Derivation(S("g, q |- p"), "assume")
+        left = Derivation(S("g, q |- q /\\ (q /\\ p)"), "and_i",
+                          (good, Derivation(S("g, q |- q /\\ p"), "and_i", (good, bad_node))))
+        right = Derivation(S("g, q |- (p /\\ q) /\\ q"), "and_i",
+                           (Derivation(S("g, q |- p /\\ q"), "and_i", (bad_node, good)), good))
+        d = Derivation(S("g, q |- (q /\\ (q /\\ p)) /\\ ((p /\\ q) /\\ q)"), "and_i",
+                       (left, right))
         fail = check_derivation(d, "NOM")
         assert fail.path == (0, 1, 1)
         assert fail.violation.rule == "assume"
@@ -489,14 +490,15 @@ class TestCheckDerivation:
         assert str(fail).startswith("at 0.1.1 [g, q |- p]: assume:")
 
     def test_one_bad_object_in_both_premise_slots_is_reported_at_the_first(self):
-        bad_node = node("assume", S("g, q |- p"))
-        d = node("and_i", S("g, q |- q /\\ (p /\\ p)"), node("assume", S("g, q |- q")),
-                 node("and_i", S("g, q |- p /\\ p"), bad_node, bad_node))
+        bad_node = Derivation(S("g, q |- p"), "assume")
+        d = Derivation(S("g, q |- q /\\ (p /\\ p)"), "and_i",
+                       (Derivation(S("g, q |- q"), "assume"),
+                        Derivation(S("g, q |- p /\\ p"), "and_i", (bad_node, bad_node))))
         assert check_derivation(d, "NOM").path == (1, 0)
 
     def test_unmatched_hyp_leaf_under_a_valid_node(self):
         hyps = (S("g |- p"),)
-        d = node("and_i", S("g |- p /\\ q"), hyp(S("g |- p")), hyp(S("g |- q")))
+        d = Derivation(S("g |- p /\\ q"), "and_i", (hyp(S("g |- p")), hyp(S("g |- q"))))
         fail = check_derivation(d, "NOM", hyps)
         assert fail.path == (1,)
         assert fail.violation.rule == "hyp"
@@ -543,7 +545,7 @@ class TestDerivationRecord:
     @staticmethod
     def tree():
         return Derivation(S("g, q |- q /\\ q"), "and_i",
-                          [node("assume", S("g, q |- q"))] * 2)
+                          [Derivation(S("g, q |- q"), "assume")] * 2)
 
     @staticmethod
     def same_fields(a, b):
@@ -552,7 +554,6 @@ class TestDerivationRecord:
     def test_a_list_of_premises_is_stored_as_a_tuple(self):
         d = self.tree()
         assert type(d.premises) is tuple and len(d.premises) == 2
-        assert type(node("assume", S("p |- p")).premises) is tuple
         assert type(Derivation(S("p |- p"), "assume").premises) is tuple
         assert d.instantiation is None and hyp(S("p |- p")).premises == ()
 
@@ -595,7 +596,7 @@ class TestAcceptanceRecord:
 
     @staticmethod
     def exch_tree():
-        return node("exch", S("q, p |- q"), node("assume", S("p, q |- q")))
+        return Derivation(S("q, p |- q"), "exch", (Derivation(S("p, q |- q"), "assume"),))
 
     def test_exch_accepted_in_nom_e_is_rejected_in_nom(self):
         d = self.exch_tree()
@@ -605,22 +606,23 @@ class TestAcceptanceRecord:
 
     def test_all_e_sharing_a_variable_is_rejected_in_nom_q(self):
         h = S("p |- forall x. R(x) /\\ T(y)")
-        d = node("wk", S("g, p |- R(f(y)) /\\ T(y)"),
-                 node("all_e", S("p |- R(f(y)) /\\ T(y)"), hyp(h),
-                      instantiation=App("f", (Var("y"),))))
+        d = Derivation(S("g, p |- R(f(y)) /\\ T(y)"), "wk",
+                       (Derivation(S("p |- R(f(y)) /\\ T(y)"), "all_e", (hyp(h),),
+                                   App("f", (Var("y"),))),))
         assert check_derivation(d, "NOM_Q", (h,)) is None
         fail = self.same(d, "NOM_q", (h,))
         assert fail.path == (0,) and "shares a free variable" in str(fail)
 
     def test_duplicating_atom_accepted_in_NOM_Q_is_rejected_in_NOM_q(self):
-        d = node("wk", S("p, S(x, x) |- S(x, x)"), node("assume", S("S(x, x) |- S(x, x)")))
+        d = Derivation(S("p, S(x, x) |- S(x, x)"), "wk",
+                       (Derivation(S("S(x, x) |- S(x, x)"), "assume"),))
         assert check_derivation(d, "NOM_Q") is None
         fail = self.same(d, "NOM_q")
         assert fail.path == () and "duplicates" in str(fail)
 
     def test_hyp_leaves_are_judged_against_the_hypotheses_of_each_call(self):
         hyps = (S("g |- p"), S("g |- q"))
-        d = node("and_i", S("g |- p /\\ q"), hyp(S("g |- p")), hyp(S("g |- q")))
+        d = Derivation(S("g |- p /\\ q"), "and_i", (hyp(S("g |- p")), hyp(S("g |- q"))))
         assert check_derivation(d, "NOM", hyps) is None
         fail = self.same(d, "NOM_E", hyps[:1])
         assert fail.path == (1,)
@@ -649,7 +651,7 @@ class TestAcceptanceRecord:
         assert not d.premises[0]._accepted  # only the root is recorded
 
     def test_a_tree_built_from_lists_cannot_change_after_acceptance(self):
-        a, b = node("assume", S("g, q |- q")), node("assume", S("g, q |- p"))
+        a, b = Derivation(S("g, q |- q"), "assume"), Derivation(S("g, q |- p"), "assume")
         prems, ante = [a, a], [Letter("g"), Letter("q")]
         d = Derivation(Sequent(ante, F("q /\\ q")), "and_i", prems)
         assert check_derivation(d, "NOM") is None
@@ -661,7 +663,7 @@ class TestAcceptanceRecord:
         judged, real = [], kernel.check_inference
         monkeypatch.setattr(kernel, "check_inference",
                             lambda rule, *args: judged.append(rule) or real(rule, *args))
-        d = node("wk", S("z, q, p |- q"), self.exch_tree())
+        d = Derivation(S("z, q, p |- q"), "wk", (self.exch_tree(),))
         for mode, rules in [("NOM_E", ["wk", "exch", "assume"]), ("NOM_E", ["exch"]),
                             ("NOM_Q", ["exch"]), ("NOM_q", ["exch"])]:
             judged.clear()
@@ -672,10 +674,10 @@ class TestAcceptanceRecord:
         # S(x, x) occurs only below the root, which and_e1 drops: the record
         # holds no node, yet NOM_q rejects the and_e1 node as a fresh root does
         dup = S("|- S(x, x) -> S(x, x)")
-        conj = node("and_i", S("|- (q -> q) /\\ (S(x, x) -> S(x, x))"),
-                    node("imp_i", S("|- q -> q"), node("assume", S("q |- q"))),
-                    node("imp_i", dup, node("assume", S("S(x, x) |- S(x, x)"))))
-        d = node("wk", S("g |- q -> q"), node("and_e1", S("|- q -> q"), conj))
+        conj = Derivation(S("|- (q -> q) /\\ (S(x, x) -> S(x, x))"), "and_i", (
+            Derivation(S("|- q -> q"), "imp_i", (Derivation(S("q |- q"), "assume"),)),
+            Derivation(dup, "imp_i", (Derivation(S("S(x, x) |- S(x, x)"), "assume"),))))
+        d = Derivation(S("g |- q -> q"), "wk", (Derivation(S("|- q -> q"), "and_e1", (conj,)),))
         judged, real = [], kernel.check_inference
         monkeypatch.setattr(kernel, "check_inference",
                             lambda rule, *args: judged.append(rule) or real(rule, *args))
@@ -689,7 +691,7 @@ class TestAcceptanceRecord:
     def test_a_first_check_outside_nom_q_reads_no_nonduplication(self, monkeypatch):
         calls, real = [], kernel.is_nonduplicating
         monkeypatch.setattr(kernel, "is_nonduplicating", lambda f: calls.append(f) or real(f))
-        d = node("wk", S("z, q, p |- q"), self.exch_tree())
+        d = Derivation(S("z, q, p |- q"), "wk", (self.exch_tree(),))
         for mode in ("NOM", "NOM_E", "NOM_Q"):
             check_derivation(replace(d), mode)
         assert calls == []
@@ -702,7 +704,7 @@ class TestAcceptanceRecord:
         walks, real = [], kernel._preorder
         monkeypatch.setattr(kernel, "_preorder", lambda d: walks.append(d) or real(d))
         hyps = (S("g |- p"), S("g |- q"))
-        d = node("and_i", S("g |- p /\\ q"), hyp(S("g |- p")), hyp(S("g |- q")))
+        d = Derivation(S("g |- p /\\ q"), "and_i", (hyp(S("g |- p")), hyp(S("g |- q"))))
         assert check_derivation(d, "NOM", hyps) is None and walks == [d]
         for mode in MODES:
             assert check_derivation(d, mode, hyps) is None
@@ -718,8 +720,9 @@ class TestAcceptanceRecord:
         assert check_derivation(leaf, "NOM_q", h) is None and walks == [leaf]
 
     def test_a_failed_recheck_leaves_the_record_as_it_was(self):
-        d = node("wk", S("z, q, p |- q"), self.exch_tree())
-        dup = node("wk", S("p, S(x, x) |- S(x, x)"), node("assume", S("S(x, x) |- S(x, x)")))
+        d = Derivation(S("z, q, p |- q"), "wk", (self.exch_tree(),))
+        dup = Derivation(S("p, S(x, x) |- S(x, x)"), "wk",
+                         (Derivation(S("S(x, x) |- S(x, x)"), "assume"),))
         for tree, accepting, rejecting, kept, nonduplicating in [
                 (d, "NOM_E", ("NOM", "NOM_Q", "NOM_q"), [d.premises[0]], True),
                 (dup, "NOM_Q", ("NOM_q",), [], False)]:
@@ -735,7 +738,7 @@ class TestWeaken:
     """The leading-weakening rule ``wk``: Δ, Γ ⊢ φ from Γ ⊢ φ."""
 
     def test_base_case(self):
-        d = node("wk", S("r, p |- p"), node("assume", S("p |- p")))
+        d = Derivation(S("r, p |- p"), "wk", (Derivation(S("p |- p"), "assume"),))
         for mode in MODES:
             assert check_derivation(d, mode) is None
 
@@ -746,7 +749,7 @@ class TestWeaken:
     def test_preserves_shape_and_validity(self):
         # one node over the unchanged premise tree, whatever its size
         d = l231_tree()
-        w = node("wk", S("a, b, g, ~p, p |- q"), d)
+        w = Derivation(S("a, b, g, ~p, p |- q"), "wk", (d,))
         assert w.premises == (d,)
         assert check_derivation(w, "NOM") is None
         ok("wk", ["|- p"], "a, b, c |- p")
@@ -757,18 +760,19 @@ class TestWeaken:
 
     def test_weakens_hypotheses_too(self):
         hyps = (S("g |- p"), S("g |- p -> q"))
-        d = node("cut", S("g |- q"), hyp(S("g |- p")),
-                 node("imp_e", S("g, p |- q"), hyp(S("g |- p -> q"))))
-        assert check_derivation(node("wk", S("a, g |- q"), d), "NOM", hyps) is None
+        d = Derivation(S("g |- q"), "cut",
+                       (hyp(S("g |- p")),
+                        Derivation(S("g, p |- q"), "imp_e", (hyp(S("g |- p -> q")),))))
+        assert check_derivation(Derivation(S("a, g |- q"), "wk", (d,)), "NOM", hyps) is None
 
     def test_eigenvariable_in_prefix_is_accepted(self):
         # the former whole-tree transform refused this prefix, since pushing
         # R(x) through the all_i node would break its side condition; wk
         # leaves the premise tree as it is, so all_i still checks at p
         sg = Signature()
-        d = node("all_i", S("p |- forall x. R(x)", sg),
-                 hyp(S("p |- R(x)", sg)), instantiation=Var("x"))
-        w = node("wk", S("R(x), p |- forall x. R(x)", sg), d)
+        d = Derivation(S("p |- forall x. R(x)", sg), "all_i", (hyp(S("p |- R(x)", sg)),),
+                       Var("x"))
+        w = Derivation(S("R(x), p |- forall x. R(x)", sg), "wk", (d,))
         for mode in ("NOM_Q", "NOM_q"):
             assert check_derivation(w, mode, (S("p |- R(x)", sg),)) is None
 
@@ -806,9 +810,9 @@ def test_wk_is_sound_on_two_and_mo2():
 
 def test_repr_of_a_shared_dag_is_short():
     # each level uses the one below twice: 2^12 leaves when unfolded
-    d = node("assume", S("p |- p"))
+    d = Derivation(S("p |- p"), "assume")
     for _ in range(12):
-        d = node("and_i", S("p |- p /\\ p"), d, d)
+        d = Derivation(S("p |- p /\\ p"), "and_i", (d, d))
     text = repr(d)
     assert len(text) < 100 and "and_i" in text and "2 premises" in text
     assert "p |- p /\\ p" in text
@@ -952,7 +956,8 @@ def test_recorded_roots_judge_as_fresh_roots_after_every_pair_of_modes():
     for eid, prems, d, _, variants in seeded_corruptions():
         c = d.conclusion
         swap = Sequent((*c.antecedent[:-2], *c.antecedent[:-3:-1]), c.succedent)
-        wrapped = [node(r, swap, d) for r in ("exch", "qexch")] if len(c.antecedent) > 1 else []
+        wrapped = ([Derivation(swap, r, (d,)) for r in ("exch", "qexch")]
+                   if len(c.antecedent) > 1 else [])
         for tree in (d, *wrapped, *(broken for _, _, broken in variants)):
             calls = list(itertools.product(MODES, (prems, prems[1:])))
             fresh = {(m, len(h)): check_derivation(replace(tree), m, h) for m, h in calls}

@@ -12,9 +12,8 @@ from orthoproof.lattice import (
     FiniteOML, battery, boolean, by_name, free_oml2, mo, sasaki_and, sasaki_arrow,
 )
 from orthoproof.semantics import (
-    Countermodel, Interpretation, QStructure, Valid, classical_valid,
-    countermodel_search, decide_two_var, eval_formula, eval_predicate,
-    predicate_sequent_true, sequent_letters, sequent_true, validate_sequent,
+    Countermodel, Interpretation, Valid, classical_valid, countermodel_search,
+    decide_two_var, eval_formula, sequent_letters, sequent_true, validate_sequent,
 )
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or, Sequent, Signature,
@@ -53,7 +52,8 @@ class TestEvalFormula:
             eval_formula(parse_formula("p"), Interpretation(TWO, {}))
 
     def test_rejects_quantifier(self):
-        with pytest.raises(ValueError):
+        # an interpretation without domains has no sort to quantify over
+        with pytest.raises(KeyError, match="sort _ has no value"):
             eval_formula(parse_formula("forall x. R(x)"), Interpretation(TWO, {}))
 
 
@@ -336,71 +336,71 @@ def R(t):
 
 class TestPredicate:
     def test_forall_is_meet(self):
-        M = QStructure(M2, {"_": (0, 1)}, {"R": {(0,): 1, (1,): 2}})
-        assert eval_predicate(Forall(x, R(x)), M) == 0
+        I = Interpretation(M2, domains={"_": (0, 1)}, relations={"R": {(0,): 1, (1,): 2}})
+        assert eval_formula(Forall(x, R(x)), I) == 0
 
     def test_exists_via_expansion(self):
-        M = QStructure(M2, {"_": (0, 1)}, {"R": {(0,): 1, (1,): 2}})
-        assert eval_predicate(Exists(x, R(x)), M) == 5
+        I = Interpretation(M2, domains={"_": (0, 1)}, relations={"R": {(0,): 1, (1,): 2}})
+        assert eval_formula(Exists(x, R(x)), I) == 5
 
     def test_singleton_domain(self):
-        M = QStructure(M2, {"_": (0,)}, {"R": {(0,): 3}})
-        assert eval_predicate(Forall(x, R(x)), M) == 3
+        I = Interpretation(M2, domains={"_": (0,)}, relations={"R": {(0,): 3}})
+        assert eval_formula(Forall(x, R(x)), I) == 3
 
     def test_functions_and_constants(self):
-        M = QStructure(
-            TWO, {"_": (0, 1)},
-            {"E": {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}},
+        I = Interpretation(
+            TWO, domains={"_": (0, 1)},
+            relations={"E": {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}},
             functions={"f": {(0,): 1, (1,): 0}},
             constants={"c": 0},
         )
         sig = Signature()
         sig.declare_constant("c")
         f = parse_formula("E(f(c), f(f(c)))", sig)
-        assert eval_predicate(f, M) == 0
+        assert eval_formula(f, I) == 0
         g = parse_formula("E(f(c), x)", sig)
-        assert eval_predicate(g, M, {"x": 1}) == 1
+        assert eval_formula(g, I, {"x": 1}) == 1
 
-    def test_letters_as_nullary_relations(self):
-        M = QStructure(M2, {"_": (0,)}, {"p": {(): 1}})
-        assert eval_predicate(parse_formula("~p"), M) == 2
+    def test_a_nullary_relation_is_read_by_an_atom_not_a_letter(self):
+        I = Interpretation(M2, relations={"p": {(): 1}})
+        assert eval_formula(Neg(Atom("p", ())), I) == 2
+        with pytest.raises(KeyError, match="letter p has no value"):
+            eval_formula(parse_formula("~p"), I)
 
     def test_unmapped_symbols(self):
-        M = QStructure(M2, {"_": (0,)}, {})
+        I = Interpretation(M2, domains={"_": (0,)})
         with pytest.raises(KeyError):
-            eval_predicate(R(x), M, {"x": 0})
+            eval_formula(R(x), I, {"x": 0})
         with pytest.raises(KeyError):
-            eval_predicate(R(x), M)  # x unbound
+            eval_formula(R(x), I)  # x unbound
 
     def test_forall_elimination_inequality(self):
         rng = random.Random(3)
         for _ in range(50):
             dom = tuple(range(rng.randint(1, 3)))
-            M = QStructure(
-                M2, {"_": dom},
-                {"R": {(d,): rng.randrange(6) for d in dom}},
+            I = Interpretation(
+                M2, domains={"_": dom},
+                relations={"R": {(d,): rng.randrange(6) for d in dom}},
                 constants={"c": rng.choice(dom)},
             )
-            general = eval_predicate(Forall(x, R(x)), M)
-            particular = eval_predicate(substitute(R(x), x, Const("c")), M)
+            general = eval_formula(Forall(x, R(x)), I)
+            particular = eval_formula(substitute(R(x), x, Const("c")), I)
             assert M2.le(general, particular)
 
     def test_predicate_sequent(self):
-        M = QStructure(M2, {"_": (0, 1)}, {"R": {(0,): 1, (1,): 1}})
+        I = Interpretation(M2, domains={"_": (0, 1)}, relations={"R": {(0,): 1, (1,): 1}})
         s = parse_sequent("forall x. R(x) |- R(y)")
-        assert predicate_sequent_true(s, M, {"y": 0})
+        assert sequent_true(s, I, {"y": 0})
 
-    def test_letters_as_nullary_relations_agree_with_interpretations(self):
-        # one evaluator: a structure whose letters are 0-ary relations is an
-        # assignment, so both routes give the same values and the same folds
-        rng = random.Random(16)
-        for s in _random_sequents(16, 60):
-            values = {name: rng.randrange(M2.n) for name in sequent_letters(s)}
-            I = Interpretation(M2, values)
-            M = QStructure(M2, {"_": (0,)}, {name: {(): v} for name, v in values.items()})
-            for f in (*s.antecedent, s.succedent):
-                assert eval_predicate(f, M) == eval_formula(f, I), str(f)
-            assert predicate_sequent_true(s, M) == sequent_true(s, I), str(s)
+    def test_letters_atoms_quantifiers_and_free_variables_in_one_interpretation(self):
+        # MO2's elements 0, a, a', b, b', 1 are 0..5; p = a, R(0) = 1, R(1) = b
+        I = Interpretation(M2, {"p": 1}, {"_": (0, 1)}, {"R": {(0,): 5, (1,): 3}})
+        s = parse_sequent("forall x. R(x), p |- p -> R(y)")
+        assert eval_formula(s.antecedent[0], I) == 3               # 1 /\ b = b
+        # p -> R(y) = a' \/ (a /\ R(y)): a' \/ a = 1 at y=0, a' \/ 0 = a' at y=1
+        assert [eval_formula(s.succedent, I, {"y": d}) for d in (0, 1)] == [5, 2]
+        # the fold (1 & b) & a = a /\ (a' \/ b) = a lies below 1, not below a'
+        assert [sequent_true(s, I, {"y": d}) for d in (0, 1)] == [True, False]
 
     def test_deep_chain_under_a_binder_is_evaluated_once_per_node(self):
         # forall x. (R(x) >< (R(x) >< ...)) nested 16 deep: walked as a tree it
@@ -410,11 +410,11 @@ class TestPredicate:
         chain = parse_formula(_chain_text(16, "p", "p"))
         rels = {1: 3, 3: 5, 2: 2}
         for r0, r1 in rels.items():
-            M = QStructure(M2, {"_": (0, 1)}, {"R": {(0,): r0, (1,): r1}})
+            I = Interpretation(M2, domains={"_": (0, 1)}, relations={"R": {(0,): r0, (1,): r1}})
             want = M2.meet[eval_formula(chain, Interpretation(M2, {"p": r0})),
                            eval_formula(chain, Interpretation(M2, {"p": r1}))]
             start = time.perf_counter()
-            assert eval_predicate(f, M) == want
+            assert eval_formula(f, I) == want
             assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("f, missing", [
@@ -427,9 +427,10 @@ class TestPredicate:
         (Forall(Var("w", "s"), R(Var("w", "s"))), "sort s has no value"),
     ])
     def test_a_missing_symbol_is_named(self, f, missing):
-        M = QStructure(M2, {"_": (0,)}, {"R": {(0,): 1}}, constants={"d": 1})
+        I = Interpretation(M2, domains={"_": (0,)}, relations={"R": {(0,): 1}},
+                           constants={"d": 1})
         with pytest.raises(KeyError, match=re.escape(missing)):
-            eval_predicate(f, M, {"y": 0})
+            eval_formula(f, I, {"y": 0})
 
 
 class TestPerturbedArrow:

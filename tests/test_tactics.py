@@ -13,7 +13,7 @@ from conftest import (
 )
 from orthoproof import tactics
 from orthoproof.kernel import (
-    PREMISE_COUNTS, Derivation, _preorder, check_derivation, check_inference, hyp, node,
+    PREMISE_COUNTS, Derivation, _preorder, check_derivation, check_inference, hyp,
 )
 from orthoproof.lattice import by_name
 from orthoproof.semantics import Interpretation, sequent_letters, sequent_true
@@ -130,7 +130,7 @@ class TestSharedSubtrees:
         inst = fresh_inst(entry, 1)
         prem_seqs, concl = entry.instantiate(inst)
         d = derive(entry.id, inst, prem_seqs)
-        w = node("wk", Sequent((Letter("z"),) + concl.antecedent, concl.succedent), d)
+        w = Derivation(Sequent((Letter("z"),) + concl.antecedent, concl.succedent), "wk", (d,))
         assert distinct_nodes(w) == distinct_nodes(d) + 1
         assert check_derivation(w, "NOM", hypotheses=prem_seqs) is None
 
@@ -442,6 +442,17 @@ class TestQuantifierSchemas:
         assert (inst["x"], inst["phi"]) == (Var(want[0]), parse_formula(want[1], sig))
         if eid == "P5.7.EE":
             assert inst["psi"] is concl.succedent
+
+    @pytest.mark.parametrize("via", ["match_and_build", "derive"])
+    def test_a_term_of_another_sort_is_a_tactic_error(self, via):
+        t = Const("c", "other")
+        with pytest.raises(TacticError, match="^term of sort other for a variable of sort _$"):
+            if via == "match_and_build":
+                match_and_build("P5.7.EI", (hyp(S("|- R(c)")),), S("|- exists x. R(x)"),
+                                "NOM_Q", {"t": t})
+            else:
+                derive("L5.6", {"gamma": (), "x": Var("x"), "phi": Atom("R", (Var("x"),)),
+                                "t": t})
 
     @given(matrix=st.sampled_from(["R(x)", "R(x) /\\ a", "a -> R(x)", "~R(x)", "S(x, c)"]),
            gamma=st.lists(propositional_strategy, max_size=2),
