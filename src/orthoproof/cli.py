@@ -26,7 +26,7 @@ from .script import (
 )
 from .syntax import (  # parse_term is unused here; the benchmark's tracer wraps it
     ParseError, Sequent, Signature, SignatureError, parse_sequent, parse_term,
-    render_sequent, render_term, sequent_eq,
+    render_sequent, render_term,
 )
 from .tactics import TacticError, forward, infer_conclusion
 from .tactics import catalog as catalog_entries
@@ -264,7 +264,7 @@ class _Session:
         self.lines.append(ln)
         self.derivations[ln.number] = result
         click.echo(f"{ln.number}: {render_sequent(ln.sequent)}")
-        if self.goal is not None and sequent_eq(ln.sequent, self.goal):
+        if ln.sequent == self.goal:
             click.echo("goal reached.")
 
     # -- forward application -------------------------------------------------
@@ -298,11 +298,13 @@ class _Session:
             return
         if head != "derived" and head not in PREMISE_COUNTS:
             raise _Rejected("unrecognized input; 'help' lists commands")
+        if head == "derived" and remainder:
+            # no quantifier entry's conclusion is inferred: say so before asking for its t=
+            eid = remainder.split()[0]
+            if catalog_lookup(eid).matcher is not None:
+                infer_conclusion(eid, ())  # raises, asking for the target sequent
         # the script justification grammar: RULE [t=|x=] [from N ...]
         rule, eid, args, refs, _ = parse_justification(line, sig)
-        if eid is not None and args:
-            raise _Rejected("forward derived lines take no arguments; "
-                            "state the target sequent")
         arity = PREMISE_COUNTS[rule] if eid is None else len(catalog_lookup(eid).premises)
         refs = self._resolve_refs(refs, arity)
         prems = [self.lines[r - 1].sequent for r in refs]

@@ -6,9 +6,9 @@ Tactics and scripts elsewhere in the package only ever *construct*
 derivations — acceptance always comes back through this module.
 
 Schema matching is positional: premise order is part of each rule.
-Formulas are compared by alpha-equality after expanding the derived
-connectives, so a conclusion written with \\/ or >< matches the rule
-schemas of its expansion."""
+Formulas are compared by ``==``, which is alpha-equality after expanding
+the derived connectives, so a conclusion written with \\/ or >< matches
+the rule schemas of its expansion; ``expand`` is read only for structure."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .syntax import (
-    And, App, Const, Forall, Imp, Neg, Sequent, Var, context_eq, expand, formula_eq,
-    is_nonduplicating, render_sequent, substitute,
+    And, App, Const, Forall, Imp, Neg, Sequent, Var, expand, is_nonduplicating,
+    render_sequent, substitute,
 )
 
 __all__ = [
@@ -122,17 +122,17 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
     if rule == "assume":
         if not ante:
             return bad("conclusion needs at least one antecedent")
-        if not formula_eq(ante[-1], succ):
+        if ante[-1] != succ:
             return bad("last antecedent must equal the succedent")
         return None
 
     if rule == "cut":
         p1, p2 = premises
-        if not context_eq(p1.antecedent, ante):
+        if p1.antecedent != ante:
             return bad("first premise must share the conclusion's antecedent")
-        if not context_eq(p2.antecedent, (*ante, p1.succedent)):
+        if p2.antecedent != (*ante, p1.succedent):
             return bad("second premise must extend the antecedent by the cut formula")
-        if not formula_eq(p2.succedent, succ):
+        if p2.succedent != succ:
             return bad("second premise must conclude the succedent")
         return None
 
@@ -141,11 +141,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         if not ante:
             return bad("conclusion needs at least one antecedent")
         gamma = ante[:-1]
-        if not (context_eq(p1.antecedent, gamma) and context_eq(p2.antecedent, gamma)):
+        if not (p1.antecedent == gamma and p2.antecedent == gamma):
             return bad("premises must share the conclusion's antecedent minus its last formula")
-        if not formula_eq(ante[-1], p1.succedent):
+        if ante[-1] != p1.succedent:
             return bad("pasted formula must be the first premise's succedent")
-        if not formula_eq(succ, p2.succedent):
+        if succ != p2.succedent:
             return bad("succedent must come from the second premise")
         return None
 
@@ -155,11 +155,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("conclusion needs at least two antecedents")
         gamma, psi, phi = ante[:-2], ante[-2], ante[-1]
         straight = (*gamma, phi, psi)
-        if not (context_eq(p1.antecedent, straight) and formula_eq(p1.succedent, phi)):
+        if not (p1.antecedent == straight and p1.succedent == phi):
             return bad("first premise must be Γ, φ, ψ ⊢ φ")
-        if not (context_eq(p2.antecedent, straight) and formula_eq(p2.succedent, succ)):
+        if not (p2.antecedent == straight and p2.succedent == succ):
             return bad("second premise must be Γ, φ, ψ ⊢ χ")
-        if not (context_eq(p3.antecedent, ante) and formula_eq(p3.succedent, psi)):
+        if not (p3.antecedent == ante and p3.succedent == psi):
             return bad("third premise must be Γ, ψ, φ ⊢ ψ")
         return None
 
@@ -168,9 +168,9 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         target = expand(succ)
         if not isinstance(target, And):
             return bad("succedent must be a conjunction")
-        if not (context_eq(p1.antecedent, ante) and context_eq(p2.antecedent, ante)):
+        if not (p1.antecedent == ante and p2.antecedent == ante):
             return bad("premises must share the conclusion's antecedent")
-        if not (expand(p1.succedent) == target.left and expand(p2.succedent) == target.right):
+        if not (p1.succedent == target.left and p2.succedent == target.right):
             return bad("premises must conclude the two conjuncts in order")
         return None
 
@@ -179,10 +179,10 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         source = expand(p1.succedent)
         if not isinstance(source, And):
             return bad("premise succedent must be a conjunction")
-        if not context_eq(p1.antecedent, ante):
+        if p1.antecedent != ante:
             return bad("premise must share the conclusion's antecedent")
         part = source.left if rule == "and_e1" else source.right
-        if expand(succ) != part:
+        if succ != part:
             return bad("succedent must be the conjunct the rule projects")
         return None
 
@@ -191,11 +191,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         target = expand(succ)
         if not isinstance(target, Imp):
             return bad("succedent must be an implication")
-        if not (p1.antecedent and context_eq(p1.antecedent[:-1], ante)):
+        if not (p1.antecedent and p1.antecedent[:-1] == ante):
             return bad("premise antecedent must be the conclusion's plus one formula")
-        if expand(p1.antecedent[-1]) != target.left:
+        if p1.antecedent[-1] != target.left:
             return bad("discharged formula must be the implication's antecedent")
-        if expand(p1.succedent) != target.right:
+        if p1.succedent != target.right:
             return bad("premise succedent must be the implication's consequent")
         return None
 
@@ -206,11 +206,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("premise succedent must be an implication")
         if not ante:
             return bad("conclusion needs at least one antecedent")
-        if not context_eq(p1.antecedent, ante[:-1]):
+        if p1.antecedent != ante[:-1]:
             return bad("conclusion antecedent must extend the premise's by one formula")
-        if expand(ante[-1]) != source.left:
+        if ante[-1] != source.left:
             return bad("added antecedent must be the implication's antecedent")
-        if expand(succ) != source.right:
+        if succ != source.right:
             return bad("succedent must be the implication's consequent")
         return None
 
@@ -218,11 +218,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         p1, p2 = premises
         if not (p1.antecedent and p2.antecedent):
             return bad("premises must extend the antecedent by φ and ¬φ")
-        if not (context_eq(p1.antecedent[:-1], ante) and context_eq(p2.antecedent[:-1], ante)):
+        if not (p1.antecedent[:-1] == ante and p2.antecedent[:-1] == ante):
             return bad("premises must extend the conclusion's antecedent")
-        if expand(p2.antecedent[-1]) != Neg(expand(p1.antecedent[-1])):
+        if p2.antecedent[-1] != Neg(p1.antecedent[-1]):
             return bad("second premise must assume the negation of the first's assumption")
-        if not (formula_eq(p1.succedent, succ) and formula_eq(p2.succedent, succ)):
+        if not (p1.succedent == succ and p2.succedent == succ):
             return bad("premises must conclude the succedent")
         return None
 
@@ -230,9 +230,9 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         (p1,) = premises
         if not ante:
             return bad("conclusion needs at least one antecedent")
-        if not context_eq(p1.antecedent, ante[:-1]):
+        if p1.antecedent != ante[:-1]:
             return bad("premise antecedent must be the conclusion's minus its last formula")
-        if expand(p1.succedent) != Neg(expand(ante[-1])):
+        if p1.succedent != Neg(ante[-1]):
             return bad("premise must conclude the negation of the added antecedent")
         return None
 
@@ -240,35 +240,34 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         # leading weakening: fold(Δ, Γ) <= fold(Γ); trailing weakening is unsound
         (p1,) = premises
         k = len(ante) - len(p1.antecedent)
-        if k < 0 or not context_eq(p1.antecedent, ante[k:]):
+        if k < 0 or p1.antecedent != ante[k:]:
             return bad("premise antecedent must be a suffix of the conclusion's")
-        if not formula_eq(p1.succedent, succ):
+        if p1.succedent != succ:
             return bad("succedent must be unchanged")
         return None
 
     if rule == "exch":
         (p1,) = premises
-        if not formula_eq(p1.succedent, succ):
+        if p1.succedent != succ:
             return bad("succedent must be unchanged")
         src = p1.antecedent
         if len(src) != len(ante) or len(src) < 2:
             return bad("antecedents must be equal-length sequences of length >= 2")
         for i in range(len(src) - 1):
             swapped = (*src[:i], src[i + 1], src[i], *src[i + 2:])
-            if context_eq(swapped, ante):
+            if swapped == ante:
                 return None
         return bad("conclusion is not an adjacent transposition of the premise")
 
     if rule == "all_i":
         (p1,) = premises
-        target = expand(succ)
-        if not isinstance(target, Forall):
+        if not isinstance(succ, Forall):  # a Forall iff its expansion is
             return bad("succedent must be universally quantified")
         if not isinstance(instantiation, Var):
             return bad("needs the quantified variable recorded (x=...)")
-        if not context_eq(p1.antecedent, ante):
+        if p1.antecedent != ante:
             return bad("premise must share the conclusion's antecedent")
-        if Forall(instantiation, expand(p1.succedent)) != target:
+        if Forall(instantiation, p1.succedent) != succ:
             return bad("succedent must quantify the premise's succedent over x")
         for f in ante:
             if instantiation.name in f.free:
@@ -284,11 +283,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
             return bad("needs the substituted term recorded (t=...)")
         if instantiation.sort != source.var.sort:
             return bad(f"term of sort {instantiation.sort} for a variable of sort {source.var.sort}")
-        if not context_eq(p1.antecedent, ante):
+        if p1.antecedent != ante:
             return bad("premise must share the conclusion's antecedent")
         if mode == "NOM_q" and instantiation.free & source.body.free:
             return bad("substituted term shares a free variable with the matrix (NOM_q)")
-        if not formula_eq(succ, substitute(source.body, source.var, instantiation)):
+        if succ != substitute(source.body, source.var, instantiation):
             return bad("succedent must be the matrix with the term substituted")
         return None
 
@@ -296,11 +295,11 @@ def check_inference(rule, premises, conclusion, mode, instantiation=None):
         (p1,) = premises
         if len(ante) < 2 or len(p1.antecedent) != len(ante):
             return bad("needs equal antecedents of length >= 2")
-        if not formula_eq(p1.succedent, succ):
+        if p1.succedent != succ:
             return bad("succedent must be unchanged")
-        if not context_eq(p1.antecedent[:-2], ante[:-2]):
+        if p1.antecedent[:-2] != ante[:-2]:
             return bad("only the last two antecedents may move")
-        if not context_eq(p1.antecedent[-2:], (ante[-1], ante[-2])):
+        if p1.antecedent[-2:] != (ante[-1], ante[-2]):
             return bad("conclusion must swap the premise's last two antecedents")
         if ante[-1].free & ante[-2].free:
             return bad("swapped formulas share a free variable")

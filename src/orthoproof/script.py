@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .kernel import MODES, RULES, Derivation, check_derivation, check_inference
-from .syntax import (
-    ParseError, Sequent, Signature, Var, parse_sequent, parse_term, sequent_eq,
-)
+from .syntax import ParseError, Sequent, Signature, Var, parse_sequent, parse_term
 
 
 class ScriptError(Exception):
@@ -274,7 +272,7 @@ def check_line(ln: ScriptLine, derivations: dict, hypotheses: dict, mode: str):
         declared = hypotheses.get(ln.hyp_name)
         if declared is None:
             return f"no hypothesis named '{ln.hyp_name}'"
-        if not sequent_eq(ln.sequent, declared):
+        if ln.sequent != declared:
             return f"sequent differs from hypothesis {ln.hyp_name}"
         return Derivation(ln.sequent, "hyp")
     if ln.rule == "derived":
@@ -313,7 +311,7 @@ def check_script(script: ProofScript) -> ScriptReport:
         return report
     last = script.lines[-1]
     if all(ls.ok for ls in report.lines):
-        if sequent_eq(last.sequent, script.goal):
+        if last.sequent == script.goal:
             final = derivations[last.number]
             # check_line judged a derived line's whole tree by this same call
             fail = None if last.rule == "derived" else check_derivation(

@@ -256,6 +256,9 @@ def classical_valid(s: Sequent) -> bool:
     """Truth-table validity of (phi1 /\\ ... /\\ phin) -> psi (psi when n=0)."""
     names = sequent_letters(s)
     rows = 1 << len(names)
+    if rows > MAX_CELLS:  # each value is a 2^k-bit int, and each column is built as a string
+        raise ValueError(f"2^{len(names)} = {rows:,} truth-table rows, "
+                         f"more than the budget of {MAX_CELLS:,}")
     # every row at once: bit r of a value is its truth in row r, so letter j
     # is true in the rows with bit j set, and each distinct node is met once
     full, memo = (1 << rows) - 1, {}

@@ -4,8 +4,9 @@ Core connectives are ~ (orthocomplement), /\ (meet), -> (Sasaki arrow)
 and the quantifier forall; \/ , >< (compatibility) and exists are kept
 as derived nodes, defined once by `unfold` and rewritten away by
 `expand`.  All syntax values are immutable, and formulas compare equal
-up to renaming of bound variables.  Formula nodes are hash-consed:
-building a node with the class and fields of a live one returns that node.
+up to expansion and renaming of bound variables.  Formula nodes are
+hash-consed: building a node with the class and fields of a live one
+returns that node.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ __all__ = [
     "Forall", "Exists",
     "Sequent", "Signature", "ParseError", "SignatureError",
     "parse_formula", "parse_sequent", "parse_term",
-    "unfold", "expand", "formula_eq", "context_eq", "sequent_eq", "children",
+    "unfold", "expand", "children",
     "substitute", "is_nonduplicating",
     "render", "render_term", "render_sequent", "alpha_key",
 ]
@@ -146,18 +147,20 @@ class _Interned(type):
 
 
 class Formula(metaclass=_Interned):
-    """Base class.  Equality and hashing are alpha-equivalence: two formulas
-    are equal when they share one canonical node (see `alpha_key`), so
-    alpha-variants are equal distinct objects.  Copies and unpickled nodes are
-    built by the constructor, so a copy is the node itself."""
+    """Base class.  Equality and hashing are the proof path's one equality:
+    two formulas are equal when their expansions share one canonical node
+    (see `expand` and `alpha_key`), so alpha-variants, and an abbreviation
+    beside its expansion, are equal distinct objects.  Copies and unpickled
+    nodes are built by the constructor, so a copy is the node itself."""
 
     _key = staticmethod(lambda *key: key)  # every field by value: Letter, Atom
 
     def __eq__(self, other):
-        return self is other or (isinstance(other, Formula) and alpha_key(self) is alpha_key(other))
+        return self is other or (isinstance(other, Formula)
+                                 and alpha_key(expand(self)) is alpha_key(expand(other)))
 
     def __hash__(self):
-        return object.__hash__(alpha_key(self))
+        return object.__hash__(alpha_key(expand(self)))
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -361,24 +364,6 @@ def _expand(f):
         return f if (a is f.left and b is f.right) else type(f)(a, b)
     b = expand(f.body)
     return f if b is f.body else Forall(f.var, b)
-
-
-def formula_eq(a: Formula, b: Formula) -> bool:
-    """Alpha-equality after ``expand``: the one equality of the proof path."""
-    return a is b or expand(a) == expand(b)
-
-
-def context_eq(xs, ys) -> bool:
-    """Position-wise ``formula_eq`` of two antecedent sequences.  Tuple
-    equality answers first: it tests identity, then alpha-equality, and
-    either implies ``formula_eq``; only a mismatch compares expansions."""
-    return xs == ys or len(xs) == len(ys) and all(
-        a is b or expand(a) == expand(b) for a, b in zip(xs, ys))
-
-
-def sequent_eq(a: Sequent, b: Sequent) -> bool:
-    """``formula_eq`` on the succedents and ``context_eq`` on the antecedents."""
-    return context_eq(a.antecedent, b.antecedent) and formula_eq(a.succedent, b.succedent)
 
 
 def _variant(name, avoid):

@@ -22,7 +22,7 @@ from typing import Callable
 from .kernel import MODES, Derivation, hyp
 from .syntax import (
     And, Compat, Exists, Forall, Formula, Imp, Letter, Neg, Or, Sequent,
-    Var, children, context_eq, formula_eq, sequent_eq, substitute, unfold,
+    Var, children, substitute, unfold,
 )
 
 
@@ -190,7 +190,7 @@ def _assume(prefix, chi):
 
 def _relabel(d: Derivation, succ: Formula) -> Derivation:
     """Swap the root's succedent for an abbreviation of the same formula."""
-    if not formula_eq(succ, d.conclusion.succedent):
+    if succ != d.conclusion.succedent:
         raise TacticError("relabel changed the conclusion")
     return _n(d.rule, d.conclusion.antecedent, succ, *d.premises, inst=d.instantiation)
 
@@ -258,14 +258,6 @@ def _cm1(g, phi, d):
 
 def _cm2(g, phi, d):
     return _reductio2(g, phi, phi, d, _assume(g, Neg(phi)))
-
-
-def _l25_expand(g, phi, psi, d):
-    return paste(_assume(g, phi), d)
-
-
-def _l25_contract(g, phi, psi, d):
-    return cut(_assume(g, phi), d)
 
 
 def _l25_dn_intro(g, phi, psi, d):
@@ -889,7 +881,7 @@ def _bind_formula(p, s, inst):
     whole, so alpha-variants match.  The conclusion is bound first, so
     ``phi``, ``x`` and ``t`` are bound by then."""
     if p is _PHI_T or isinstance(p, (Forall, Exists)) and "x" in inst:
-        if not formula_eq(_fill_formula(p, inst), s):
+        if _fill_formula(p, inst) != s:
             raise TacticError("not the instance of phi at t" if p is _PHI_T
                               else "quantifier did not match")
         return
@@ -897,7 +889,7 @@ def _bind_formula(p, s, inst):
         bound = inst.get(p.name)
         if bound is None:
             inst[p.name] = s
-        elif not formula_eq(bound, s):
+        elif bound != s:
             raise TacticError(f"metavariable {p.name} bound inconsistently")
         return
     if type(p) is not type(s):
@@ -910,7 +902,7 @@ def _bind_formula(p, s, inst):
             inst["x"] = s.var
         for a, b in zip(children(p), children(s)):
             _bind_formula(a, b, inst)
-    elif not formula_eq(p, s):
+    elif p != s:
         raise TacticError(f"expected letter {p.name}" if isinstance(p, Letter)
                           else "subformula did not match")
 
@@ -926,7 +918,7 @@ def _bind_shape(shape, sequent, inst):
     for it in items:
         if it in _CONTEXTS:
             want = inst[_CONTEXTS[it]]
-            if not context_eq(sequent.antecedent[pos:pos + len(want)], want):
+            if sequent.antecedent[pos:pos + len(want)] != want:
                 kind = "ambient" if it == "G" else "trailing"
                 raise TacticError(f"{kind} context mismatch")
             pos += len(want)
@@ -1017,13 +1009,13 @@ _reg("P2.4.cm1", [_sh("G", _PHI, Neg(_PHI))], _sh("G", Neg(_PHI)),
 _reg("P2.4.cm2", [_sh("G", Neg(_PHI), _PHI)], _sh("G", _PHI),
      _cm2, "consequentia mirabilis, positive form")
 _reg("L2.5.expand", [_sh("G", _PHI, _PSI)], _sh("G", _PHI, _PHI, _PSI),
-     _l25_expand, "duplicate the last assumption")
+     _t26_expand, "duplicate the last assumption")
 _reg("L2.5.contract", [_sh("G", _PHI, _PHI, _PSI)], _sh("G", _PHI, _PSI),
-     _l25_contract, "contract a duplicated assumption")
+     _t26_contract, "contract a duplicated assumption")
 _reg("L2.5.dn_intro", [_sh("G", _PHI, _PSI)], _sh("G", Neg(Neg(_PHI)), _PSI),
-     _l25_dn_intro, "double negation introduction in the last assumption")
+     _t26_dn_intro, "double negation introduction in the last assumption")
 _reg("L2.5.dn_elim", [_sh("G", Neg(Neg(_PHI)), _PSI)], _sh("G", _PHI, _PSI),
-     _l25_dn_elim, "double negation elimination in the last assumption")
+     _t26_dn_elim, "double negation elimination in the last assumption")
 
 _reg("T2.6.contract", [_sh("G", _PHI, _PHI, "D", _PSI)], _sh("G", _PHI, "D", _PSI),
      _t26_contract, "generalized contraction")
@@ -1258,9 +1250,10 @@ def derive(entry_id: str, inst, premises=()) -> Derivation:
     """
     entry = lookup(entry_id)
     inst = dict(inst)
-    for key in ("gamma", "delta"):
-        if key in inst:
-            inst[key] = tuple(inst[key])
+    shapes = (*entry.premises, entry.conclusion)
+    for mark, key in _CONTEXTS.items():  # a context that no shape marks is empty
+        marked = any(mark in items for items, _ in shapes)
+        inst[key] = tuple(inst.get(key, ())) if marked else ()
     for name in entry.params:
         if name not in inst and name not in _CONTEXTS.values():
             raise TacticError(f"{entry_id} needs {name}")
@@ -1270,7 +1263,7 @@ def derive(entry_id: str, inst, premises=()) -> Derivation:
         raise TacticError(
             f"{entry_id} takes {len(want)} premises, got {len(prems)}")
     for d, expected in zip(prems, want):
-        if not sequent_eq(d.conclusion, expected):
+        if d.conclusion != expected:
             raise TacticError(
                 f"{entry_id}: premise {d.conclusion} does not match {expected}")
     return entry.build(inst, prems)
@@ -1310,6 +1303,6 @@ def match_and_build(entry_id: str, premises, conclusion: Sequent,
     inst = entry.match([d.conclusion for d in premises], conclusion,
                        args or {})
     d = entry.build(inst, tuple(premises))
-    if not sequent_eq(d.conclusion, conclusion):
+    if d.conclusion != conclusion:
         raise TacticError(f"{entry_id} built {d.conclusion}, not {conclusion}")
     return d

@@ -2,7 +2,8 @@
 
 Two flavours: hypothesis strategies for property tests, and a plain
 seeded-rng generator for the big deterministic sweeps.  Also the arrow
-mutation witness that acceptance check 7 perturbs the arrow clause with.
+mutation witness that acceptance check 7 perturbs the arrow clause with,
+and `written_alike`, the comparison of what is written.
 """
 
 import random
@@ -12,13 +13,23 @@ from hypothesis import strategies as st
 from orthoproof.lattice import sasaki_arrow
 from orthoproof.syntax import (
     And, App, Atom, Compat, Const, Exists, Forall, Imp, Letter, Neg, Or,
-    Signature, Var,
+    Sequent, Signature, Var, alpha_key,
 )
 
 LETTER_NAMES = ["p", "q", "r", "s"]
 VAR_NAMES = ["x", "y", "z", "w"]
 CONST_NAMES = ["c", "d"]
 RELATIONS = [("R", 1), ("S", 2), ("T", 1)]
+
+
+def written_alike(a, b):
+    """Two formulas, or two sequents position by position, equal up to the
+    names of bound variables only.  ``==`` also equates an abbreviation with
+    its expansion, so a test that pins what is written compares with this."""
+    if isinstance(a, Sequent):
+        xs, ys = (*a.antecedent, a.succedent), (*b.antecedent, b.succedent)
+        return len(xs) == len(ys) and all(map(written_alike, xs, ys))
+    return alpha_key(a) is alpha_key(b)
 
 
 def corpus_signature():

@@ -186,6 +186,14 @@ def test_classical_validity(runner):
     assert res.output.startswith("2:")
 
 
+def test_classical_refuses_more_letters_than_the_truth_table_budget():
+    res = CliRunner().invoke(main, ["classical", ", ".join(f"p{i}" for i in range(25)) + " |- p0"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.splitlines() == [
+        "error: 2^25 = 33,554,432 truth-table rows, more than the budget of 16,777,216"]
+
+
 
 _CM = "MO2: p=1 q=3 fold=1 succ=3"
 
@@ -546,6 +554,9 @@ def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):
     assert "rejected: qexch: swapped formulas share a free variable" in res.output
 
 
+_NOT_INFERRED = "conclusion cannot be inferred from premises alone; state the target sequent"
+
+
 @pytest.mark.parametrize("line, message", [
     ("frob from 1", "unrecognized input; 'help' lists commands"),
     ("hyp", "usage: hyp NAME: SEQ"),
@@ -553,6 +564,11 @@ def test_repl_forward_qexch_keeps_the_free_variable_condition(runner):
     ("imp_i from x", "'from' takes line numbers"),
     ("imp_i t=c from 1", "imp_i takes no instantiation arguments"),
     ("all_e from 1", "all_e takes one t= argument"),
+    # a quantifier entry, with or without its t=, gets infer_conclusion's answer
+    ("derived P5.7.EI", f"P5.7.EI: {_NOT_INFERRED}"),
+    ("derived P5.7.EI t=c", f"P5.7.EI: {_NOT_INFERRED}"),
+    ("derived L5.6", f"L5.6: {_NOT_INFERRED}"),
+    ("derived L5.6 t=c", f"L5.6: {_NOT_INFERRED}"),
 ])
 def test_repl_forward_rejections(runner, line, message):
     res = repl(runner, f"assume p\n{line}\nquit\n", mode="NOM_Q")

@@ -16,7 +16,6 @@ from orthoproof.lattice import by_name
 from orthoproof.semantics import Valid, sequent_letters, validate_sequent
 from orthoproof.syntax import (
     App, Atom, Const, Forall, Letter, Sequent, Signature, Var, parse_formula, parse_sequent,
-    sequent_eq,
 )
 from orthoproof.tactics import catalog, derive
 
@@ -862,7 +861,7 @@ def reference_check_derivation(d, mode, hypotheses=()):
 def reference_hyp_match(leaf, h):
     # the former kernel's match: h, possibly under extra leading context
     extra = len(leaf.antecedent) - len(h.antecedent)
-    return extra >= 0 and sequent_eq(Sequent(leaf.antecedent[extra:], leaf.succedent), h)
+    return extra >= 0 and Sequent(leaf.antecedent[extra:], leaf.succedent) == h
 
 
 def parent_counts(d):

@@ -318,6 +318,21 @@ class TestClassical:
             assert time.perf_counter() - start < 1
             assert valid == (validate_sequent(s, TWO) == Valid()) == ("r" not in text)
 
+    def test_more_rows_than_the_budget_are_refused_at_once(self):
+        # 2^25 rows: each value would be a 2^25-bit int, built from a string as long
+        s = parse_sequent(", ".join(f"p{i}" for i in range(25)) + " |- p0")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="2\\^25 = 33,554,432 truth-table rows, "
+                                             "more than the budget of 16,777,216"):
+            classical_valid(s)
+        assert time.perf_counter() - start < 1
+
+    def test_the_budget_bounds_the_rows(self, monkeypatch):
+        monkeypatch.setattr(semantics, "MAX_CELLS", 8)
+        assert classical_valid(parse_sequent("p, q, r |- p"))
+        with pytest.raises(ValueError, match="budget of 8"):
+            classical_valid(parse_sequent("p, q, r, s |- p"))
+
     @given(st.lists(propositional_strategy, min_size=1, max_size=3))
     @settings(max_examples=150)
     def test_agrees_with_boolean_lattice_sweep(self, formulas):

@@ -18,7 +18,7 @@ listed with the reason and not run.
 
 Prints one line per mutant and the survivors last; exits 1 if any survive.
 It reports ``59 guards, 0 surviving``, ``3 record mutants, 0 surviving``
-and ``17 syntax mutants, 0 surviving``.
+and ``18 syntax mutants, 0 surviving``.
 """
 
 import ast
@@ -62,7 +62,10 @@ SYNTAX_MUTANTS = (
      '    if env is None:\n        object.__setattr__(f, "_canon", c)',
      '    if True:\n        object.__setattr__(f, "_canon", c)'),
     ("__eq__ as bare identity",
-     "isinstance(other, Formula) and alpha_key(self) is alpha_key(other)", "False"),
+     "(isinstance(other, Formula)\n                                 and alpha_key(expand(self)) "
+     "is alpha_key(expand(other)))", "False"),
+    ("`==` without expansion",
+     "alpha_key(expand(self)) is alpha_key(expand(other))", "alpha_key(self) is alpha_key(other)"),
     ("class dropped from the interning key",
      "key = cls._key(cls, *fields)", "key = cls._key(Formula, *fields)"),
     ("a binary node keyed by its left child only",
