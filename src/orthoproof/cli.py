@@ -13,7 +13,6 @@ seed (ORTHOPROOF_SEED, default 0, for the subspace sweeps).
 
 from __future__ import annotations
 
-import copy
 import pathlib
 import sys
 
@@ -230,6 +229,11 @@ class _Rejected(Exception):
     """An input the session answers with one 'rejected: ...' line."""
 
 
+def _say(text):
+    """The REPL's one write to stdout, unflushed: its loop flushes once per answer."""
+    sys.stdout.write(text)
+
+
 def _justification(ln):
     """The text after ``by`` that parses back into the justification of ``ln``."""
     if ln.rule == "hyp":
@@ -241,10 +245,12 @@ def _justification(ln):
 
 class _Session:
     """Hypotheses, goal and lines parsed with one signature; each line is
-    checked once, by the script's line checker, when it is entered."""
+    checked once, by the script's line checker, when it is entered, and
+    answered in one write that ends with the prompt."""
 
     def __init__(self, mode):
         self.mode = mode
+        self.prompt = f"{mode}> "
         self.sig = Signature()
         self.hyps = {}          # name -> Sequent
         self.goal = None        # Sequent
@@ -263,9 +269,8 @@ class _Session:
             raise _Rejected(result)
         self.lines.append(ln)
         self.derivations[ln.number] = result
-        click.echo(f"{ln.number}: {render_sequent(ln.sequent)}")
-        if ln.sequent == self.goal:
-            click.echo("goal reached.")
+        reached = "\ngoal reached." if ln.sequent == self.goal else ""
+        return f"{ln.number}: {render_sequent(ln.sequent)}{reached}"
 
     # -- forward application -------------------------------------------------
 
@@ -281,7 +286,7 @@ class _Session:
             raise _Rejected(f"no line {bad[0]}")
         return refs
 
-    def _forward(self, line, sig):
+    def _forward(self, line):
         number = len(self.lines) + 1
         head, _, remainder = line.partition(" ")
         remainder = remainder.strip()
@@ -294,8 +299,7 @@ class _Session:
                 if ch == "," and not depth:
                     cut = i
             text = f"{remainder} |- {remainder[cut + 1:]} by assume"
-            self._add(parse_step(number, text, sig))
-            return
+            return self._add(parse_step(number, text, self.sig))
         if head != "derived" and head not in PREMISE_COUNTS:
             raise _Rejected("unrecognized input; 'help' lists commands")
         if head == "derived" and remainder:
@@ -304,20 +308,19 @@ class _Session:
             if catalog_lookup(eid).matcher is not None:
                 infer_conclusion(eid, ())  # raises, asking for the target sequent
         # the script justification grammar: RULE [t=|x=] [from N ...]
-        rule, eid, args, refs, _ = parse_justification(line, sig)
+        rule, eid, args, refs, _ = parse_justification(line, self.sig)
         arity = PREMISE_COUNTS[rule] if eid is None else len(catalog_lookup(eid).premises)
         refs = self._resolve_refs(refs, arity)
         prems = [self.lines[r - 1].sequent for r in refs]
         concl = (forward(rule, prems, dict(args)).conclusion if eid is None
                  else infer_conclusion(eid, prems))
-        self._add(ScriptLine(number, concl, rule, eid, args, refs))
+        return self._add(ScriptLine(number, concl, rule, eid, args, refs))
 
     # -- commands -------------------------------------------------------------
 
     def _export(self, path):
         if not self.lines:
-            click.echo("nothing to export")
-            return
+            return "nothing to export"
         goal = self.goal if self.goal is not None else self.lines[-1].sequent
         text = "\n".join([f"theorem repl mode={self.mode}",
                           *self._script(render_sequent(goal)), "qed\n"])
@@ -326,51 +329,46 @@ class _Session:
         except OSError as err:
             raise _Rejected(f"cannot write {path}: {err.strerror or err}")
         report = check_file(text)[0]
-        verdict = "accepted" if report.accepted else "rejected"
-        click.echo(f"exported to {path}: {verdict}")
-        if not report.accepted:
-            click.echo(report.message)
+        return (f"exported to {path}: accepted" if report.accepted
+                else f"exported to {path}: rejected\n{report.message}")
 
     def handle(self, raw) -> bool:
         line = strip_comment(raw)
-        if not line:
-            return True
         if line in ("quit", "exit"):
             return False
-        if line == "help":
-            click.echo(_HELP)
-            return True
-        if line == "show":
-            click.echo(f"mode: {self.mode}")
-            goal = "(unset)" if self.goal is None else render_sequent(self.goal)
-            click.echo("\n".join(self._script(goal)))
-            return True
-        # kept only if the input is accepted; every value a Signature holds is
-        # immutable, so copying its containers is enough.  The copy carries the
-        # parse memo as well, so a rejected line's parses go with its symbols
-        sig = Signature(**{k: copy.copy(v) for k, v in vars(self.sig).items()})
+        # parsing only adds to the signature: a rejected line's entries are each table's last
+        sizes = [len(t) for t in vars(self.sig).values()]
         try:
-            if line.partition(" ")[0] == "hyp":
+            if not line:
+                answer = None
+            elif line == "help":
+                answer = _HELP
+            elif line == "show":
+                goal = "(unset)" if self.goal is None else render_sequent(self.goal)
+                answer = "\n".join([f"mode: {self.mode}", *self._script(goal)])
+            elif line.partition(" ")[0] == "hyp":
                 m = HYP_RE.match(line)
                 if not m or not m.group(2):
                     raise _Rejected("usage: hyp NAME: SEQ")
                 if m.group(1) in self.hyps:
                     raise _Rejected(f"duplicate hypothesis '{m.group(1)}'")
-                self.hyps[m.group(1)] = parse_sequent(m.group(2), sig)
-                click.echo(f"hyp {m.group(1)}: {m.group(2)}")
+                self.hyps[m.group(1)] = parse_sequent(m.group(2), self.sig)
+                answer = f"hyp {m.group(1)}: {m.group(2)}"
             elif m := GOAL_RE.match(line):
-                self.goal = parse_sequent(m.group(1), sig)
-                click.echo(f"goal: {m.group(1).strip()}")
+                self.goal = parse_sequent(m.group(1), self.sig)
+                answer = f"goal: {m.group(1).strip()}"
             elif line.startswith("export "):
-                self._export(line[7:].strip())
+                answer = self._export(line[7:].strip())
             elif split_by(line):
-                self._add(parse_step(len(self.lines) + 1, line, sig))
+                answer = self._add(parse_step(len(self.lines) + 1, line, self.sig))
             else:
-                self._forward(line, sig)
+                answer = self._forward(line)
         except (_Rejected, TacticError, ScriptError, ParseError, SignatureError) as err:
-            click.echo(f"rejected: {err}")
-        else:
-            self.sig = sig
+            for table, size in zip(vars(self.sig).values(), sizes):
+                while len(table) > size:  # dicts keep insertion order
+                    table.popitem()
+            answer = f"rejected: {err}"
+        _say(self.prompt if answer is None else f"{answer}\n{self.prompt}")
         return True
 
 
@@ -380,15 +378,17 @@ class _Session:
 def repl(mode):
     """Interactive forward-proof session; type 'help' for commands."""
     session = _Session(mode)
-    click.echo(f"interactive session, mode {mode}; 'help' lists commands")
+    for stream in sys.stdin, sys.stdout:  # an undecodable byte is read, and written back, as is
+        stream.reconfigure(errors="surrogateescape")
+    _say(f"interactive session, mode {mode}; 'help' lists commands\n{session.prompt}")
     while True:
-        click.echo(f"{mode}> ", nl=False)
+        sys.stdout.flush()  # once per answer, before blocking on the next read
         raw = sys.stdin.readline()
-        if not raw:
-            click.echo("")
+        if not raw or not session.handle(raw):
             break
-        if not session.handle(raw):
-            break
+    if not raw:
+        _say("\n")  # end of input ends the prompt's line
+    sys.stdout.flush()
     sys.exit(0)
 
 

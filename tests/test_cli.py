@@ -1,4 +1,6 @@
+import io
 import os
+import select
 import subprocess
 import sys
 import time
@@ -765,3 +767,180 @@ def test_python_dash_m_runs_the_command_line(module, tmp_path):
     demo = os.path.join(os.path.dirname(__file__), os.pardir, "proofs", "demo.nom")
     res = _run_module([module, "check", demo], tmp_path)
     assert res.returncode == 0 and "accepted" in res.stdout
+
+
+# --- the REPL's output stream and its rollback ----------------------------------
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+_BUFFERED = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _repl_process(*args, **kw):
+    return subprocess.Popen([sys.executable, "-m", "orthoproof.cli", "repl", *args],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, **kw)
+
+
+def test_repl_transcript_is_byte_identical(tmp_path):
+    # every command and every kind of rejected line, ending at end of input
+    with open(os.path.join(_DATA, "repl_session.in"), "rb") as fh:
+        text = fh.read().replace(b"@TMP@", os.fsencode(tmp_path))
+    with open(os.path.join(_DATA, "repl_session.out"), "rb") as fh:
+        expected = fh.read()
+    proc = _repl_process("--mode", "NOM_Q", env=_ENV)
+    out, err = proc.communicate(text, timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.replace(os.fsencode(tmp_path), b"@TMP@") == expected
+    assert (tmp_path / "s.nom").exists() and not (tmp_path / "empty.nom").exists()
+
+
+def test_repl_flushes_the_banner_and_prompt_before_the_first_read():
+    # nothing is sent: the prompt must arrive without any input or end of input,
+    # through a buffered stdout, which only an explicit flush empties
+    proc = _repl_process(env=_BUFFERED)
+    try:
+        buf, deadline = b"", time.monotonic() + 10
+        while not buf.endswith(b"NOM> "):
+            ready, _, _ = select.select([proc.stdout], [], [], max(0, deadline - time.monotonic()))
+            assert ready, f"no prompt within 10 s; read {buf!r}"
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            assert chunk, f"the REPL exited; read {buf!r}"
+            buf += chunk
+        assert buf == b"interactive session, mode NOM; 'help' lists commands\nNOM> "
+    finally:
+        proc.kill()
+        proc.communicate()
+
+
+class _Recorder(io.StringIO):
+    """A stdout that logs each write and flush into a shared event list."""
+
+    def __init__(self, events):
+        super().__init__()
+        self.events = events
+
+    def write(self, text):
+        self.events.append(("write", text))
+        return super().write(text)
+
+    def flush(self):
+        self.events.append(("flush", None))
+
+    def reconfigure(self, **kwargs):
+        pass
+
+
+class _Reader(io.TextIOWrapper):
+    """A stdin over fixed bytes that logs each line read."""
+
+    def __init__(self, data, events):
+        super().__init__(io.BytesIO(data), encoding="utf-8")
+        self.events = events
+
+    def readline(self, *args):
+        self.events.append(("read", None))
+        return super().readline(*args)
+
+
+@pytest.mark.parametrize("last", ["", "quit\n"])
+def test_repl_flushes_once_per_answer_just_before_each_read(monkeypatch, tmp_path, last):
+    from orthoproof import cli
+    inputs = ["help", "show", "", "# a comment", "hyp h: p |- p", "goal: |- p -> p",
+              "assume p", "imp_i", "assume q /\\", "frobnicate", "derived P2.4.dni from 1",
+              f"export {tmp_path / 'missing' / 's.nom'}", f"export {tmp_path / 's.nom'}"]
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Recorder(events))
+    monkeypatch.setattr(sys, "stdin", _Reader(("\n".join(inputs) + "\n" + last).encode(), events))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.repl.callback(mode="NOM")
+    assert exit_info.value.code == 0
+    # the events between two reads, and after the last one, answer one input each
+    answers, current = [], []
+    for event in events:
+        if event[0] == "read":
+            answers.append(current)
+            current = []
+        else:
+            current.append(event)
+    answers.append(current)
+    assert len(answers) == len(inputs) + 2  # the banner, each input, and end of input or quit
+    # each answer is one write, ending with the prompt, and one flush
+    for answer in answers[:-1]:
+        assert [kind for kind, _ in answer] == ["write", "flush"]
+        assert answer[0][1].endswith("NOM> ")
+    assert answers[0][0][1] == "interactive session, mode NOM; 'help' lists commands\nNOM> "
+    assert answers[-1] == ([("write", "\n"), ("flush", None)] if last == "" else [("flush", None)])
+
+
+def test_repl_undecodable_input_is_a_rejected_line(tmp_path):
+    # an ASCII stdin cannot decode the UTF-8 bytes of é; a path that holds
+    # them is written, and echoed, byte for byte
+    proc = _repl_process(env={**_ENV, "PYTHONIOENCODING": "ascii"})
+    path = os.fsencode(tmp_path / "\u00e9.nom")
+    out, err = proc.communicate(b"assume \xc3\xa9\nassume p\nexport " + path + b"\nquit\n",
+                                timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.splitlines()[1:] == [b"NOM> rejected: unexpected character '\\udcc3' (at position 1)",
+                                    b"NOM> 1: p |- p",
+                                    b"NOM> exported to " + path + b": accepted", b"NOM> "]
+    assert (tmp_path / "\u00e9.nom").exists()
+
+
+@pytest.mark.parametrize("env", [_BUFFERED, {**_BUFFERED, "PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+def test_repl_stays_quiet_when_its_stdout_is_closed(env):
+    # the answers outgrow a pipe's buffer, so the session is still writing
+    # when the reader stops after two lines
+    proc = _repl_process(env=env)
+    proc.stdin.write(b"assume p\n" * 3000 + b"help\n" * 100)
+    proc.stdin.close()
+    assert proc.stdout.readline().startswith(b"interactive session")
+    assert proc.stdout.readline() == b"NOM> 1: p |- p\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def _tables(sig):
+    return {name: list(table.items()) for name, table in vars(sig).items()}
+
+
+# (set-up lines, rejected line, next line, its answer); {tmp} is a fresh directory
+_REJECTED_KINDS = {
+    "parse error": (["assume p"], "assume zz /\\ (r", "assume zz", "2: zz |- zz"),
+    "relation over a letter": (["assume p"], "q |- p(a) by assume", "assume q", "2: q |- q"),
+    "arity against a memoised parse": (["S(x, y) |- S(x, y) by assume"],
+                                       "R(x) |- S(x) by assume", "assume R(x, y)",
+                                       "2: R(x,y) |- R(x,y)"),
+    "unknown rule": (["assume p"], "q |- q by frobnicate", "assume q", "2: q |- q"),
+    "kernel rejection": (["assume p"], "q |- r by assume", "assume q, r", "2: q, r |- r"),
+    "derived-entry mismatch": (["assume p"], "p |- ~~q by derived P2.4.dni from 1",
+                               "p |- ~~p by derived P2.4.dni from 1", "2: p |- ~~p"),
+    "duplicate hyp": (["hyp h: p |- p"], "hyp h: q |- q", "hyp k: q |- q", "hyp k: q |- q"),
+    "bad from reference": (["assume p"], "s |- ~~s by derived P2.4.dni from 9", "assume s",
+                           "2: s |- s"),
+    "unwritable export path": (["assume p"], "export {tmp}/missing/s.nom", "assume q",
+                               "2: q |- q"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_REJECTED_KINDS))
+def test_repl_rejected_line_leaves_every_table_as_it_was(kind, tmp_path, capsys):
+    from orthoproof.cli import _Session
+    setup, bad, following, answer = _REJECTED_KINDS[kind]
+    session, control = _Session("NOM"), _Session("NOM")
+    for line in setup:
+        session.handle(line)
+        control.handle(line)
+    before = _tables(session.sig)
+    capsys.readouterr()
+    assert session.handle(bad.format(tmp=tmp_path))
+    assert capsys.readouterr().out.startswith("rejected: ")
+    assert _tables(session.sig) == before
+    assert session.handle(following)
+    assert capsys.readouterr().out == f"{answer}\nNOM> "
+    # the same tables, in the same order, as a session that never saw the line
+    control.handle(following)
+    assert _tables(session.sig) == _tables(control.sig)
